@@ -9,7 +9,7 @@ pins the wall-clock of a cold full-tree run under a soft budget and
 records the measured numbers in ``BENCH_checks.json``.
 
 It also re-asserts the CI gate inline: the live tree is clean under
-every default rule with the committed baseline kept empty.
+every default rule.
 """
 
 import time

@@ -39,14 +39,6 @@ bit-identical per (candidate, corner) pair and >=2x asserted.
 ``run_tran_many`` (candidate-vectorized Newton per time step, one
 stacked linear solve per iteration) vs the per-candidate sequential
 ``run_tran`` loop, waveforms pinned bit-identical and >=2x asserted.
-
-``test_table8_solver_scaling`` is the node-count scaling mode of the
-pluggable linear-solve layer (model-free, CI smoke): a synthetic RC
-ladder grown across MNA sizes, the same DC + AC workload solved once
-with the dense backend and once with the sparse backend
-(``repro.spice.use_backend``), solutions pinned to machine-precision
-parity, and the dense->sparse speedup at the largest size asserted
-against a >=2x floor and snapshotted to ``BENCH_scaling.json``.
 """
 
 import time
@@ -79,16 +71,6 @@ CORNER_AXIS = ("tt", "ss", "ff")
 #: Population and repeats of the transient-throughput comparison.
 N_TRAN_POP = 12
 TRAN_REPEATS = 3
-
-#: MNA sizes (nodes + sources) of the solver-scaling comparison.  The
-#: largest is where the sparse backend must clear the 2x floor; the
-#: smallest sits below ``SPARSE_MIN_SIZE`` territory where dense wins,
-#: which is exactly why the auto policy exists.
-SCALING_SIZES = (40, 120, 480)
-SCALING_BATCH = 8
-SCALING_REPEATS = 3
-SCALING_FREQS = 24
-SCALING_SPEEDUP_FLOOR = 2.0
 
 PAPER_ROWS = {
     "5T-OTA": "paper: 8.5h train | 95/100 single (37s) | 5/100 multi (111s, ~3 iters)",
@@ -558,124 +540,3 @@ def test_table8_tran_throughput(topologies):
     )
 
     assert speedup >= 2.0
-
-
-# ----------------------------------------------------------------------
-# Linear-solver node-count scaling (sparse vs dense backend)
-# ----------------------------------------------------------------------
-def _ladder_circuit(n_segments, label):
-    """A driven RC ladder with per-node current injections: the node-count
-    scaling workload of the linsolve layer.
-
-    Each segment adds a series resistor, a ground resistor, a ground
-    capacitor and a small dc injection (the injections keep the deep tail
-    nodes at O(10 mV) instead of attenuating into denormals, so relative
-    DC parity between backends stays meaningful).  MNA size is
-    ``n_segments + 2`` (nodes + the one driving source).  Values vary
-    with the segment index so the matrix has no accidental symmetry.
-    """
-    from repro.spice import Circuit
-
-    circuit = Circuit(name=f"LADDER-{label}")
-    circuit.add_vsource("VIN", "n0", "0", 1.0, ac=1.0)
-    for k in range(1, n_segments + 1):
-        circuit.add_resistor(f"R{k}", f"n{k - 1}", f"n{k}", 1e3 * (1.0 + 0.1 * (k % 7)))
-        circuit.add_resistor(f"RG{k}", f"n{k}", "0", 1e4)
-        circuit.add_capacitor(f"C{k}", f"n{k}", "0", 1e-12)
-        circuit.add_isource(f"I{k}", "0", f"n{k}", 1e-6 * (1.0 + (k % 3)))
-    return circuit
-
-
-def test_table8_solver_scaling():
-    """Sparse vs dense linsolve backend across growing MNA sizes:
-    machine-precision parity at every size, >=2x at the largest.
-
-    Model-free (pure linear circuits, CI smoke): a batch of RC ladders per
-    size is solved for DC and swept over a log frequency grid, once per
-    backend via ``use_backend`` -- the same ``solve_dc_many``/``run_ac_many``
-    entry points the sizing flow drives, so the timed difference is purely
-    the linear-solve layer.  The smallest size documents the dense win the
-    auto-dispatch threshold exists for (no floor asserted there).
-    """
-    from repro.spice import run_ac_many, solve_dc_many, use_backend
-
-    frequencies = np.logspace(3, 8, SCALING_FREQS)
-
-    def run(n_segments, mode):
-        circuits = [
-            _ladder_circuit(n_segments, f"{mode}-{i}") for i in range(SCALING_BATCH)
-        ]
-        with use_backend(mode):
-            start = time.perf_counter()
-            dc_solutions = solve_dc_many(circuits)
-            ac_results = run_ac_many(dc_solutions, frequencies)
-            elapsed = time.perf_counter() - start
-        return elapsed, dc_solutions, ac_results
-
-    rows = []
-    for size in SCALING_SIZES:
-        n_segments = size - 2  # MNA size = nodes (n_segments + 1) + 1 source
-        # Warm both paths (imports, first-touch allocations, pattern cache).
-        run(n_segments, "dense")
-        run(n_segments, "sparse")
-
-        dense_s = sparse_s = float("inf")
-        for _ in range(SCALING_REPEATS):
-            elapsed, dense_dc, dense_ac = run(n_segments, "dense")
-            dense_s = min(dense_s, elapsed)
-            elapsed, sparse_dc, sparse_ac = run(n_segments, "sparse")
-            sparse_s = min(sparse_s, elapsed)
-
-        # Parity: the sparse factorization must reproduce the dense
-        # solutions to machine precision (measured ~1e-16 relative), for
-        # every candidate, node and frequency.
-        out = f"n{n_segments}"
-        for ref, got in zip(dense_dc, sparse_dc, strict=True):
-            ref_v = np.array([ref.node_voltages[n] for n in sorted(ref.node_voltages)])
-            got_v = np.array([got.node_voltages[n] for n in sorted(got.node_voltages)])
-            np.testing.assert_allclose(got_v, ref_v, rtol=1e-9, atol=0.0)
-        for ref, got in zip(dense_ac, sparse_ac, strict=True):
-            np.testing.assert_allclose(
-                got.magnitude_db(out), ref.magnitude_db(out), rtol=0.0, atol=1e-9
-            )
-
-        rows.append(
-            {
-                "size": size,
-                "dense_s": round(dense_s, 4),
-                "sparse_s": round(sparse_s, 4),
-                "speedup": round(dense_s / sparse_s, 2),
-            }
-        )
-
-    lines = [
-        "Table VIII addendum -- linear-solver node-count scaling (sparse backend)",
-        "",
-        f"workload per size: {SCALING_BATCH} RC ladders, one batched DC solve "
-        f"+ {SCALING_FREQS}-point AC sweep, best of {SCALING_REPEATS} runs",
-        f"{'MNA size':>8s} {'dense [s]':>10s} {'sparse [s]':>11s} {'speedup':>8s}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['size']:>8d} {row['dense_s']:>10.4f} "
-            f"{row['sparse_s']:>11.4f} {row['speedup']:>7.2f}x"
-        )
-    lines.append("solutions: machine-precision parity between backends at every size")
-    write_result("table8_solver_scaling", lines)
-
-    largest = rows[-1]
-    write_bench_json(
-        "scaling",
-        {
-            "sizes": list(SCALING_SIZES),
-            "batch": SCALING_BATCH,
-            "ac_frequencies": SCALING_FREQS,
-            "rows": rows,
-            "largest_size": largest["size"],
-            "speedup": largest["speedup"],
-            "speedup_floor": SCALING_SPEEDUP_FLOOR,
-            "speedup_floor_enforced": True,
-        },
-    )
-
-    assert largest["speedup"] >= SCALING_SPEEDUP_FLOOR, rows

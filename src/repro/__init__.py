@@ -34,15 +34,12 @@ Subpackages
     The unified solver API: every sizing method (transformer copilot and
     the SA/PSO/DE baselines) behind one registry-dispatched ``Solver``
     protocol, running on a batched SPICE evaluation backend.
-``baselines``
-    Function-style adapters over the registered SA/PSO/DE solvers
-    (Table IX comparison).
 ``service``
     The batched request/response sizing engine, topology-registry-backed,
     with JSON-serializable requests and the ``python -m repro`` CLI.
 """
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 from . import solvers
 from .core import DesignSpec, SizingFlow, SizingModel, train_sizing_model

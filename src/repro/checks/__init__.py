@@ -35,14 +35,13 @@ and pass 2 runs seven rules over those summaries, enforced in CI:
     ``Infinity`` bug cannot silently corrupt output again.
 
 Suppress a single finding inline with ``# checks: ignore[rule-id]``;
-unused suppressions are themselves findings (and ``--fix`` deletes them
-in place).  Findings carry severities; a committed baseline file can
-grandfather known findings, and ``--changed-only`` restricts reporting
-to git-changed files while still resolving symbols from the full tree.
+unused suppressions are themselves findings.  Findings carry severities
+(only errors fail a run unless ``--strict``), and ``--changed-only``
+restricts reporting to git-changed files while still resolving symbols
+from the full tree.
 See the README's "Static analysis" section for the full catalog.
 """
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .core import (
     FileContext,
     FileRule,
@@ -52,7 +51,6 @@ from .core import (
     Rule,
     run_checks,
 )
-from .fixes import apply_fixes
 from .project import ProjectGraph
 from .registry import DEFAULT_RULES, rule_by_id
 
@@ -67,8 +65,4 @@ __all__ = [
     "run_checks",
     "DEFAULT_RULES",
     "rule_by_id",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
-    "apply_fixes",
 ]

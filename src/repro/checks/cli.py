@@ -1,7 +1,7 @@
 """Command line front end: ``python -m repro.checks [paths...]``.
 
-Exit status: 0 when no error-severity finding survives the baseline,
-1 otherwise (``--strict`` promotes warnings to failures too), 2 on
+Exit status: 0 when no error-severity finding is reported, 1
+otherwise (``--strict`` promotes warnings to failures too), 2 on
 usage errors.  ``--format json`` prints the machine-readable report to
 stdout; ``--output FILE`` additionally writes the JSON report to a file
 regardless of the stdout format (CI uploads it as an artifact).
@@ -9,9 +9,6 @@ regardless of the stdout format (CI uploads it as an artifact).
 ``--changed-only [REF]`` restricts *reporting* to files changed versus
 REF (default HEAD) per ``git diff`` plus untracked files — the full
 tree is still parsed so cross-module resolution never degrades.
-``--baseline FILE`` grandfathers known findings; ``--write-baseline``
-regenerates that file.  ``--fix`` deletes unused suppressions in place
-(the default is check-only; CI stays read-only).
 """
 
 from __future__ import annotations
@@ -23,9 +20,7 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .core import Report, Rule, run_checks
-from .fixes import apply_fixes
 from .registry import DEFAULT_RULES
 
 __all__ = ["main", "build_parser", "run"]
@@ -56,24 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON report to FILE (CI artifact)",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="FILE",
-        help="JSON baseline of grandfathered findings; matching findings "
-             "are reported as grandfathered and do not fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to --baseline FILE and exit 0",
-    )
-    parser.add_argument(
         "--changed-only", nargs="?", const="HEAD", default=None, metavar="REF",
         help="report findings only for files changed vs REF (git diff + "
              "untracked; default REF: HEAD); the full tree is still "
              "parsed for symbol resolution",
-    )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="delete unused `# checks: ignore[...]` suppressions in "
-             "place, then re-check (default: check only, never writes)",
     )
     parser.add_argument(
         "--strict", action="store_true",
@@ -123,10 +104,7 @@ def run(
     fmt: str = "text",
     output: Path | None = None,
     rules: Sequence[Rule] | None = None,
-    baseline: Path | None = None,
-    write_baseline_file: bool = False,
     changed_only: str | None = None,
-    fix: bool = False,
     strict: bool = False,
 ) -> int:
     """Run the checker; returns the process exit status."""
@@ -143,45 +121,9 @@ def run(
         if restrict is None:
             return 2
 
-    def check() -> Report:
-        return run_checks(
-            resolved, active_rules, display_root=Path.cwd(), restrict_paths=restrict
-        )
-
-    report = check()
-
-    if write_baseline_file:
-        if baseline is None:
-            print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        count = write_baseline(baseline, report)
-        print(f"repro.checks: wrote {count} finding(s) to {baseline}", file=sys.stderr)
-        return 0
-
-    allowed = None
-    if baseline is not None:
-        if baseline.exists():
-            try:
-                allowed = load_baseline(baseline)
-            except (ValueError, KeyError, json.JSONDecodeError) as error:
-                print(f"error: bad baseline {baseline}: {error}", file=sys.stderr)
-                return 2
-        else:
-            print(f"error: no such baseline: {baseline}", file=sys.stderr)
-            return 2
-        report = apply_baseline(report, allowed)
-
-    if fix:
-        fixed = apply_fixes(report, Path.cwd())
-        if fixed:
-            print(
-                f"repro.checks: fixed unused suppressions in {len(fixed)} file(s)",
-                file=sys.stderr,
-            )
-            report = check()
-            if allowed is not None:
-                report = apply_baseline(report, allowed)
-
+    report = run_checks(
+        resolved, active_rules, display_root=Path.cwd(), restrict_paths=restrict
+    )
     if output is not None:
         output.write_text(
             json.dumps(report.as_dict(), indent=2, sort_keys=True, allow_nan=False)
@@ -202,12 +144,9 @@ def _print_text(report: Report) -> None:
     status = "clean" if report.ok else (
         f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)"
     )
-    grandfathered = (
-        f", {report.grandfathered} grandfathered" if report.grandfathered else ""
-    )
     print(
         f"repro.checks: {status} across {report.files_checked} file(s), "
-        f"{len(report.rules)} rule(s){grandfathered}",
+        f"{len(report.rules)} rule(s)",
         file=sys.stderr,
     )
 
@@ -222,9 +161,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.paths,
         fmt=args.format,
         output=args.output,
-        baseline=args.baseline,
-        write_baseline_file=args.write_baseline,
         changed_only=args.changed_only,
-        fix=args.fix,
         strict=args.strict,
     )

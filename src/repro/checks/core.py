@@ -88,11 +88,6 @@ class Finding:
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
-
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: [{self.severity}] {self.message}"
 
@@ -316,8 +311,6 @@ class Report:
     findings: list[Finding]
     files_checked: int
     rules: list[Rule]
-    #: findings dropped because they matched the committed baseline
-    grandfathered: int = 0
 
     @property
     def ok(self) -> bool:
@@ -344,7 +337,6 @@ class Report:
             "findings": [finding.as_dict() for finding in self.findings],
             "counts": dict(sorted(counts.items())),
             "severities": dict(sorted(severities.items())),
-            "grandfathered": self.grandfathered,
         }
 
 

@@ -2,7 +2,7 @@
 
 PR 7's rules were single-file pattern matchers.  The ROADMAP tentpoles
 they guard — multiprocess sharding with zero-copy shared artifacts, and
-sparse MNA inside the batched Newton hot paths — fail *across* module
+stacked MNA solves inside the batched Newton hot paths — fail *across* module
 boundaries: a lock acquired two calls away, an unpicklable attribute
 smuggled in through a helper's constructor, a per-item solve hidden in
 a callee.  This module builds what those rules need to see:

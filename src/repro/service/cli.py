@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fork-safety of process-shared objects, hot-loop vectorization "
             "discipline, wire-format/cache-key drift, RNG determinism, JSON "
             "non-finite safety. Exit 0 when no error-severity finding "
-            "survives the baseline, 1 otherwise. Equivalent to "
+            "is reported, 1 otherwise. Equivalent to "
             "`python -m repro.checks`."
         ),
     )
@@ -213,17 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stdout report format (default text)")
     checks.add_argument("--output", type=Path, default=None, metavar="FILE",
                         help="also write the JSON report to FILE")
-    checks.add_argument("--baseline", type=Path, default=None, metavar="FILE",
-                        help="JSON baseline of grandfathered findings")
-    checks.add_argument("--write-baseline", action="store_true",
-                        help="write the current findings to --baseline FILE and exit")
     checks.add_argument("--changed-only", nargs="?", const="HEAD", default=None,
                         metavar="REF",
                         help="report findings only for files changed vs REF "
                              "(default HEAD); the full tree is still parsed")
-    checks.add_argument("--fix", action="store_true",
-                        help="delete unused `# checks: ignore[...]` suppressions "
-                             "in place, then re-check")
     checks.add_argument("--strict", action="store_true",
                         help="fail on warning-severity findings too")
     checks.add_argument("--list-rules", action="store_true",
@@ -530,10 +523,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.paths,
             fmt=args.format,
             output=args.output,
-            baseline=args.baseline,
-            write_baseline_file=args.write_baseline,
             changed_only=args.changed_only,
-            fix=args.fix,
             strict=args.strict,
         )
     if args.command == "topologies":

@@ -8,7 +8,7 @@ translated in one greedy decode whose batch spans the whole round — one
 model serves every topology, so the fusion crosses topology boundaries
 (Stage I/II).  Each request then runs width estimation (Stage III), and
 the round's verifiable candidates are verified together: one
-``measure_many`` call per topology through the engine's pluggable
+``measure_sweeps`` call per topology through the engine's pluggable
 :class:`~repro.solvers.EvalBackend` (Stage IV), so the verification
 SPICE simulations of a round share one stacked complex MNA factorization
 instead of running one at a time.  Throughput therefore scales with the
@@ -54,7 +54,7 @@ from ..datagen.serialize import ParsedParams
 from ..lut import DeviceParams, estimate_width
 from ..solvers.backend import BatchedBackend, EvalBackend
 from ..spice import TRAN_METRIC_DIRECTIONS, PerformanceMetrics
-from ..topologies import MeasureOutcome, OTATopology, topology_by_name
+from ..topologies import CornerSweep, OTATopology, topology_by_name
 from .cache import ResultCache
 from .requests import SizingRequest, SizingResponse
 
@@ -303,17 +303,10 @@ class SizingEngine:
                 # The analyses keyword travels only on non-default
                 # pipelines, so custom backends with the pre-transient
                 # signature keep serving AC-only rounds unchanged.
-                kwargs = {} if "tran" not in analyses else {"analyses": analyses}
-                if corners:
-                    sweeps = self.backend.measure_many(
-                        topology, widths_list, corners=corners, **kwargs
-                    )
-                    for (state, widths), sweep in zip(pairs, sweeps, strict=True):
-                        self._stage_iv_corners(state, widths, sweep)
-                else:
-                    outcomes = self.backend.measure_many(topology, widths_list, **kwargs)
-                    for (state, widths), outcome in zip(pairs, outcomes, strict=True):
-                        self._stage_iv(state, widths, outcome)
+                pipeline = analyses if "tran" in analyses else None
+                sweeps = self.backend.measure_sweeps(topology, widths_list, corners, pipeline)
+                for (state, widths), sweep in zip(pairs, sweeps, strict=True):
+                    self._stage_iv(state, widths, sweep)
             active = [s for s in active if s.result is None]
 
     def _stage_iii(
@@ -344,73 +337,27 @@ class SizingEngine:
             return None
         return widths
 
-    def _stage_iv(
-        self, s: _ActiveRequest, widths: dict[str, float], outcome: MeasureOutcome
-    ) -> None:
-        """Judge one verification outcome exactly as the sequential path."""
-        requested = s.current
-        text = s.decoded_texts[-1]
-
-        if not outcome.ok:
-            # Non-converging design (the backend's per-candidate stand-in
-            # for ConvergenceError, from any analysis leg -- DC Newton or
-            # transient integration): counts as no completed verification
-            # simulation, matching the scalar path's convention that a
-            # failed measure() costs nothing regardless of partial work.
-            # Nudge and retry.
-            s.trace.append(IterationTrace(requested, text, True, widths, None, False))
-            s.current = requested.scaled(_NUDGE)
-            return self._finish_if_exhausted(s)
-
-        s.spice_count += 1
-        self.stats.add(spice_simulations=1)
-        metrics = outcome.result.metrics
-        satisfied = s.original.satisfied(metrics, rel_tol=s.request.rel_tol)
-        s.trace.append(IterationTrace(requested, text, True, widths, metrics, satisfied))
-
-        # Track the iterate with the smallest total spec shortfall, so a
-        # failing run reports its closest attempt rather than its latest.
-        shortfall = sum(s.original.miss_fractions(metrics).values())
-        if shortfall < s.best_shortfall:
-            s.best_shortfall = shortfall
-            s.best = (widths, metrics)
-
-        if satisfied:
-            s.result = SizingResult(
-                success=True,
-                spec=s.original,
-                widths=widths,
-                metrics=metrics,
-                iterations=s.iteration,
-                spice_simulations=s.spice_count,
-                wall_time_s=time.perf_counter() - s.start,
-                trace=s.trace,
-            )
-            return
-
-        s.current = tighten_spec(requested, s.original, metrics)
-        self._finish_if_exhausted(s)
-
-    def _stage_iv_corners(
-        self, s: _ActiveRequest, widths: dict[str, float], sweep
-    ) -> None:
-        """Worst-case Stage IV: one candidate judged across every corner.
+    def _stage_iv(self, s: _ActiveRequest, widths: dict[str, float], sweep: CornerSweep) -> None:
+        """Stage IV: one candidate judged across every corner of its sweep.
 
         The candidate passes only when **all** corners meet the original
         spec; the iteration trace and margin allocation run against the
         binding worst corner (largest total shortfall), so retries tighten
-        toward the hardest operating condition.
+        toward the hardest operating condition.  A nominal request is the
+        one-corner ``tt`` sweep and reports no per-corner fields.
         """
         requested = s.current
         text = s.decoded_texts[-1]
 
         # Partially converged sweeps still burned simulations; count them.
+        # A corner that did not converge costs nothing, matching the scalar
+        # path's convention that a failed measure() is no simulation.
         s.spice_count += sweep.n_ok
         self.stats.add(spice_simulations=sweep.n_ok)
 
         if not sweep.ok:
-            # At least one corner failed to converge: like the nominal
-            # path's non-converging design -- nudge and retry inference.
+            # A corner failed to converge (DC Newton or transient
+            # integration): nudge and retry inference.
             s.trace.append(IterationTrace(requested, text, True, widths, None, False))
             s.current = requested.scaled(_NUDGE)
             return self._finish_if_exhausted(s)
@@ -425,6 +372,11 @@ class SizingEngine:
             IterationTrace(requested, text, True, widths, worst_metrics, satisfied)
         )
 
+        if not s.request.corners:
+            corner_metrics, worst_name = None, None
+
+        # Track the iterate with the smallest total spec shortfall, so a
+        # failing run reports its closest attempt rather than its latest.
         shortfall = sum(s.original.miss_fractions(worst_metrics).values())
         if shortfall < s.best_shortfall:
             s.best_shortfall = shortfall

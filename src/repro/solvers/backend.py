@@ -23,6 +23,10 @@ with bit-identical metrics and per-(candidate, corner) failure
 isolation, so solvers can switch backends without changing results
 (``bench_table9`` pins the flat parity and throughput gap;
 ``bench_table8``'s corner mode pins the corner-axis counterpart).
+Solvers and Stage IV read results through
+:meth:`EvalBackend.measure_sweeps`, which returns sweeps for both shapes
+(a nominal request is the one-corner ``tt`` axis), so they keep one
+judging path.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 
-from ..devices import Corner, CornerLike, resolve_corners
+from ..devices import NOMINAL_CORNER, Corner, CornerLike, resolve_corners
 from ..spice import ConvergenceError
 from ..topologies import CornerSweep, MeasureOutcome, OTATopology
 
@@ -64,6 +68,30 @@ class EvalBackend(ABC):
         signature keep working on the default path.
         """
 
+    def measure_sweeps(
+        self,
+        topology: OTATopology,
+        widths_list: Sequence[Mapping[str, float]],
+        corners: Sequence[CornerLike] = (),
+        analyses: Sequence[str] | None = None,
+    ) -> list[CornerSweep]:
+        """Measure every candidate as a :class:`CornerSweep`, for both
+        request shapes: a nominal request (empty ``corners``) is the
+        one-corner ``tt`` axis.
+
+        ``corners`` and ``analyses`` reach :meth:`measure_many` only when
+        set, so backends implementing the narrower nominal, AC-only
+        signature keep serving those requests.
+        """
+        kwargs = {} if analyses is None else {"analyses": analyses}
+        if corners:
+            return self.measure_many(topology, widths_list, corners=corners, **kwargs)
+        outcomes = self.measure_many(topology, widths_list, **kwargs)
+        return [
+            CornerSweep(widths=dict(widths), corners=(NOMINAL_CORNER,), outcomes=(outcome,))
+            for widths, outcome in zip(widths_list, outcomes, strict=True)
+        ]
+
     def measure(
         self,
         topology: OTATopology,
@@ -71,12 +99,9 @@ class EvalBackend(ABC):
         corner: CornerLike = None,
         analyses: Sequence[str] | None = None,
     ) -> MeasureOutcome:
-        """Single-candidate convenience wrapper over :meth:`measure_many`."""
-        kwargs = {} if analyses is None else {"analyses": analyses}
-        if corner is None:
-            return self.measure_many(topology, [widths], **kwargs)[0]
-        sweep = self.measure_many(topology, [widths], corners=(corner,), **kwargs)[0]
-        return sweep.outcomes[0]
+        """Single-candidate convenience wrapper over :meth:`measure_sweeps`."""
+        corners = () if corner is None else (corner,)
+        return self.measure_sweeps(topology, [widths], corners, analyses)[0].outcomes[0]
 
 
 class ScalarBackend(EvalBackend):
@@ -90,26 +115,18 @@ class ScalarBackend(EvalBackend):
         corners: Sequence[CornerLike] | None = None,
         analyses: Sequence[str] | None = None,
     ) -> list:
-        if corners is not None:
-            resolved = resolve_corners(corners)
-            if not resolved:
-                # Same contract as the batched path (which inherits the
-                # check from topology.measure_many): an empty corner axis
-                # would yield vacuous all-pass sweeps.
-                raise ValueError("corners must be non-empty (use corners=None for nominal)")
+        if corners is None:
             return [
-                self._sweep_one(topology, widths, resolved, analyses)
+                self._sweep_one(topology, widths, (NOMINAL_CORNER,), analyses).outcomes[0]
                 for widths in widths_list
             ]
-        outcomes: list[MeasureOutcome] = []
-        for widths in widths_list:
-            outcome = MeasureOutcome(widths=dict(widths))
-            try:
-                outcome.result = topology.measure(widths, analyses=analyses)
-            except (ConvergenceError, KeyError, ValueError) as error:
-                outcome.error = str(error)
-            outcomes.append(outcome)
-        return outcomes
+        resolved = resolve_corners(corners)
+        if not resolved:
+            # Same contract as the batched path (which inherits the
+            # check from topology.measure_many): an empty corner axis
+            # would yield vacuous all-pass sweeps.
+            raise ValueError("corners must be non-empty (use corners=None for nominal)")
+        return [self._sweep_one(topology, widths, resolved, analyses) for widths in widths_list]
 
     @staticmethod
     def _sweep_one(
@@ -139,7 +156,4 @@ class BatchedBackend(EvalBackend):
         corners: Sequence[CornerLike] | None = None,
         analyses: Sequence[str] | None = None,
     ) -> list:
-        kwargs = {} if analyses is None else {"analyses": analyses}
-        if corners is not None:
-            return topology.measure_many(list(widths_list), corners=corners, **kwargs)
-        return topology.measure_many(list(widths_list), **kwargs)
+        return topology.measure_many(list(widths_list), corners=corners, analyses=analyses)

@@ -143,8 +143,8 @@ class SearchObjective:
         self.spec = spec
         self.backend = backend if backend is not None else BatchedBackend()
         self.check_regions = check_regions
-        #: Resolved PVT corner axis; empty tuple = nominal-only (the
-        #: pre-corner single-evaluation path, bit-identical).
+        #: Resolved PVT corner axis; empty tuple = nominal-only (judged as
+        #: the one-corner ``tt`` sweep, without per-corner results).
         self.corners: tuple[Corner, ...] = resolve_corners(corners)
         #: Measurement pipeline: an explicit ``analyses`` request or, at
         #: minimum, whatever the spec needs -- transient targets pull the
@@ -173,25 +173,19 @@ class SearchObjective:
     def evaluate_many(self, points: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate a population of normalized points; lower is better."""
         widths_list = [self.space.decode(point) for point in points]
-        kwargs = {} if self.analyses is None else {"analyses": self.analyses}
-        if self.corners:
-            sweeps = self.backend.measure_many(
-                self.topology, widths_list, corners=self.corners, **kwargs
-            )
-            return np.array(
-                [self._record_sweep(w, s) for w, s in zip(widths_list, sweeps, strict=True)],
-                dtype=float,
-            )
-        outcomes = self.backend.measure_many(self.topology, widths_list, **kwargs)
+        sweeps = self.backend.measure_sweeps(
+            self.topology, widths_list, self.corners, self.analyses
+        )
         return np.array(
-            [self._record(w, o) for w, o in zip(widths_list, outcomes, strict=True)], dtype=float
+            [self._record_sweep(w, s) for w, s in zip(widths_list, sweeps, strict=True)],
+            dtype=float,
         )
 
     def evaluate_one(self, point: np.ndarray) -> float:
         return float(self.evaluate_many(np.asarray(point, dtype=float)[None, :])[0])
 
     def _corner_value(self, outcome: MeasureOutcome) -> float:
-        """One corner's score with the flat path's penalty semantics."""
+        """One corner's score: the spec shortfall, or a penalty."""
         if not outcome.ok:
             return PENALTY
         if self.check_regions and not self.topology.regions_ok(outcome.result.dc):
@@ -199,13 +193,17 @@ class SearchObjective:
         return float(sum(self.spec.miss_fractions(outcome.result.metrics).values()))
 
     def _record_sweep(self, widths: dict[str, float], sweep: CornerSweep) -> float:
-        """Worst-corner aggregate of one candidate's corner sweep."""
+        """Worst-corner aggregate of one candidate's corner sweep.
+
+        A nominal evaluation is the one-corner ``tt`` sweep: one SPICE
+        call, its corner's score, and no per-corner bookkeeping.
+        """
         self.spice_calls += len(sweep.corners)
         values = [self._corner_value(outcome) for outcome in sweep.outcomes]
         value = max(values)
-        # ``best`` bookkeeping mirrors the flat path: only candidates whose
-        # every corner simulated (and, when checked, stayed in-region) can
-        # become the incumbent -- a penalized corner disqualifies.
+        # Only candidates whose every corner simulated (and, when checked,
+        # stayed in-region) can become the incumbent -- a penalized
+        # corner disqualifies.
         eligible = sweep.ok and (
             not self.check_regions
             or all(
@@ -220,39 +218,20 @@ class SearchObjective:
             # worst miss, or the least margin when every corner passes.
             worst_name, worst_metrics = sweep.worst_corner(self.spec)
             self.best_metrics = worst_metrics
-            self.best_worst_corner = worst_name
-            self.best_corner_metrics = sweep.metrics_by_corner()
-        # One history entry per SPICE call, preserving the unified
-        # semantics (entry k = best observed after call k+1).  The
+            if self.corners:
+                self.best_worst_corner = worst_name
+                self.best_corner_metrics = sweep.metrics_by_corner()
+        # One history entry per SPICE call (entry k = best observed after
+        # call k+1).  ``best_value`` stays inf until the first simulatable
+        # candidate; history records the best *observed* value instead,
+        # keeping every entry finite, JSON-serializable and monotone.  The
         # candidate's worst-corner aggregate is only known once its *last*
         # corner has simulated, so the in-sweep prefix records the prior
         # best (floored at PENALTY -- an observed corner scores at worst
-        # PENALTY, keeping every entry finite) and the aggregate lands on
-        # the sweep's final call, never earlier.
+        # PENALTY) and the aggregate lands on the sweep's final call.
         prefix = min(self._best_seen, PENALTY)
         self._best_seen = min(self._best_seen, value)
         self.history.extend([prefix] * (len(sweep.corners) - 1))
-        self.history.append(self._best_seen)
-        return value
-
-    def _record(self, widths: dict[str, float], outcome: MeasureOutcome) -> float:
-        self.spice_calls += 1
-        if not outcome.ok:
-            value = PENALTY
-        elif self.check_regions and not self.topology.regions_ok(outcome.result.dc):
-            value = PENALTY / 2.0
-        else:
-            metrics = outcome.result.metrics
-            value = float(sum(self.spec.miss_fractions(metrics).values()))
-            if value < self.best_value:
-                self.best_value = value
-                self.best_widths = widths
-                self.best_metrics = metrics
-        # ``best_value`` stays inf until the first simulatable candidate;
-        # history records the best *observed* value instead (an
-        # all-penalized prefix records PENALTY, not Infinity), keeping
-        # every entry finite, JSON-serializable and monotone.
-        self._best_seen = min(self._best_seen, value)
         self.history.append(self._best_seen)
         return value
 

@@ -3,15 +3,7 @@
 from .ac import ACResult, default_frequency_grid, run_ac, run_ac_many
 from .dc import ConvergenceError, DCSolution, solve_dc, solve_dc_many
 from .export import parse_netlist, to_spice
-from .linsolve import (
-    SPARSE_MIN_SIZE,
-    StructurePattern,
-    backend_mode,
-    factorize_structure,
-    pattern_from_matrices,
-    solve_stacked,
-    use_backend,
-)
+from .linsolve import solve_stacked
 from .metrics import (
     TRAN_METRIC_DIRECTIONS,
     TRAN_METRIC_NAMES,
@@ -36,13 +28,7 @@ __all__ = [
     "run_ac",
     "run_ac_many",
     "ConvergenceError",
-    "SPARSE_MIN_SIZE",
-    "StructurePattern",
-    "backend_mode",
-    "factorize_structure",
-    "pattern_from_matrices",
     "solve_stacked",
-    "use_backend",
     "parse_netlist",
     "to_spice",
     "DCSolution",

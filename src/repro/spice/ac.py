@@ -162,33 +162,22 @@ class _ACSystem:
 
         return g_matrix, c_matrix, rhs
 
-    def pattern(self) -> linsolve.StructurePattern:
-        """Symbolic solve structure of this system's ``Y(jw)`` sweep.
-
-        Every nonzero of ``Y(jw) = G + jw C`` lies inside
-        ``nonzero(G) | nonzero(C)`` at *every* frequency, so one pattern
-        covers the whole grid.
-        """
-        return linsolve.pattern_from_matrices(self._conductance, self._capacitance)
-
     def solve(self, frequencies: np.ndarray) -> np.ndarray:
         """Solve the frequency sweep through the linsolve layer.
 
         Frequencies are chunked only to bound the stacked ``Y`` tensor's
         memory; each chunk's ``Y(jw)`` entries are built with the same
         elementwise arithmetic as the historical per-frequency loop and
-        the dense backend's stacked LAPACK sweep factors each matrix
-        independently, so the phasors are bit-identical to the old
-        scalar path.  The symbolic pattern is shared by every chunk.
+        the stacked LAPACK sweep factors each matrix independently, so
+        the phasors are bit-identical to the old scalar path.
         """
         phasors = np.zeros((len(frequencies), self.n_nodes), dtype=complex)
         omegas = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-        pattern = self.pattern()
         for start in range(0, len(omegas), _FREQ_CHUNK):
             w = omegas[start : start + _FREQ_CHUNK]
             y_stack = self._conductance[None, :, :] + (1j * w)[:, None, None] * self._capacitance[None, :, :]
             rhs = np.broadcast_to(self._rhs, (len(w), self.size))
-            solved = linsolve.solve_stacked(y_stack, rhs, pattern=pattern)
+            solved = linsolve.solve_stacked(y_stack, rhs)
             phasors[start : start + len(w)] = solved[:, : self.n_nodes]
         return phasors
 
@@ -218,8 +207,8 @@ def run_ac(
 _AC_CHUNK = 64
 
 #: Frequencies per stacked solve in the scalar :func:`run_ac` path; keeps
-#: the ``(freqs, size, size)`` complex ``Y`` stack small even for the
-#: node-count scaling bench's largest structures.
+#: the ``(freqs, size, size)`` complex ``Y`` stack small even for large
+#: structures.
 _FREQ_CHUNK = 32
 
 #: Complex elements allowed in one ``(chunk, freqs, size, size)`` stack
@@ -264,15 +253,11 @@ def run_ac_many(  # checks: hot-path
             g_stack = np.stack([systems[i]._conductance for i in chunk])
             c_stack = np.stack([systems[i]._capacitance for i in chunk])
             rhs_stack = np.stack([systems[i]._rhs for i in chunk])
-            # One symbolic pattern per chunk: the nonzeros of every
-            # candidate's Y(jw) lie inside the union of the chunk's G/C
-            # nonzeros at every frequency.
-            pattern = linsolve.pattern_from_matrices(g_stack, c_stack)
             # Y(jw) per candidate and frequency; elementwise the same ops
             # as the scalar per-frequency build in _ACSystem.solve.
             y_stack = g_stack[:, None, :, :] + (1j * omegas)[None, :, None, None] * c_stack[:, None, :, :]
             rhs = np.broadcast_to(rhs_stack[:, None, :], y_stack.shape[:3])
-            solved = linsolve.solve_stacked(y_stack, rhs, pattern=pattern)
+            solved = linsolve.solve_stacked(y_stack, rhs)
             for row, i in enumerate(chunk):
                 system = systems[i]
                 results[i] = ACResult(

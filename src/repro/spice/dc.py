@@ -215,10 +215,7 @@ def _newton(
     x = x0.copy()
     for iteration in range(1, max_iterations + 1):
         f, jac = system.residual_and_jacobian(x, source_scale, gmin)
-        try:
-            dx = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            dx = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        dx = _solve_newton_steps(jac, f)
         # Voltage-step damping: scale the whole update so no node moves
         # more than MAX_STEP volts in one iteration.
         v_step = np.max(np.abs(dx[: system.n_nodes])) if system.n_nodes else 0.0
@@ -538,10 +535,7 @@ def _solve_batch(circuits: list, guesses: list, max_iterations: int) -> list:
         x0s = np.tile(_initial_point(system, first_guess), (len(circuits), 1))
     else:
         x0s = _initial_points_batch(system, stamps, guesses, len(circuits))
-    pattern = _structure_pattern(system)
-    xs, iters, converged = _newton_batch(
-        system, stamps, x0s, 1.0, GMIN, max_iterations, pattern=pattern
-    )
+    xs, iters, converged = _newton_batch(system, stamps, x0s, 1.0, GMIN, max_iterations)
     outcomes: list = []
     for j, circuit in enumerate(circuits):
         # _finalize extracts operating points from the candidate's *own*
@@ -720,78 +714,14 @@ def _residual_and_jacobian_batch(
     return f, jac
 
 
-def _jacobian_coords(
-    system: _MNASystem, cap_pairs: Sequence[tuple[int | None, int | None]] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Structural ``(row, col)`` coordinates of every Jacobian entry.
+def _solve_newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:  # checks: hot-path
+    """Newton steps ``J dx = -f`` through :func:`repro.spice.linsolve.solve_stacked`.
 
-    The symbolic input of :func:`repro.spice.linsolve.factorize_structure`:
-    walks the same element lists as the assembly and records which matrix
-    entries any iterate can touch — a superset of every single iterate's
-    numeric nonzeros, shared by the whole structure-key group (all
-    candidates, Newton iterations and, with ``cap_pairs``, every
-    transient time step).  Duplicates are fine; the pattern deduplicates.
+    ``jac`` may be one system ``(size, size)`` or a stack
+    ``(batch, size, size)``; the scalar and batched Newton loops share
+    this one call, and with it the per-item ``lstsq`` recovery.
     """
-    n = system.n_nodes
-    rows: list[int] = list(range(n))  # gmin shunt diagonal
-    cols: list[int] = list(range(n))
-
-    def entry(r: int | None, c: int | None) -> None:
-        if r is not None and c is not None:
-            rows.append(r)
-            cols.append(c)
-
-    def admittance(i1: int | None, i2: int | None) -> None:
-        entry(i1, i1)
-        entry(i1, i2)
-        entry(i2, i1)
-        entry(i2, i2)
-
-    circuit = system.circuit
-    for res in circuit.resistors:
-        admittance(system.node_index(res.node1), system.node_index(res.node2))
-    for i1, i2 in cap_pairs:
-        admittance(i1, i2)
-    for mosfet in circuit.mosfets:
-        id_, ig, is_ = (
-            system.node_index(mosfet.drain),
-            system.node_index(mosfet.gate),
-            system.node_index(mosfet.source),
-        )
-        for r in (id_, is_):
-            for c in (id_, ig, is_):
-                entry(r, c)
-    for k, src in enumerate(circuit.vsources):
-        row = n + k
-        ip, in_ = system.node_index(src.pos), system.node_index(src.neg)
-        entry(ip, row)
-        entry(row, ip)
-        entry(in_, row)
-        entry(row, in_)
-    return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-
-
-def _structure_pattern(
-    system: _MNASystem, cap_pairs: Sequence[tuple[int | None, int | None]] = ()
-) -> linsolve.StructurePattern:
-    """Symbolic solve pattern of one structure-key group (built once)."""
-    rows, cols = _jacobian_coords(system, cap_pairs)
-    return linsolve.factorize_structure(rows, cols, system.size)
-
-
-def _solve_newton_steps(  # checks: hot-path
-    jac: np.ndarray,
-    f: np.ndarray,
-    pattern: linsolve.StructurePattern | None = None,
-) -> np.ndarray:
-    """Stacked ``J dx = -f`` through the pluggable linsolve layer.
-
-    The dense backend reproduces the historical arithmetic bit for bit
-    (one stacked ``np.linalg.solve`` with the scalar path's per-item
-    lstsq fallback); structures at or above the sparse threshold ride
-    SuperLU via the group's precomputed symbolic ``pattern``.
-    """
-    return linsolve.solve_stacked(jac, -f, pattern=pattern)
+    return linsolve.solve_stacked(jac, -f)
 
 
 def _newton_batch(  # checks: hot-path
@@ -803,7 +733,6 @@ def _newton_batch(  # checks: hot-path
     max_iterations: int = 150,
     abstol: float = 1e-10,
     reltol: float = 1e-9,
-    pattern: linsolve.StructurePattern | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton over one candidate group; per-candidate convergence.
 
@@ -811,9 +740,6 @@ def _newton_batch(  # checks: hot-path
     Candidates freeze the moment their own convergence criterion fires, so
     each trajectory reproduces the scalar ``_newton`` iteration for that
     candidate exactly.  Returns ``(solutions, iterations, converged)``.
-
-    ``pattern`` is the group's symbolic solve structure (built once by
-    the caller); every iteration's stacked solve reuses it.
     """
     n = system.n_nodes
     batch = x0s.shape[0]
@@ -837,7 +763,7 @@ def _newton_batch(  # checks: hot-path
             system, active_stamps, x[active], source_scale, gmin,
             out=(f_buf[:m], jac_buf[:m]),
         )
-        dx = _solve_newton_steps(jac, f, pattern)
+        dx = _solve_newton_steps(jac, f)
         # Voltage-step damping: scale each candidate's update so no node
         # moves more than MAX_STEP volts in one iteration.
         if n:

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linsolve
 from .dc import (
     GMIN,
     MAX_STEP,
@@ -54,7 +53,6 @@ from .dc import (
     _residual_and_jacobian_batch,
     _solve_newton_steps,
     _structure_key,
-    _structure_pattern,
 )
 from .netlist import GROUND, Circuit
 
@@ -229,18 +227,12 @@ def _tran_newton(
     max_iterations: int,
     abstol: float = 1e-10,
     reltol: float = 1e-9,
-    pattern: linsolve.StructurePattern | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Damped Newton for one time step (mirrors :func:`repro.spice.dc._newton`).
-
-    ``pattern`` is the circuit's symbolic solve structure, built once by
-    :func:`run_tran` and reused across every time step's iterations; the
-    dense backend keeps the historical bit-exact arithmetic.
-    """
+    """Damped Newton for one time step (mirrors :func:`repro.spice.dc._newton`)."""
     x = x_prev.copy()
     for iteration in range(1, max_iterations + 1):
         f, jac = _tran_residual(system, caps, x, x_prev, hist, coef)
-        dx = _solve_newton_steps(jac, f, pattern)
+        dx = _solve_newton_steps(jac, f)
         v_step = np.max(np.abs(dx[: system.n_nodes])) if system.n_nodes else 0.0
         if v_step > MAX_STEP:
             dx *= MAX_STEP / v_step
@@ -294,9 +286,6 @@ def run_tran(
     stepped = step_sources(solution.circuit, step_amplitude)
     system = _MNASystem(stepped)
     caps = _cap_elements(system, solution)
-    # Symbolic solve structure: DC stamps plus companion-model entries,
-    # computed once and reused by every time step's Newton iterations.
-    pattern = _structure_pattern(system, [(i1, i2) for i1, i2, _ in caps])
     x = system.pack(solution.node_voltages, solution.source_currents)
     waveforms = np.empty((n_steps + 1, system.n_nodes))
     waveforms[0] = x[: system.n_nodes]
@@ -305,9 +294,7 @@ def run_tran(
     total_iterations = 0
     for step in range(1, n_steps + 1):
         coef = _step_coef(method, dt, step)
-        x_new, iterations = _tran_newton(
-            system, caps, x, hist, coef, max_newton_iterations, pattern=pattern
-        )
+        x_new, iterations = _tran_newton(system, caps, x, hist, coef, max_newton_iterations)
         total_iterations += iterations
         if method == "trap":
             for e, (i1, i2, c) in enumerate(caps):
@@ -443,7 +430,6 @@ def _tran_newton_batch(  # checks: hot-path
     abstol: float = 1e-10,
     reltol: float = 1e-9,
     work: tuple[np.ndarray, np.ndarray] | None = None,
-    pattern: linsolve.StructurePattern | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One time step's damped Newton over a candidate batch.
 
@@ -485,7 +471,7 @@ def _tran_newton_batch(  # checks: hot-path
         _stamp_caps_batch(
             f, jac, active_caps, x[active], x_prev[active], hist[active], coef
         )
-        dx = _solve_newton_steps(jac, f, pattern)
+        dx = _solve_newton_steps(jac, f)
         if n:
             v_step = np.max(np.abs(dx[:, :n]), axis=1)
             over = v_step > MAX_STEP
@@ -522,9 +508,6 @@ def _tran_batch(  # checks: hot-path
     system = _MNASystem(stepped[0])
     stamps = _BatchStamps(stepped)
     caps = _cap_elements_batch(system, solutions)
-    # One symbolic solve pattern for the whole group: structure is shared
-    # across candidates, time steps and Newton iterations alike.
-    pattern = _structure_pattern(system, [(i1, i2) for i1, i2, _ in caps])
     batch = len(solutions)
     n_steps = len(times) - 1
     x = np.stack(
@@ -561,7 +544,6 @@ def _tran_batch(  # checks: hot-path
             coef,
             max_newton_iterations,
             work=(f_buf, jac_buf),
-            pattern=pattern,
         )
         newton_totals[active] += iterations
         diverged = active[~converged]

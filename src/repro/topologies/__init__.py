@@ -2,8 +2,8 @@
 
 Topologies self-register with the pluggable registry (see
 :mod:`repro.topologies.registry`); importing this package registers the
-three paper circuits plus the folded-cascode and telescopic OTAs that
-exercise the sparse MNA path.  New circuits only need a ``@register``
+three paper circuits plus the folded-cascode and telescopic OTAs (larger
+MNA systems than any paper circuit).  New circuits only need a ``@register``
 decorator — no dispatch table to edit.
 """
 

@@ -22,7 +22,15 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ..devices import VDD, Corner, CornerLike, TechParams, resolve_corner, resolve_corners
+from ..devices import (
+    NOMINAL_CORNER,
+    VDD,
+    Corner,
+    CornerLike,
+    TechParams,
+    resolve_corner,
+    resolve_corners,
+)
 from ..dpsfg import DPSFG, build_dpsfg, enumerate_paths, PathInventory
 from ..spice import (
     TRAN_METRIC_DIRECTIONS,
@@ -150,11 +158,12 @@ class CornerSweep:
     """One candidate's per-corner outcomes in a multi-corner bulk call.
 
     Produced by :meth:`OTATopology.measure_many` (and the evaluation
-    backends) when a ``corners=`` axis is requested: ``outcomes[j]`` is the
-    candidate's :class:`MeasureOutcome` at ``corners[j]``, with the same
-    per-(candidate, corner) failure isolation the flat path gives per
-    candidate -- a design that converges at TT but not at SS holds a
-    failed outcome in the SS slot only.
+    backends) when a ``corners=`` axis is requested, and by
+    ``EvalBackend.measure_sweeps`` for every request (a nominal one is the
+    one-corner ``tt`` axis): ``outcomes[j]`` is the candidate's
+    :class:`MeasureOutcome` at ``corners[j]``, with per-(candidate, corner)
+    failure isolation -- a design that converges at TT but not at SS holds
+    a failed outcome in the SS slot only.
     """
 
     widths: dict[str, float]
@@ -498,7 +507,6 @@ class OTATopology(ABC):
         widths_list: list,
         vcm: float | None = None,
         frequencies: np.ndarray | None = None,
-        corner: CornerLike = None,
         corners: Sequence[CornerLike] | None = None,
         analyses: Sequence[str] | None = None,
     ) -> list:
@@ -514,64 +522,32 @@ class OTATopology(ABC):
         (:func:`repro.spice.run_tran_many`).  Metrics are bit-identical
         to calling :meth:`measure` per candidate.
 
-        ``corner`` evaluates the whole population at one PVT corner
-        (default nominal, bit-identical to the pre-corner path) and returns
-        a flat ``list[MeasureOutcome]``.  ``corners`` adds a corner *axis*:
-        every candidate is evaluated at every corner, the
-        population x corner pairs stack into the same batched DC/AC solves
-        (one Newton batch and one complex factorization per circuit
-        structure), and the return value is a ``list[CornerSweep]`` aligned
-        with ``widths_list``.
+        ``corners=None`` evaluates the population at the nominal corner
+        and returns a flat ``list[MeasureOutcome]`` -- the one-corner
+        ``tt`` axis, unwrapped.  A ``corners`` sequence evaluates every
+        candidate at every corner: the population x corner pairs stack
+        into the same batched DC/AC solves (one Newton batch and one
+        complex factorization per circuit structure), and the return
+        value is a ``list[CornerSweep]`` aligned with ``widths_list``.
 
-        Failures are isolated per candidate (per candidate-corner pair on
-        the corner axis): a design whose DC solve does not converge,
-        whose width vector cannot be built, or whose transient
-        integration diverges yields an outcome with ``ok=False`` instead
-        of raising, so one bad design never aborts a population
-        evaluation.
+        Failures are isolated per candidate-corner pair: a design whose
+        DC solve does not converge, whose width vector cannot be built,
+        or whose transient integration diverges yields an outcome with
+        ``ok=False`` instead of raising, so one bad design never aborts a
+        population evaluation.
         """
         resolved_analyses = resolve_analyses(analyses)
-        if corners is not None:
-            if corner is not None:
-                raise ValueError("pass either corner= or corners=, not both")
-            resolved_corners = resolve_corners(corners)
-            if not resolved_corners:
-                raise ValueError("corners must be non-empty (use corner=None for nominal)")
-            return self._measure_corner_sweeps(
-                widths_list,
-                resolved_corners,
-                vcm=vcm,
-                frequencies=frequencies,
-                analyses=resolved_analyses,
+        if corners is None:
+            sweeps = self._measure_corner_sweeps(
+                widths_list, (NOMINAL_CORNER,), vcm, frequencies, resolved_analyses
             )
-
-        outcomes = [MeasureOutcome(widths=dict(widths)) for widths in widths_list]
-        buildable: list[int] = []
-        circuits: list[Circuit] = []
-        for index, widths in enumerate(widths_list):
-            try:
-                circuits.append(self.build_circuit(widths, vcm=vcm, corner=corner))
-            except (KeyError, ValueError) as error:
-                outcomes[index].error = str(error)
-                continue
-            buildable.append(index)
-
-        solutions = solve_dc_many(circuits, initial_guess=self.initial_guess_for(corner))
-        solved: list[tuple[int, Circuit, DCSolution]] = []
-        for index, circuit, solution in zip(buildable, circuits, solutions, strict=True):
-            if isinstance(solution, ConvergenceError):
-                outcomes[index].error = str(solution)
-            else:
-                solved.append((index, circuit, solution))
-
-        ac_results = run_ac_many([dc for _, _, dc in solved], frequencies=frequencies)
-        trans = self._tran_slots([dc for _, _, dc in solved], resolved_analyses)
-        for (index, circuit, dc), ac, tran in zip(solved, ac_results, trans, strict=True):
-            if isinstance(tran, ConvergenceError):
-                outcomes[index].error = str(tran)
-            else:
-                outcomes[index].result = self._package_measurement(circuit, dc, ac, tran=tran)
-        return outcomes
+            return [sweep.outcomes[0] for sweep in sweeps]
+        resolved_corners = resolve_corners(corners)
+        if not resolved_corners:
+            raise ValueError("corners must be non-empty (use corners=None for nominal)")
+        return self._measure_corner_sweeps(
+            widths_list, resolved_corners, vcm, frequencies, resolved_analyses
+        )
 
     def _tran_slots(self, solutions: list, analyses: tuple[str, ...]) -> list:
         """Per-candidate transient slots: ``TranResult``/error entries when

@@ -1,8 +1,8 @@
 """Folded-cascode OTA (ROADMAP "larger topologies"; not in the paper's Fig. 6).
 
-The first of the two large-topology scenarios the sparse MNA layer
-exists for: eleven devices, ten non-ground nodes and seven independent
-sources — an MNA system roughly twice the 5T-OTA's, with the deep
+The larger of the two cascode topologies beyond the paper: eleven
+devices, ten non-ground nodes and seven independent sources — an MNA
+system roughly twice the 5T-OTA's, with the deep
 cascode stack that makes single-stage gains of 50+ dB reachable where
 the paper's three topologies top out around 30 dB.
 
@@ -38,7 +38,7 @@ __all__ = ["FoldedCascodeOTA"]
 
 @register
 class FoldedCascodeOTA(OTATopology):
-    """Folded-cascode OTA: the first sparse-solver-scale topology."""
+    """Folded-cascode OTA: the largest registered MNA system."""
 
     name = "FC-OTA"
     #: Single-stage but high output impedance into 500 fF: the dominant

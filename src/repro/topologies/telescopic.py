@@ -1,6 +1,6 @@
 """Telescopic-cascode OTA (ROADMAP "larger topologies"; not in Fig. 6).
 
-The second large-topology scenario for the sparse MNA layer: nine
+The second cascode topology beyond the paper: nine
 devices stacked five high between the rails — the classic
 minimum-power route to cascode gain when the input common mode can be
 fixed, and a deeper MNA system (nine non-ground nodes, six sources)

@@ -1217,42 +1217,13 @@ class TestHotLoop:
 
 
 # ----------------------------------------------------------------------
-# Baseline, severities, --fix, --changed-only (the CLI workflow)
+# Severities and --changed-only (the CLI workflow)
 # ----------------------------------------------------------------------
 class TestBaselineAndSeverity:
+    """The gate without a baseline file: every error finding fails the
+    run, warnings fail only under ``--strict``."""
+
     DIRTY = "import json\njson.dumps({})\n"
-
-    def test_write_then_apply_baseline_grandfathers(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text(self.DIRTY)
-        baseline = tmp_path / "baseline.json"
-
-        assert checks_main([str(dirty)]) == 1
-        assert (
-            checks_main([str(dirty), "--baseline", str(baseline), "--write-baseline"])
-            == 0
-        )
-        assert checks_main([str(dirty), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr()
-        assert "1 grandfathered" in out.err
-
-    def test_new_finding_not_in_baseline_fails(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text(self.DIRTY)
-        baseline = tmp_path / "baseline.json"
-        assert (
-            checks_main([str(dirty), "--baseline", str(baseline), "--write-baseline"])
-            == 0
-        )
-        dirty.write_text(self.DIRTY + "import random\n")
-        assert checks_main([str(dirty), "--baseline", str(baseline)]) == 1
-        capsys.readouterr()
-
-    def test_missing_baseline_is_usage_error(self, tmp_path, capsys):
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        assert checks_main([str(clean), "--baseline", str(tmp_path / "no.json")]) == 2
-        capsys.readouterr()
 
     def test_warnings_pass_by_default_fail_under_strict(self, tmp_path, capsys):
         fixture = tmp_path / "engine.py"
@@ -1271,48 +1242,14 @@ class TestBaselineAndSeverity:
         assert checks_main([str(fixture), "--strict"]) == 1
         capsys.readouterr()
 
-    def test_report_severities_and_grandfathered_in_json(self, tmp_path, capsys):
+    def test_report_severities_in_json(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text(self.DIRTY)
         out = tmp_path / "report.json"
         assert checks_main([str(dirty), "--output", str(out)]) == 1
         payload = json.loads(out.read_text())
         assert payload["severities"] == {"error": 1}
-        assert payload["grandfathered"] == 0
         assert payload["findings"][0]["severity"] == "error"
-        capsys.readouterr()
-
-
-class TestFix:
-    SOURCE = """
-    import json
-
-    def emit(payload):
-        return json.dumps(payload, allow_nan=False)  # checks: ignore[json-safety]
-
-    def bad(payload):
-        return json.dumps(payload)  # checks: ignore[json-safety]
-    """
-
-    def test_fix_removes_stale_keeps_live(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        fixture = tmp_path / "fixture.py"
-        fixture.write_text(textwrap.dedent(self.SOURCE))
-        assert checks_main([str(fixture), "--fix"]) == 0
-        text = fixture.read_text()
-        # The stale ignore on the allow_nan=False line is deleted; the
-        # ignore still excusing a real finding survives.
-        lines = text.splitlines()
-        assert lines[4] == "    return json.dumps(payload, allow_nan=False)"
-        assert "# checks: ignore[json-safety]" in lines[7]
-        capsys.readouterr()
-
-    def test_default_is_check_only(self, tmp_path, capsys):
-        fixture = tmp_path / "fixture.py"
-        original = textwrap.dedent(self.SOURCE)
-        fixture.write_text(original)
-        assert checks_main([str(fixture)]) == 1  # the unused suppression
-        assert fixture.read_text() == original
         capsys.readouterr()
 
 

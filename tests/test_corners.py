@@ -239,19 +239,19 @@ class TestCornerMeasurement:
         assert np.array_equal(metrics.as_array(), ss_metrics.as_array())
 
     def test_measure_many_rejects_conflicting_corner_args(self, five_t):
-        with pytest.raises(ValueError, match="not both"):
-            five_t.measure_many(
-                [GOOD_WIDTHS["5T-OTA"]], corner="ss", corners=("tt",)
-            )
+        """Corners are named one way only: the ``corners=`` axis (the
+        single-corner ``corner=`` keyword is gone), and it is non-empty."""
+        with pytest.raises(TypeError, match="corner"):
+            five_t.measure_many([GOOD_WIDTHS["5T-OTA"]], corner="ss")
         with pytest.raises(ValueError, match="non-empty"):
             five_t.measure_many([GOOD_WIDTHS["5T-OTA"]], corners=())
 
     def test_measure_many_single_corner_flat(self, five_t):
-        outcomes = five_t.measure_many([GOOD_WIDTHS["5T-OTA"]], corner="ss")
+        sweep = five_t.measure_many([GOOD_WIDTHS["5T-OTA"]], corners=("ss",))[0]
         reference = five_t.measure(GOOD_WIDTHS["5T-OTA"], corner="ss")
-        assert isinstance(outcomes[0], MeasureOutcome)
+        assert isinstance(sweep.outcomes[0], MeasureOutcome)
         assert np.array_equal(
-            outcomes[0].result.metrics.as_array(), reference.metrics.as_array()
+            sweep.outcomes[0].result.metrics.as_array(), reference.metrics.as_array()
         )
 
 
@@ -551,9 +551,16 @@ class TestCornerServing:
 
     def test_mixed_corner_batch_isolated(self, corner_serving):
         """One batch mixing nominal, corner-pass and corner-fail requests:
-        each request is judged against its own corner axis."""
+        each request is judged against its own corner axis.  Nominal
+        responses carry no per-corner fields, whether they succeed, run
+        out of budget, or come from a search solver."""
         engine, topology, metrics = corner_serving
         easy, tt_only = self._easy_spec(metrics), self._tt_only_spec(metrics)
+        unreachable = DesignSpec(
+            gain_db=metrics["tt"].gain_db * 2.0,
+            f3db_hz=metrics["tt"].f3db_hz,
+            ugf_hz=metrics["tt"].ugf_hz,
+        )
         responses = engine.size_batch(
             [
                 SizingRequest(topology=topology.name, spec=tt_only, id="nom",
@@ -562,12 +569,24 @@ class TestCornerServing:
                               max_iterations=1, corners=ALL_CORNERS),
                 SizingRequest(topology=topology.name, spec=tt_only, id="hard",
                               max_iterations=1, corners=ALL_CORNERS),
+                SizingRequest(topology=topology.name, spec=unreachable, id="nom-fail",
+                              max_iterations=2),
+                SizingRequest(topology=topology.name, spec=easy, id="nom-pso",
+                              method="pso", budget=24),
             ]
         )
         by_id = {response.request_id: response for response in responses}
         assert by_id["nom"].success and by_id["nom"].corner_metrics is None
         assert by_id["all"].success
         assert not by_id["hard"].success and by_id["hard"].worst_corner == "ss"
+        # Out of budget: the best attempt is reported, still without corners.
+        failed = by_id["nom-fail"]
+        assert not failed.success and failed.metrics is not None
+        assert failed.method == "copilot" and failed.spice_simulations == 2
+        assert by_id["nom-pso"].method == "pso" and by_id["nom-pso"].metrics is not None
+        for request_id in ("nom", "nom-fail", "nom-pso"):
+            response = by_id[request_id]
+            assert response.corner_metrics is None and response.worst_corner is None
 
 
 # ----------------------------------------------------------------------
