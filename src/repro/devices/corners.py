@@ -33,6 +33,7 @@ override mappings for custom conditions::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from collections.abc import Mapping, Sequence
@@ -105,8 +106,10 @@ class Corner:
             )
         for field_name in ("vt0_scale", "kp_scale", "vdd_scale", "temperature_k"):
             value = getattr(self, field_name)
-            if not (value > 0):
-                raise ValueError(f"corner {field_name} must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"corner {field_name} must be positive and finite, got {value}"
+                )
 
     @property
     def is_nominal(self) -> bool:

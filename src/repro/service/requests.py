@@ -150,6 +150,14 @@ class SizingRequest:
             raise ValueError("method must be a non-empty string")
         if self.budget is not None and self.budget < 0:
             raise ValueError("budget must be non-negative")
+        # DesignSpec's positivity check lets NaN and inf through; reject them
+        # here, before the request can join (and fail) a batch.
+        targets = (
+            self.spec.gain_db, self.spec.f3db_hz, self.spec.ugf_hz,
+            *self.spec.tran_targets().values(),
+        )
+        if not all(math.isfinite(value) for value in targets):
+            raise ValueError(f"spec targets must be finite: {self.spec}")
         # Normalize corner specifications (names / mappings / Corner
         # objects) to resolved, hashable Corner tuples: the cache key and
         # in-batch coalescing compare them structurally.

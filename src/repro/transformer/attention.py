@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functional import softmax, softmax_backward
+from .functional import softmax_, softmax_backward
 from .layers import Dropout, Linear, Module
 
 __all__ = ["MultiHeadAttention"]
@@ -31,6 +31,9 @@ class MultiHeadAttention(Module):
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
+        # A Python float, not a NumPy float64 scalar: dividing a float32
+        # array by the latter would promote it to float64.
+        self.scale = float(np.sqrt(self.d_head))
         self.w_q = self.register("w_q", Linear(d_model, d_model, rng))
         self.w_k = self.register("w_k", Linear(d_model, d_model, rng))
         self.w_v = self.register("w_v", Linear(d_model, d_model, rng))
@@ -49,6 +52,20 @@ class MultiHeadAttention(Module):
         batch, _, seq, _ = x.shape
         return x.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
 
+    def attention_weights(
+        self, q: np.ndarray, k: np.ndarray, mask: np.ndarray | None
+    ) -> np.ndarray:
+        """``softmax(q k^T / sqrt(d_head) + mask)`` over split heads.
+
+        The scale, the mask add and the softmax all run inside the score
+        buffer, so the only allocation is the ``(B, H, Tq, Tk)`` product.
+        """
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores /= self.scale
+        if mask is not None:
+            scores += mask.astype(scores.dtype, copy=False)
+        return softmax_(scores, axis=-1)
+
     # ------------------------------------------------------------------
     def forward(
         self,
@@ -64,10 +81,7 @@ class MultiHeadAttention(Module):
         k = self._split_heads(self.w_k.forward(kv_input))
         v = self._split_heads(self.w_v.forward(kv_input))
 
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.d_head)
-        if mask is not None:
-            scores = scores + mask.astype(scores.dtype, copy=False)
-        probs = softmax(scores, axis=-1)
+        probs = self.attention_weights(q, k, mask)
         probs_dropped = self.dropout.forward(probs, training)
         context = probs_dropped @ v
         out = self.w_o.forward(self._merge_heads(context))
@@ -85,7 +99,7 @@ class MultiHeadAttention(Module):
         dprobs_dropped = dcontext @ v.transpose(0, 1, 3, 2)
         dv = probs_dropped.transpose(0, 1, 3, 2) @ dcontext
         dprobs = self.dropout.backward(dprobs_dropped)
-        dscores = softmax_backward(probs, dprobs) / np.sqrt(self.d_head)
+        dscores = softmax_backward(probs, dprobs) / self.scale
 
         dq = dscores @ k
         dk = dscores.transpose(0, 1, 3, 2) @ q

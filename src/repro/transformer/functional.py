@@ -10,6 +10,7 @@ import numpy as np
 
 __all__ = [
     "softmax",
+    "softmax_",
     "softmax_backward",
     "relu",
     "relu_backward",
@@ -29,6 +30,19 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=axis, keepdims=True)
+
+
+def softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """In-place :func:`softmax`: overwrites and returns ``x``.
+
+    The same operations in the same order, so the result is bit-identical
+    to ``softmax(x)`` without allocating the shifted and exponentiated
+    temporaries.
+    """
+    x -= np.max(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=axis, keepdims=True)
+    return x
 
 
 def softmax_backward(probs: np.ndarray, dout: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -145,11 +145,13 @@ class Linear(Module):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # One 2-D GEMM over all leading dimensions: a (B, T, d_in) @ W
+        # product would take NumPy's slower stacked-matmul path.
         self._x = x
-        out = x @ self.weight
+        out = x.reshape(-1, x.shape[-1]) @ self.weight
         if self.bias is not None:
-            out = out + self.bias
-        return out
+            out += self.bias
+        return out.reshape(*x.shape[:-1], out.shape[-1])
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         assert self._x is not None, "backward before forward"
@@ -158,7 +160,7 @@ class Linear(Module):
         self.grads["weight"] += x2d.T @ dout2d
         if self.bias is not None:
             self.grads["bias"] += dout2d.sum(axis=0)
-        return dout @ self.weight.T
+        return (dout2d @ self.weight.T).reshape(self._x.shape)
 
 
 class Embedding(Module):

@@ -167,14 +167,30 @@ class Transformer(Module):
         Mathematically identical to re-running the decoder on the whole
         prefix each step (checked by a regression test against
         :meth:`greedy_decode_naive`) but O(T^2) instead of O(T^3).
-        Returns one id list per batch row (without BOS, truncated at EOS).
+        Sources must be right-padded (``src_pad`` True on a suffix of each
+        row, and False on at least its first token); rows are encoded in
+        groups of equal unpadded length, so no encoder work is spent on
+        padding and a row's memory does not depend on its batch
+        neighbours.  Returns one id list per batch row (without BOS,
+        truncated at EOS).
         """
-        from .functional import softmax  # local import to avoid cycle noise
-
         limit = min(max_len or self.config.max_len, self.config.max_len)
-        batch = src_ids.shape[0]
-        memory = self.encode(src_ids, src_pad, training=False)
-        cross_bias = np.where(src_pad, -1e30, 0.0)[:, None, None, :].astype(memory.dtype)
+        batch, t_src = src_ids.shape
+        lengths = t_src - src_pad.sum(axis=1)
+        if np.any(src_pad != (np.arange(t_src) >= lengths[:, None])):
+            raise ValueError("source padding must be a suffix of each row")
+        if np.any(lengths == 0):
+            raise ValueError("every source row needs at least one token")
+        width = int(lengths.max(initial=0))
+        memory = np.zeros((batch, width, self.config.d_model), dtype=self.config.dtype)
+        for length in np.unique(lengths):
+            rows = np.flatnonzero(lengths == length)
+            memory[rows, :length] = self.encode(
+                src_ids[rows, :length], src_pad[rows, :length], training=False
+            )
+        # Padded keys are zero rows of ``memory``; the mask's -1e30 gives
+        # them exactly zero cross-attention weight.
+        cross_bias = padding_mask(src_pad[:, :width]).astype(memory.dtype)
 
         # Precompute cross-attention keys/values once per decoder block, and
         # preallocate the self-attention KV buffers: appending via
@@ -194,12 +210,6 @@ class Transformer(Module):
                 }
             )
 
-        def attend(q, k, v, bias=None):
-            scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(q.shape[-1])
-            if bias is not None:
-                scores = scores + bias
-            return softmax(scores, axis=-1) @ v
-
         generated = np.full((batch, 1), bos_id, dtype=np.int64)
         finished = np.zeros(batch, dtype=bool)
         for step in range(limit - 1):
@@ -214,17 +224,15 @@ class Transformer(Module):
                 cache["self_v"][:, :, step : step + 1] = self_attn._split_heads(
                     self_attn.w_v.forward(y)
                 )
-                context = attend(
-                    q,
-                    cache["self_k"][:, :, : step + 1],
-                    cache["self_v"][:, :, : step + 1],
-                )
+                weights = self_attn.attention_weights(q, cache["self_k"][:, :, : step + 1], None)
+                context = weights @ cache["self_v"][:, :, : step + 1]
                 attended = self_attn.w_o.forward(self_attn._merge_heads(context))
                 x = block.norm1.forward(y + attended)
 
                 cross = block.cross_attn
                 q2 = cross._split_heads(cross.w_q.forward(x))
-                context2 = attend(q2, cache["cross_k"], cache["cross_v"], bias=cross_bias)
+                weights = cross.attention_weights(q2, cache["cross_k"], cross_bias)
+                context2 = weights @ cache["cross_v"]
                 crossed = cross.w_o.forward(cross._merge_heads(context2))
                 x = block.norm2.forward(x + crossed)
 

@@ -64,8 +64,19 @@ class TestPipeline:
 
     def test_float32_model(self, tiny_artifacts):
         artifacts, _ = tiny_artifacts
-        params = dict(artifacts.model.transformer.named_parameters())
+        transformer = artifacts.model.transformer
+        params = dict(transformer.named_parameters())
         assert all(p.dtype == np.float32 for p in params.values())
+        # The activations stay float32 past the first attention as well.
+        rng = np.random.default_rng(0)
+        src = rng.integers(4, transformer.config.vocab_size, size=(2, 7))
+        tgt = rng.integers(4, transformer.config.vocab_size, size=(2, 5))
+        src_pad = np.zeros_like(src, dtype=bool)
+        src_pad[1, 5:] = True
+        tgt_pad = np.zeros_like(tgt, dtype=bool)
+        assert transformer.encode(src, src_pad, training=False).dtype == np.float32
+        logits = transformer.forward(src, tgt, src_pad, tgt_pad, training=False)
+        assert logits.dtype == np.float32
 
 
 class TestBundlePersistence:

@@ -95,6 +95,9 @@ class TestCornerResolution:
             Corner("bad", vdd_scale=0.0)
         with pytest.raises(ValueError):
             Corner("bad", temperature_k=-1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                Corner("bad", kp_scale=bad)
         with pytest.raises(ValueError):
             Corner("")
         # Names key JSON maps and the whitespace-separated netlist header.

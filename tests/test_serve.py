@@ -199,6 +199,15 @@ class TestProtocol:
         with pytest.raises(RequestError, match="JSON object"):
             parse_request_text("[1, 2]")
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"nan"', '"inf"'])
+    @pytest.mark.parametrize("field", ["gain_db", "f3db_hz", "ugf_hz", "slew_v_per_s"])
+    def test_non_finite_target_rejected(self, field, value):
+        # Python's json accepts the NaN/Infinity literals and float() the
+        # strings; every spelling is a bad line before it reaches a batch.
+        good = json.dumps(self.GOOD)[:-1]
+        with pytest.raises(RequestError):
+            parse_request_text(f'{good}, "{field}": {value}}}')
+
     def test_unknown_field_rejected(self):
         with pytest.raises(RequestError, match="unknown"):
             parse_request_payload({**self.GOOD, "bogus": 1})

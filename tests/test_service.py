@@ -122,6 +122,19 @@ class TestRequestJSON:
             SizingRequest.for_spec("5T-OTA", 25.0, 5e6, 8e7, method="")
         with pytest.raises(ValueError):
             SizingRequest.for_spec("5T-OTA", 25.0, 5e6, 8e7, budget=-1)
+        # NaN and +inf pass DesignSpec's positivity check; the request
+        # rejects every non-finite target, transient ones included.
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                SizingRequest.for_spec("5T-OTA", bad, 5e6, 8e7)
+            with pytest.raises(ValueError):
+                SizingRequest.for_spec("5T-OTA", 25.0, bad, 8e7)
+            with pytest.raises(ValueError):
+                SizingRequest.for_spec("5T-OTA", 25.0, 5e6, bad)
+            with pytest.raises(ValueError):
+                SizingRequest(
+                    topology="5T-OTA", spec=DesignSpec(25.0, 5e6, 8e7, slew_v_per_s=bad)
+                )
 
 
 class TestResponseJSON:
@@ -193,11 +206,11 @@ class TestQuantizeSpec:
             quantize_spec(value)
 
     def test_non_finite_spec_cannot_form_a_cache_key(self):
-        # inf passes DesignSpec's positivity validation, so the cache key
-        # is the last line of defense.
-        request = SizingRequest.for_spec("5T-OTA", float("inf"), 5e6, 8e7)
-        with pytest.raises(ValueError, match="non-finite"):
-            ResultCache.key(request)
+        # inf passes DesignSpec's positivity validation, but a request
+        # carrying it is rejected at construction, so no cache key is ever
+        # formed from it (quantize_spec's own guard is pinned above).
+        with pytest.raises(ValueError, match="finite"):
+            SizingRequest.for_spec("5T-OTA", float("inf"), 5e6, 8e7)
 
 
 # ----------------------------------------------------------------------

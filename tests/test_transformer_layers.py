@@ -20,7 +20,7 @@ from repro.transformer import (
     sinusoidal_positional_encoding,
     softmax,
 )
-from repro.transformer.functional import softmax_backward
+from repro.transformer.functional import softmax_, softmax_backward
 
 
 def numeric_grad(fn, array, eps=1e-6):
@@ -47,6 +47,23 @@ class TestFunctional:
     def test_softmax_stability_large_inputs(self):
         probs = softmax(np.array([1e30, 0.0, -1e30]))
         assert np.isfinite(probs).all()
+
+    @pytest.mark.parametrize("axis", [-1, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inplace_softmax_bit_identical(self, dtype, axis):
+        """``softmax_`` overwrites its argument with exactly ``softmax``'s
+        result, -1e30 masked entries included."""
+        rng = np.random.default_rng(2)
+        scores = rng.normal(scale=4.0, size=(3, 5, 37))
+        masked = rng.random(scores.shape) < 0.3
+        masked[:, 0, :] = masked[:, :, 0] = False  # keep a live entry per slice
+        x = (scores + np.where(masked, -1e30, 0.0)).astype(dtype)
+        expected = softmax(x, axis=axis)
+        buffer = x.copy()
+        out = softmax_(buffer, axis=axis)
+        assert out is buffer
+        assert out.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
 
     def test_softmax_backward_matches_numeric(self):
         rng = np.random.default_rng(1)

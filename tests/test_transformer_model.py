@@ -126,8 +126,23 @@ class TestModelForward:
                 assert gflat[i] == pytest.approx(numeric, rel=1e-4, abs=1e-9), name
 
 
+@pytest.fixture(scope="module")
+def copy_model():
+    """A float32 model trained briefly to copy 3-6 token sources, so its
+    decodes depend on the source (an untrained model's do not)."""
+    model = Transformer(tiny_config(vocab_size=14, max_len=40, seed=2, dtype="float32"))
+    trainer = Trainer(model, WeightedCrossEntropy(pad_id=0), 0, 1, 2, lr=3e-3, batch_size=8)
+    rng = np.random.default_rng(0)
+    pairs = []
+    for _ in range(48):
+        seq = tuple(int(v) for v in rng.integers(4, 14, size=int(rng.integers(3, 7))))
+        pairs.append(SequencePair(source=seq, target=seq))
+    trainer.fit(pairs, pairs[:8], epochs=30)
+    return model
+
+
 class TestDecoding:
-    def test_incremental_matches_naive(self):
+    def test_incremental_matches_naive(self, copy_model):
         model = Transformer(tiny_config(n_encoder_layers=2, n_decoder_layers=2))
         rng = np.random.default_rng(4)
         src = rng.integers(4, 12, size=(3, 6))
@@ -136,6 +151,42 @@ class TestDecoding:
         fast = model.greedy_decode(src, src_pad, bos_id=1, eos_id=2, max_len=15)
         naive = model.greedy_decode_naive(src, src_pad, bos_id=1, eos_id=2, max_len=15)
         assert fast == naive
+        # float32, three distinct source lengths: the per-length encoder
+        # and the padded reference agree.
+        model = copy_model
+        sources = [(10, 9, 6, 7, 4, 4), (5, 12, 10), (13, 6, 12, 10, 4), (12, 9, 4)]
+        src = np.zeros((4, 6), dtype=np.int64)
+        src_pad = np.ones_like(src, dtype=bool)
+        for row, ids in enumerate(sources):
+            src[row, : len(ids)] = ids
+            src_pad[row, : len(ids)] = False
+        fast = model.greedy_decode(src, src_pad, bos_id=1, eos_id=2)
+        naive = model.greedy_decode_naive(src, src_pad, bos_id=1, eos_id=2)
+        assert fast == naive
+        assert len(set(map(tuple, fast))) == len(sources)  # decodes follow the source
+
+    def test_short_row_unaffected_by_long_neighbour(self, copy_model):
+        """A short source decodes the same ids alone as next to a much
+        longer one: it is encoded at its own length, not the batch's."""
+        short = np.array([[5, 12, 10]])
+        src = np.zeros((2, 36), dtype=np.int64)
+        src[0, :3] = short
+        src[1] = np.random.default_rng(7).integers(4, 14, size=36)
+        src_pad = np.zeros_like(src, dtype=bool)
+        src_pad[0, 3:] = True
+        alone = copy_model.greedy_decode(short, np.zeros_like(short, dtype=bool), 1, 2)
+        together = copy_model.greedy_decode(src, src_pad, 1, 2)
+        assert alone[0] == [5, 12, 10]
+        assert together[0] == alone[0]
+
+    def test_decode_rejects_non_suffix_padding(self, tiny_model):
+        src = np.random.default_rng(9).integers(4, 12, size=(2, 5))
+        src_pad = np.zeros_like(src, dtype=bool)
+        src_pad[1, 1] = True  # a pad in front of real tokens
+        with pytest.raises(ValueError, match="suffix"):
+            tiny_model.greedy_decode(src, src_pad, 1, 2)
+        with pytest.raises(ValueError, match="at least one token"):
+            tiny_model.greedy_decode(src, np.ones_like(src_pad), 1, 2)
 
     def test_decode_respects_max_len(self, tiny_model):
         rng = np.random.default_rng(5)
