@@ -119,10 +119,13 @@ class SizingModel:  # checks: process-shared
         """Cross-topology batched inference: one decode for everything.
 
         One transformer serves every topology, so specs of *different*
-        topologies can share a single padded greedy decode — only the
-        encoder texts and the output parsers differ per topology.  Row
-        independence (padding mask + per-sequence EOS) keeps each decoded
-        text identical to the single-spec path.
+        topologies can share a single greedy decode — only the encoder
+        texts and the output parsers differ per topology.  Rows do not
+        interact (each source is encoded at its own length, each row stops
+        at its own EOS), and the parity tests find each decoded text equal
+        to the single-spec path's.  That equality is measured on NumPy's
+        BLAS, not guaranteed: a BLAS that rounds one-row and multi-row
+        products differently could flip a near-tie argmax.
         """
         sources: list[list[int]] = []
         for name, specs in specs_by_topology.items():

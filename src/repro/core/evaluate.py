@@ -66,8 +66,9 @@ def predict_over_records(
     This is the paper's validation protocol: the encoder sequence is built
     from the held-out design's *measured* metrics, so the recorded device
     parameters are a ground-truth the prediction should match (Fig. 7).
-    Inference runs in batches of ``batch_size`` through the padded batch
-    decoder (decoded texts are identical to the sequential path).
+    Inference runs in batches of ``batch_size`` through the batched
+    decoder (see :meth:`SizingModel.predict_params_many` on its parity
+    with the sequential path).
     """
     groups = [g.name for g in topology.groups]
     predicted = {g: {p: [] for p in PARAM_KEYS} for g in groups}

@@ -26,18 +26,15 @@ NEG_INF = -1e30
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis``; ``x`` is left untouched."""
+    return softmax_(x.copy(), axis)
 
 
 def softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """In-place :func:`softmax`: overwrites and returns ``x``.
+    """In-place numerically stable softmax: overwrites and returns ``x``.
 
-    The same operations in the same order, so the result is bit-identical
-    to ``softmax(x)`` without allocating the shifted and exponentiated
-    temporaries.
+    ``x`` must be a floating-point array.  Working inside it avoids the
+    shifted and exponentiated temporaries of an out-of-place softmax.
     """
     x -= np.max(x, axis=axis, keepdims=True)
     np.exp(x, out=x)

@@ -67,7 +67,9 @@ class WeightedCrossEntropy:
 
         probs = softmax(flat_logits, axis=-1)
         picked = probs[np.arange(flat_targets.size), flat_targets]
-        log_picked = -np.log(np.maximum(picked, 1e-300))
+        # Floor at the dtype's smallest normal number: a float32 1e-300
+        # would round to 0 and turn an underflowed probability into inf.
+        log_picked = -np.log(np.maximum(picked, np.finfo(picked.dtype).tiny))
 
         if self.class_weights is not None:
             token_weights = self.class_weights[flat_targets]

@@ -154,27 +154,16 @@ class Transformer(Module):
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def greedy_decode(
-        self,
-        src_ids: np.ndarray,
-        src_pad: np.ndarray,
-        bos_id: int,
-        eos_id: int,
-        max_len: int | None = None,
-    ) -> list[list[int]]:
-        """Greedy autoregressive decoding with per-layer KV caching.
+    def encode_by_length(self, src_ids: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
+        """Inference-mode encoder memory of right-padded sources.
 
-        Mathematically identical to re-running the decoder on the whole
-        prefix each step (checked by a regression test against
-        :meth:`greedy_decode_naive`) but O(T^2) instead of O(T^3).
-        Sources must be right-padded (``src_pad`` True on a suffix of each
-        row, and False on at least its first token); rows are encoded in
-        groups of equal unpadded length, so no encoder work is spent on
-        padding and a row's memory does not depend on its batch
-        neighbours.  Returns one id list per batch row (without BOS,
-        truncated at EOS).
+        ``src_pad`` must be True on a suffix of each row and False on at
+        least its first token.  Rows are encoded in groups of equal
+        unpadded length, so no encoder work is spent on padding and a
+        row's memory does not depend on its batch neighbours.  Returns
+        ``(B, L, D)`` with ``L`` the longest unpadded length, zero at each
+        row's padded positions.
         """
-        limit = min(max_len or self.config.max_len, self.config.max_len)
         batch, t_src = src_ids.shape
         lengths = t_src - src_pad.sum(axis=1)
         if np.any(src_pad != (np.arange(t_src) >= lengths[:, None])):
@@ -188,9 +177,31 @@ class Transformer(Module):
             memory[rows, :length] = self.encode(
                 src_ids[rows, :length], src_pad[rows, :length], training=False
             )
+        return memory
+
+    def greedy_decode(
+        self,
+        src_ids: np.ndarray,
+        src_pad: np.ndarray,
+        bos_id: int,
+        eos_id: int,
+        max_len: int | None = None,
+    ) -> list[list[int]]:
+        """Greedy autoregressive decoding with per-layer KV caching.
+
+        Mathematically identical to re-running the decoder on the whole
+        prefix each step (checked by a regression test against
+        :meth:`greedy_decode_naive`) but O(T^2) instead of O(T^3).
+        Sources must be right-padded; the memory comes from
+        :meth:`encode_by_length`.  Returns one id list per batch row
+        (without BOS, truncated at EOS).
+        """
+        limit = min(max_len or self.config.max_len, self.config.max_len)
+        batch = src_ids.shape[0]
+        memory = self.encode_by_length(src_ids, src_pad)
         # Padded keys are zero rows of ``memory``; the mask's -1e30 gives
         # them exactly zero cross-attention weight.
-        cross_bias = padding_mask(src_pad[:, :width]).astype(memory.dtype)
+        cross_bias = padding_mask(src_pad[:, : memory.shape[1]]).astype(memory.dtype)
 
         # Precompute cross-attention keys/values once per decoder block, and
         # preallocate the self-attention KV buffers: appending via

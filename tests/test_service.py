@@ -1,7 +1,7 @@
 """Tests of the batched sizing service: requests, cache, engine, CLI.
 
 The parity tests are the contract of the service redesign: batched
-decoding (padded sources, per-sequence EOS) must produce *bit-identical*
+decoding (per-length sources, per-sequence EOS) must produce *bit-identical*
 decoded texts and widths to the sequential ``SizingFlow.size`` path, and
 the round-batched Stage IV (one ``measure_many`` per topology per round)
 must produce bit-identical traces and accounting to the sequential
@@ -311,10 +311,12 @@ def tiny_artifacts():
 class TestBatchedDecodeParity:
     """Batched and sequential decodes are compared with *exact* equality.
 
-    This leans on row independence (padding masks contribute exact zeros;
-    per-row matmul slices reduce in the same order for any batch size on
-    numpy's BLAS).  If a future BLAS build breaks the bitwise assumption,
-    these asserts are the early-warning signal — expect at most a last-ulp
+    This leans on row independence (each source is encoded at its own
+    length; masked keys get exactly zero weight; each row of a decode-step
+    product reduces in the same order whether the batch runs it as a
+    matrix-vector or a matrix-matrix product on numpy's BLAS).  If a
+    future BLAS build breaks the bitwise assumption, these asserts are
+    the early-warning signal — expect at most a last-ulp
     logit difference flipping a near-tie argmax.
     """
 

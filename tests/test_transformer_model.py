@@ -126,23 +126,27 @@ class TestModelForward:
                 assert gflat[i] == pytest.approx(numeric, rel=1e-4, abs=1e-9), name
 
 
-@pytest.fixture(scope="module")
-def copy_model():
-    """A float32 model trained briefly to copy 3-6 token sources, so its
-    decodes depend on the source (an untrained model's do not)."""
-    model = Transformer(tiny_config(vocab_size=14, max_len=40, seed=2, dtype="float32"))
-    trainer = Trainer(model, WeightedCrossEntropy(pad_id=0), 0, 1, 2, lr=3e-3, batch_size=8)
-    rng = np.random.default_rng(0)
-    pairs = []
-    for _ in range(48):
-        seq = tuple(int(v) for v in rng.integers(4, 14, size=int(rng.integers(3, 7))))
-        pairs.append(SequencePair(source=seq, target=seq))
-    trainer.fit(pairs, pairs[:8], epochs=30)
-    return model
+@pytest.fixture
+def float32_model():
+    """An untrained float32 model whose greedy decodes already differ
+    between the sources used below (two layers on each side)."""
+    config = tiny_config(
+        vocab_size=14, max_len=40, dtype="float32", n_encoder_layers=2, n_decoder_layers=2
+    )
+    return Transformer(config)
+
+
+def right_padded(sources, width):
+    src = np.zeros((len(sources), width), dtype=np.int64)
+    src_pad = np.ones_like(src, dtype=bool)
+    for row, ids in enumerate(sources):
+        src[row, : len(ids)] = ids
+        src_pad[row, : len(ids)] = False
+    return src, src_pad
 
 
 class TestDecoding:
-    def test_incremental_matches_naive(self, copy_model):
+    def test_incremental_matches_naive(self, float32_model):
         model = Transformer(tiny_config(n_encoder_layers=2, n_decoder_layers=2))
         rng = np.random.default_rng(4)
         src = rng.integers(4, 12, size=(3, 6))
@@ -153,31 +157,35 @@ class TestDecoding:
         assert fast == naive
         # float32, three distinct source lengths: the per-length encoder
         # and the padded reference agree.
-        model = copy_model
+        model = float32_model
         sources = [(10, 9, 6, 7, 4, 4), (5, 12, 10), (13, 6, 12, 10, 4), (12, 9, 4)]
-        src = np.zeros((4, 6), dtype=np.int64)
-        src_pad = np.ones_like(src, dtype=bool)
+        src, src_pad = right_padded(sources, 6)
+        memory = model.encode_by_length(src, src_pad)
+        padded = model.encode(src, src_pad, training=False)
         for row, ids in enumerate(sources):
-            src[row, : len(ids)] = ids
-            src_pad[row, : len(ids)] = False
+            n = len(ids)
+            np.testing.assert_allclose(memory[row, :n], padded[row, :n], rtol=1e-5, atol=1e-5)
         fast = model.greedy_decode(src, src_pad, bos_id=1, eos_id=2)
         naive = model.greedy_decode_naive(src, src_pad, bos_id=1, eos_id=2)
         assert fast == naive
         assert len(set(map(tuple, fast))) == len(sources)  # decodes follow the source
 
-    def test_short_row_unaffected_by_long_neighbour(self, copy_model):
-        """A short source decodes the same ids alone as next to a much
-        longer one: it is encoded at its own length, not the batch's."""
+    def test_short_row_unaffected_by_long_neighbour(self, float32_model):
+        """A short source gets the same encoder memory, bit for bit, alone
+        as next to a much longer one: it is encoded at its own length, not
+        the batch's.  It then decodes to the same ids."""
+        model = float32_model
         short = np.array([[5, 12, 10]])
-        src = np.zeros((2, 36), dtype=np.int64)
-        src[0, :3] = short
-        src[1] = np.random.default_rng(7).integers(4, 14, size=36)
-        src_pad = np.zeros_like(src, dtype=bool)
-        src_pad[0, 3:] = True
-        alone = copy_model.greedy_decode(short, np.zeros_like(short, dtype=bool), 1, 2)
-        together = copy_model.greedy_decode(src, src_pad, 1, 2)
-        assert alone[0] == [5, 12, 10]
-        assert together[0] == alone[0]
+        no_pad = np.zeros_like(short, dtype=bool)
+        long = np.random.default_rng(7).integers(4, 14, size=36)
+        src, src_pad = right_padded([short[0], long], 36)
+        memory = model.encode_by_length(src, src_pad)
+        assert memory.dtype == np.float32
+        alone = model.encode(short, no_pad, training=False)[0]
+        assert memory[0, :3].tobytes() == alone.tobytes()
+        assert not memory[0, 3:].any()
+        together = model.greedy_decode(src, src_pad, 1, 2)
+        assert together[0] == model.greedy_decode(short, no_pad, 1, 2)[0]
 
     def test_decode_rejects_non_suffix_padding(self, tiny_model):
         src = np.random.default_rng(9).integers(4, 12, size=(2, 5))
@@ -254,6 +262,15 @@ class TestLoss:
         assert weights[vocab.token_to_id["."]] == pytest.approx(1.2)
         assert weights[vocab.token_to_id["gmM1="]] == pytest.approx(1.0)
         assert weights[vocab.token_to_id["a"]] == pytest.approx(1.0)
+
+    def test_float32_large_logit_gap_gives_finite_loss(self):
+        """A float32 target probability that underflows to 0 is floored at a
+        value float32 can hold, so the loss stays finite."""
+        logits = np.array([[[0.0, 200.0, 0.0]]], dtype=np.float32)
+        result = WeightedCrossEntropy(pad_id=2)(logits, np.array([[0]]))
+        assert np.isfinite(result.loss)
+        assert result.loss > 80.0
+        assert np.isfinite(result.dlogits).all()
 
     def test_gradient_direction(self):
         logits = np.zeros((1, 1, 3))
