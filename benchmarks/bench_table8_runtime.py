@@ -24,21 +24,27 @@ bit-identical between the two.
 the CI smoke of the round-batched verification path): one multi-request
 copilot round verified through the engine's batched backend (one
 ``measure_many`` per topology per round) vs the sequential per-candidate
-backend, responses pinned bit-identical.  It needs no trained model — a
+``ScalarBackend`` of ``tests/scalar_reference.py``, responses pinned
+bit-identical.  It needs no trained model — a
 measured-oracle stand-in drives the round — so it stays minutes-free.
 
 ``test_table8_corner_throughput`` benchmarks the corner-aware evaluation
 refactor (also model-free, also a CI smoke): a population evaluated at
 the tt/ss/ff PVT corners through the stacked-corner batched path (the
 population x corner block shares one DC Newton batch and one stacked AC
-factorization) vs per-corner sequential evaluation, outcomes pinned
-bit-identical per (candidate, corner) pair and >=2x asserted.
+factorization) vs per-corner sequential evaluation on the scalar
+reference, outcomes pinned bit-identical per (candidate, corner) pair and
+>=2x asserted.
 
 ``test_table8_tran_throughput`` benchmarks the batched transient engine
 (model-free, CI smoke): a population's step responses integrated through
 ``run_tran_many`` (candidate-vectorized Newton per time step, one
-stacked linear solve per iteration) vs the per-candidate sequential
-``run_tran`` loop, waveforms pinned bit-identical and >=2x asserted.
+stacked linear solve per iteration) vs the scalar reference's
+per-candidate ``run_tran`` loop, waveforms pinned bit-identical and >=2x
+asserted.
+
+Every sequential side comes from ``tests/scalar_reference.py``, the
+scalar implementation production no longer runs.
 """
 
 import time
@@ -47,9 +53,11 @@ import numpy as np
 
 from repro.core import DesignSpec, SizingFlow, run_sizing_study
 from repro.service import SizingEngine, SizingRequest
-from repro.solvers import BatchedBackend, EvalBackend, ScalarBackend, SearchSpace
+from repro.solvers import BatchedBackend, EvalBackend, SearchSpace
 
 from conftest import write_bench_json, write_result
+from tests import scalar_reference
+from tests.scalar_reference import ScalarBackend
 
 #: Unseen designs sized per topology (the paper uses 100).
 N_SPECS = 25
@@ -460,8 +468,9 @@ def test_table8_corner_throughput(topologies):
 # Transient (step-response) integration throughput (batched vs sequential)
 # ----------------------------------------------------------------------
 def test_table8_tran_throughput(topologies):
-    """Batched ``run_tran_many`` vs the per-candidate ``run_tran`` loop:
-    bit-identical waveforms, >=2x wall-clock on a candidate population.
+    """Batched ``run_tran_many`` vs the scalar reference's per-candidate
+    ``run_tran`` loop: bit-identical waveforms, >=2x wall-clock on a
+    candidate population.
 
     Model-free: the population is random simulatable designs whose DC
     operating points are solved once up front, so the timed difference
@@ -469,7 +478,7 @@ def test_table8_tran_throughput(topologies):
     Newton per time step with one stacked linear solve per iteration vs
     one full scalar integration per candidate.
     """
-    from repro.spice import ConvergenceError, run_tran, run_tran_many, solve_dc
+    from repro.spice import ConvergenceError, run_tran_many, solve_dc
 
     topology = topologies["5T-OTA"]
     rng = np.random.default_rng(31)
@@ -494,13 +503,13 @@ def test_table8_tran_throughput(topologies):
     )
 
     # Warm both paths (imports, first-touch allocations).
-    run_tran(solutions[0], **kwargs)
+    scalar_reference.run_tran(solutions[0], **kwargs)
     run_tran_many(solutions[:2], **kwargs)
 
     sequential_s = batched_s = float("inf")
     for _ in range(TRAN_REPEATS):
         start = time.perf_counter()
-        sequential = [run_tran(solution, **kwargs) for solution in solutions]
+        sequential = [scalar_reference.run_tran(solution, **kwargs) for solution in solutions]
         sequential_s = min(sequential_s, time.perf_counter() - start)
         start = time.perf_counter()
         batched = run_tran_many(solutions, **kwargs)

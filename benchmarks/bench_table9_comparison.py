@@ -9,10 +9,11 @@ registered ``copilot`` solver.  The comparison columns are SPICE-call
 counts, runtime and success.
 
 ``test_table9_population_throughput`` is the backend's own before/after
-number: one population evaluated through the sequential scalar path vs
-the batched ``measure_many`` path (vectorized AC, amortized DC Newton),
-with a bit-identical-metrics parity assertion.  It needs no trained
-model, so it doubles as the CI smoke of the unified evaluation path.
+number: one population evaluated through the sequential scalar reference
+(``tests/scalar_reference.py``) vs the batched ``measure_many`` path
+(vectorized AC, amortized DC Newton), with a bit-identical-metrics parity
+assertion.  It needs no trained model, so it doubles as the CI smoke of
+the unified evaluation path.
 """
 
 import time
@@ -21,9 +22,10 @@ import numpy as np
 
 from repro import solvers
 from repro.core import DesignSpec
-from repro.solvers import BatchedBackend, ScalarBackend, SearchSpace
+from repro.solvers import BatchedBackend, SearchSpace
 
 from conftest import write_result
+from tests.scalar_reference import ScalarBackend
 
 N_SPECS = 3
 MAX_EVALS = 400
@@ -96,8 +98,9 @@ def test_table9_population_throughput(topologies):
     The claim of the evaluation-backend redesign: submitting a whole
     PSO/DE-style population to ``measure_many`` (stacked complex MNA over
     population x frequency grid, DC Newton assembly amortized across
-    candidates) is at least twice as fast as the sequential per-candidate
-    ``measure`` loop, while every metric stays bit-identical.
+    candidates) is at least twice as fast as the scalar reference's
+    sequential per-candidate ``measure`` loop, while every metric stays
+    bit-identical.
     """
     topology = topologies["5T-OTA"]
     space = SearchSpace(topology)

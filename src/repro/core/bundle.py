@@ -83,18 +83,10 @@ class SizingModel:  # checks: process-shared
         """Specs -> encoder sequence -> transformer -> parsed parameters.
 
         Returns the parsed per-device parameters and the raw decoded text
-        (useful for inspection and failure analysis).
+        (useful for inspection and failure analysis).  A one-spec call of
+        :meth:`predict_params_many`: a single row has no padding.
         """
-        builder = self.builder(topology_name)
-        encoder_text = builder.encoder_text(spec.gain_db, spec.f3db_hz, spec.ugf_hz)
-        source_ids = self.vocab.encode(self.bpe.encode(encoder_text))
-        src = np.asarray([source_ids], dtype=np.int64)
-        src_pad = np.zeros_like(src, dtype=bool)
-        decoded = self.transformer.greedy_decode(
-            src, src_pad, self.vocab.bos_id, self.vocab.eos_id, max_len=max_len
-        )[0]
-        text = self.vocab.decode_to_text(decoded)
-        return builder.parse_decoder_text(text), text
+        return self.predict_params_many({topology_name: [spec]}, max_len)[topology_name][0]
 
     def predict_params_batch(
         self,

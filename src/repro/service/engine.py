@@ -252,15 +252,9 @@ class SizingEngine:
     ) -> dict[str, list[tuple[ParsedParams, str]]]:
         start = time.perf_counter()
         total = sum(len(specs) for specs in specs_by_topology.values())
-        if total == 1:
-            # Single-shot path: ``predict_params`` so model subclasses that
-            # override only it (e.g. oracle stand-ins) keep working.
-            name = next(n for n, specs in specs_by_topology.items() if specs)
-            outputs = {name: [self.model.predict_params(name, specs_by_topology[name][0])]}
-        else:
-            # One fused decode across every topology: the model is shared,
-            # so the batch dimension spans the whole round.
-            outputs = self.model.predict_params_many(specs_by_topology)
+        # One fused decode across every topology: the model is shared, so
+        # the batch dimension spans the whole round (one row for one request).
+        outputs = self.model.predict_params_many(specs_by_topology)
         self.stats.add(
             inference_seconds=time.perf_counter() - start,
             inference_calls=1,

@@ -16,7 +16,8 @@ Underneath, population-based solvers submit whole generations to an
 per-candidate small-signal AC solves (one stacked complex MNA solve over
 population x frequency grid) and amortizes the DC Newton assembly across
 candidates, with per-candidate failure isolation -- bit-identical to the
-sequential path, just faster (``bench_table9`` pins both claims).
+sequential scalar reference in ``tests/scalar_reference.py``, just faster
+(``bench_table9`` pins both claims).
 
 Every solver also accepts ``corners=`` (PVT presets ``"tt"/"ss"/"ff"`` or
 :class:`~repro.devices.Corner` objects).  With corners set, objectives
@@ -26,7 +27,7 @@ corner -- and the population x corner block stacks into the same batched
 solves (``bench_table8``'s corner mode pins parity and the >=2x gain).
 """
 
-from .backend import BatchedBackend, EvalBackend, ScalarBackend
+from .backend import BatchedBackend, EvalBackend
 from .base import (
     DEFAULT_BUDGET,
     PENALTY,
@@ -54,7 +55,6 @@ from .swarm import ParticleSwarmSolver
 __all__ = [
     "BatchedBackend",
     "EvalBackend",
-    "ScalarBackend",
     "DEFAULT_BUDGET",
     "PENALTY",
     "SearchObjective",

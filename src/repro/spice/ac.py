@@ -13,6 +13,11 @@ The complex MNA system ``Y(jw) x = b`` is then solved over a frequency
 grid.  Independent sources contribute through their ``ac`` magnitudes
 (supplies and bias sources have ``ac = 0`` and act as small-signal
 grounds).
+
+There is one implementation: :func:`run_ac_many` stacks every
+candidate's ``Y(jw)`` over the frequency grid into one complex solve,
+and :func:`run_ac` is a batch of one.  The scalar reference the parity
+tests pin it against lives in ``tests/scalar_reference.py``.
 """
 
 from __future__ import annotations
@@ -162,31 +167,13 @@ class _ACSystem:
 
         return g_matrix, c_matrix, rhs
 
-    def solve(self, frequencies: np.ndarray) -> np.ndarray:
-        """Solve the frequency sweep through the linsolve layer.
-
-        Frequencies are chunked only to bound the stacked ``Y`` tensor's
-        memory; each chunk's ``Y(jw)`` entries are built with the same
-        elementwise arithmetic as the historical per-frequency loop and
-        the stacked LAPACK sweep factors each matrix independently, so
-        the phasors are bit-identical to the old scalar path.
-        """
-        phasors = np.zeros((len(frequencies), self.n_nodes), dtype=complex)
-        omegas = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-        for start in range(0, len(omegas), _FREQ_CHUNK):
-            w = omegas[start : start + _FREQ_CHUNK]
-            y_stack = self._conductance[None, :, :] + (1j * w)[:, None, None] * self._capacitance[None, :, :]
-            rhs = np.broadcast_to(self._rhs, (len(w), self.size))
-            solved = linsolve.solve_stacked(y_stack, rhs)
-            phasors[start : start + len(w)] = solved[:, : self.n_nodes]
-        return phasors
-
 
 def run_ac(
     solution: DCSolution,
     frequencies: np.ndarray | None = None,
 ) -> ACResult:
-    """Run a small-signal AC analysis at the given DC operating point.
+    """Run a small-signal AC analysis at the given DC operating point: a
+    batch of one of :func:`run_ac_many`.
 
     Parameters
     ----------
@@ -196,20 +183,12 @@ def run_ac(
     frequencies:
         Frequency grid in Hz (defaults to :func:`default_frequency_grid`).
     """
-    freqs = default_frequency_grid() if frequencies is None else np.asarray(frequencies, dtype=float)
-    system = _ACSystem(solution)
-    phasors = system.solve(freqs)
-    return ACResult(frequencies=freqs, node_names=system.node_names, phasors=phasors)
+    return run_ac_many([solution], frequencies)[0]
 
 
 #: Candidates per stacked AC solve; bounds the transient ``Y`` stack to a
 #: few tens of MB even for large populations and wide frequency grids.
 _AC_CHUNK = 64
-
-#: Frequencies per stacked solve in the scalar :func:`run_ac` path; keeps
-#: the ``(freqs, size, size)`` complex ``Y`` stack small even for large
-#: structures.
-_FREQ_CHUNK = 32
 
 #: Complex elements allowed in one ``(chunk, freqs, size, size)`` stack
 #: (~64 MB); large structures shrink the candidate chunk instead of
@@ -224,13 +203,11 @@ def run_ac_many(  # checks: hot-path
 ) -> list:
     """Run the AC analysis of many operating points in one stacked solve.
 
-    The bulk path of the batched evaluation backend: all candidates' MNA
-    systems of one shape are stacked into a single complex
-    ``(candidates, frequencies, size, size)`` tensor and factorized by one
-    ``np.linalg.solve`` call, replacing the per-frequency Python loop of
-    :func:`run_ac` with a single LAPACK sweep.  The per-matrix arithmetic
-    is unchanged, so the returned phasors are bit-identical to running
-    :func:`run_ac` per candidate (pinned by the parity tests).
+    All candidates' MNA systems of one shape are stacked into a single
+    complex ``(candidates, frequencies, size, size)`` tensor and
+    factorized by one ``np.linalg.solve`` call.  LAPACK factorizes each
+    matrix on its own, so the phasors are bit-identical to the scalar
+    reference's per-candidate sweep (pinned by the parity tests).
 
     ``solutions`` may mix circuit structures; candidates are grouped by
     system size and each group is solved together.
@@ -253,8 +230,7 @@ def run_ac_many(  # checks: hot-path
             g_stack = np.stack([systems[i]._conductance for i in chunk])
             c_stack = np.stack([systems[i]._capacitance for i in chunk])
             rhs_stack = np.stack([systems[i]._rhs for i in chunk])
-            # Y(jw) per candidate and frequency; elementwise the same ops
-            # as the scalar per-frequency build in _ACSystem.solve.
+            # Y(jw) per candidate and frequency.
             y_stack = g_stack[:, None, :, :] + (1j * omegas)[None, :, None, None] * c_stack[:, None, :, :]
             rhs = np.broadcast_to(rhs_stack[:, None, :], y_stack.shape[:3])
             solved = linsolve.solve_stacked(y_stack, rhs)

@@ -18,6 +18,11 @@ robustness comes from three stacked strategies, tried in order:
 3. source stepping (supplies ramped from 0 to full value).
 
 These are the same continuation tricks production SPICE engines use.
+
+There is one implementation: :func:`solve_dc_many` runs every strategy
+vectorized over the candidates of one circuit structure, and
+:func:`solve_dc` is a batch of one.  The scalar reference the parity
+tests pin it against lives in ``tests/scalar_reference.py``.
 """
 
 from __future__ import annotations
@@ -69,8 +74,10 @@ class DCSolution:
         """Max KCL residual (A) over all nodes -- a correctness self-check."""
         system = _MNASystem(self.circuit)
         x = system.pack(self.node_voltages, self.source_currents)
-        residual, _ = system.residual_and_jacobian(x, source_scale=1.0, gmin=GMIN)
-        return float(np.max(np.abs(residual[: system.n_nodes]))) if system.n_nodes else 0.0
+        residual, _ = _residual_and_jacobian_batch(
+            system, _BatchStamps([self.circuit]), x[None, :], 1.0, GMIN
+        )
+        return float(np.max(np.abs(residual[0, : system.n_nodes]), initial=0.0))
 
 
 class _MNASystem:
@@ -109,129 +116,6 @@ class _MNASystem:
         }
         return voltages, currents
 
-    # ------------------------------------------------------------------
-    def residual_and_jacobian(
-        self, x: np.ndarray, source_scale: float, gmin: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate ``f(x)`` and ``J(x)`` at the given point.
-
-        ``source_scale`` multiplies every independent source value (used by
-        the source-stepping continuation).  ``gmin`` is the shunt
-        conductance to ground at each node.
-        """
-        circuit = self.circuit
-        n = self.n_nodes
-        f = np.zeros(self.size)
-        jac = np.zeros((self.size, self.size))
-
-        def volt(idx: int | None) -> float:
-            return 0.0 if idx is None else float(x[idx])
-
-        # gmin shunts keep floating subcircuits well-conditioned.  Sliced
-        # elementwise ops are bit-identical to the former per-node loop.
-        if n:
-            f[:n] += gmin * x[:n]
-            diag = np.arange(n)
-            jac[diag, diag] += gmin
-
-        for res in circuit.resistors:
-            i1, i2 = self.node_index(res.node1), self.node_index(res.node2)
-            g = res.conductance
-            current = g * (volt(i1) - volt(i2))
-            if i1 is not None:
-                f[i1] += current
-                jac[i1, i1] += g
-                if i2 is not None:
-                    jac[i1, i2] -= g
-            if i2 is not None:
-                f[i2] -= current
-                jac[i2, i2] += g
-                if i1 is not None:
-                    jac[i2, i1] -= g
-
-        for src in circuit.isources:
-            ip, in_ = self.node_index(src.pos), self.node_index(src.neg)
-            value = src.dc * source_scale
-            if ip is not None:
-                f[ip] += value
-            if in_ is not None:
-                f[in_] -= value
-
-        for mosfet in circuit.mosfets:
-            id_, ig, is_ = (
-                self.node_index(mosfet.drain),
-                self.node_index(mosfet.gate),
-                self.node_index(mosfet.source),
-            )
-            vd, vg, vs = volt(id_), volt(ig), volt(is_)
-            ids = mosfet.ids(vd, vg, vs)
-            gm, gds = mosfet.conductances(vd, vg, vs)
-            # Current i_ds leaves the drain node and enters the source node.
-            if id_ is not None:
-                f[id_] += ids
-                jac[id_, id_] += gds
-                if ig is not None:
-                    jac[id_, ig] += gm
-                if is_ is not None:
-                    jac[id_, is_] -= gm + gds
-            if is_ is not None:
-                f[is_] -= ids
-                jac[is_, is_] += gm + gds
-                if id_ is not None:
-                    jac[is_, id_] -= gds
-                if ig is not None:
-                    jac[is_, ig] -= gm
-
-        for k, src in enumerate(circuit.vsources):
-            row = n + k
-            ip, in_ = self.node_index(src.pos), self.node_index(src.neg)
-            branch_current = float(x[row])
-            # Branch current flows out of the positive node.
-            if ip is not None:
-                f[ip] += branch_current
-                jac[ip, row] += 1.0
-            if in_ is not None:
-                f[in_] -= branch_current
-                jac[in_, row] -= 1.0
-            f[row] = volt(ip) - volt(in_) - src.dc * source_scale
-            if ip is not None:
-                jac[row, ip] += 1.0
-            if in_ is not None:
-                jac[row, in_] -= 1.0
-
-        return f, jac
-
-
-def _newton(
-    system: _MNASystem,
-    x0: np.ndarray,
-    source_scale: float,
-    gmin: float,
-    max_iterations: int = 150,
-    abstol: float = 1e-10,
-    reltol: float = 1e-9,
-) -> tuple[np.ndarray, int]:
-    """Damped Newton iteration; returns the solution and iteration count."""
-    x = x0.copy()
-    for iteration in range(1, max_iterations + 1):
-        f, jac = system.residual_and_jacobian(x, source_scale, gmin)
-        dx = _solve_newton_steps(jac, f)
-        # Voltage-step damping: scale the whole update so no node moves
-        # more than MAX_STEP volts in one iteration.
-        v_step = np.max(np.abs(dx[: system.n_nodes])) if system.n_nodes else 0.0
-        if v_step > MAX_STEP:
-            dx *= MAX_STEP / v_step
-        x += dx
-        node_residual = (
-            float(np.max(np.abs(f[: system.n_nodes]))) if system.n_nodes else 0.0
-        )
-        if node_residual < abstol and float(np.max(np.abs(dx), initial=0.0)) < reltol:
-            return x, iteration
-    raise ConvergenceError(
-        f"Newton failed after {max_iterations} iterations "
-        f"(source_scale={source_scale}, gmin={gmin})"
-    )
-
 
 def _default_guess(system: _MNASystem) -> np.ndarray:
     """Heuristic starting point: source nodes pinned, others at mid-rail."""
@@ -254,7 +138,8 @@ def solve_dc(
     initial_guess: dict[str, float] | None = None,
     max_iterations: int = 150,
 ) -> DCSolution:
-    """Solve the DC operating point of ``circuit``.
+    """Solve the DC operating point of ``circuit``: a batch of one of
+    :func:`solve_dc_many`.
 
     Parameters
     ----------
@@ -271,9 +156,10 @@ def solve_dc(
     ConvergenceError
         If plain Newton, gmin stepping and source stepping all fail.
     """
-    system = _MNASystem(circuit)
-    x0 = _initial_point(system, initial_guess)
-    return _solve_with_continuation(system, x0, max_iterations)
+    outcome = solve_dc_many([circuit], initial_guess, max_iterations)[0]
+    if isinstance(outcome, ConvergenceError):
+        raise outcome
+    return outcome
 
 
 def _initial_point(
@@ -289,54 +175,6 @@ def _initial_point(
     return x0
 
 
-def _solve_with_continuation(
-    system: _MNASystem,
-    x0: np.ndarray,
-    max_iterations: int,
-    skip_plain_newton: bool = False,
-) -> DCSolution:
-    """Run the stacked continuation strategies from ``x0``.
-
-    ``skip_plain_newton`` lets the batched solver hand over candidates whose
-    plain-Newton stage already (provably, bit-identically) failed without
-    paying for a second identical failure.
-    """
-    circuit = system.circuit
-    total_iterations = 0
-
-    # Strategy 1: plain damped Newton.
-    if not skip_plain_newton:
-        try:
-            x, iters = _newton(system, x0, 1.0, GMIN, max_iterations)
-            return _finalize(system, x, iters, "newton")
-        except ConvergenceError:
-            pass
-
-    # Strategy 2: gmin stepping.
-    x = x0.copy()
-    try:
-        for exponent in range(3, 13):
-            gmin = 10.0 ** (-exponent)
-            x, iters = _newton(system, x, 1.0, gmin, max_iterations)
-            total_iterations += iters
-        return _finalize(system, x, total_iterations, "gmin-stepping")
-    except ConvergenceError:
-        pass
-
-    # Strategy 3: source stepping.
-    x = np.zeros(system.size)
-    total_iterations = 0
-    try:
-        for scale in np.linspace(0.1, 1.0, 10):
-            x, iters = _newton(system, x, float(scale), GMIN, max_iterations)
-            total_iterations += iters
-        return _finalize(system, x, total_iterations, "source-stepping")
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"DC solve failed for circuit {circuit.name!r} with all strategies"
-        ) from exc
-
-
 def solve_dc_many(  # checks: hot-path
     circuits: list,
     initial_guess: dict[str, float] | Sequence[dict[str, float] | None] | None = None,
@@ -344,27 +182,29 @@ def solve_dc_many(  # checks: hot-path
 ) -> list:
     """Solve the DC operating point of many structurally similar circuits.
 
-    The bulk path of the batched evaluation backend: circuits that share
-    one MNA structure (same nodes and element connectivity -- exactly what
-    one topology's ``build`` produces over a population of width vectors,
-    including the same population rebuilt at several PVT corners) run the
-    plain-Newton stage *together*, with the residual/Jacobian assembly
-    vectorized over the candidate axis and one stacked ``np.linalg.solve``
-    per iteration.  Candidates of one group may differ in MOSFET widths,
-    MOSFET technology parameters (corner-skewed ``vt0``/``kp``/``ut``) and
-    voltage-source DC values (corner-scaled supplies); every per-candidate
-    floating-point operation is elementwise-identical to the scalar path,
-    so the returned solutions are bit-identical to ``solve_dc`` run one
-    candidate at a time (the parity tests pin this).
+    The one DC solver: circuits that share one MNA structure (same nodes
+    and element connectivity -- exactly what one topology's ``build``
+    produces over a population of width vectors, including the same
+    population rebuilt at several PVT corners) run every Newton stage
+    *together*, with the residual/Jacobian assembly vectorized over the
+    candidate axis and one stacked ``np.linalg.solve`` per iteration.
+    Candidates of one group may differ in MOSFET widths, MOSFET
+    technology parameters (corner-skewed ``vt0``/``kp``/``ut``) and
+    voltage-source DC values (corner-scaled supplies).  Every
+    per-candidate floating-point operation is elementwise, so each
+    solution is bit-identical to the scalar reference solve of that
+    circuit alone, whatever else shares its batch (the parity tests pin
+    this).
 
     ``initial_guess`` is either one mapping shared by every candidate or a
     sequence of per-candidate mappings aligned with ``circuits`` (the
     corner path uses this: each corner pins the supply node at its own
     scaled rail).
 
-    Failures are isolated per candidate: a design whose plain Newton stage
-    diverges falls back to the scalar continuation strategies, and if those
-    fail too its slot holds the :class:`ConvergenceError` instead of a
+    Failures are isolated per candidate: the candidates plain Newton
+    leaves unconverged go on to gmin stepping and then source stepping,
+    and a candidate that every strategy fails holds a
+    :class:`ConvergenceError` in its slot instead of a
     :class:`DCSolution` -- one bad design never aborts the batch.
 
     Returns a list aligned with ``circuits`` whose entries are either
@@ -514,84 +354,54 @@ class _BatchStamps:
         return subset
 
 
+#: The continuation strategies in the order they are tried: name, whether
+#: it starts from zero rather than the initial point, and its Newton stages
+#: as ``(source_scale, gmin)`` pairs, each starting where the last converged.
+_STRATEGIES = (
+    ("newton", False, ((1.0, GMIN),)),
+    ("gmin-stepping", False, tuple((1.0, 10.0 ** (-e)) for e in range(3, 13))),
+    ("source-stepping", True, tuple((float(s), GMIN) for s in np.linspace(0.1, 1.0, 10))),
+)
+
+
 def _solve_batch(circuits: list, guesses: list, max_iterations: int) -> list:
-    """Solve one structure-sharing group; see :func:`solve_dc_many`."""
-    system = _MNASystem(circuits[0])
-    stamps = _BatchStamps(circuits)
-    # Per-candidate starting points: the heuristic guess reads the
-    # candidate's own source values (corner-scaled supplies differ), so
-    # each x0 is exactly what the scalar solve_dc would start from.  The
-    # pre-corner common case -- every candidate shares the source values
-    # and the caller's guess -- keeps the old one-x0-tiled fast path
-    # (bit-identical: _default_guess depends only on sources and indices).
-    uniform_sources = all(
-        not isinstance(dc, np.ndarray) for dc in stamps.vsource_dc
-    )
-    first_guess = guesses[0]
-    uniform_guesses = all(
-        guess is first_guess or guess == first_guess for guess in guesses[1:]
-    )
-    if uniform_sources and uniform_guesses:
-        x0s = np.tile(_initial_point(system, first_guess), (len(circuits), 1))
-    else:
-        x0s = _initial_points_batch(system, stamps, guesses, len(circuits))
-    xs, iters, converged = _newton_batch(system, stamps, x0s, 1.0, GMIN, max_iterations)
-    outcomes: list = []
-    for j, circuit in enumerate(circuits):
-        # _finalize extracts operating points from the candidate's *own*
-        # MOSFET instances, so rebuild the (cheap) per-candidate system.
-        if converged[j]:
-            outcomes.append(_finalize(_MNASystem(circuit), xs[j], int(iters[j]), "newton"))
-            continue
-        try:
-            outcomes.append(
-                _solve_with_continuation(
-                    _MNASystem(circuit), x0s[j].copy(), max_iterations, skip_plain_newton=True
-                )
-            )
-        except ConvergenceError as error:
-            outcomes.append(error)
-    return outcomes
+    """Solve one structure-sharing group; see :func:`solve_dc_many`.
 
-
-def _initial_points_batch(
-    system: _MNASystem, stamps: _BatchStamps, guesses: list, batch: int
-) -> np.ndarray:
-    """Per-candidate starting points without per-candidate systems.
-
-    Mirrors ``_default_guess`` + ``_initial_point`` arithmetic using the
-    group's shared node indexing and the per-candidate source DC values
-    already collected in ``stamps`` (each candidate's row is bit-identical
-    to what the scalar path computes for that candidate's own circuit).
+    Each strategy runs on the candidates every earlier one left
+    unconverged; its iteration count is the sum over its stages.
     """
-    n = system.n_nodes
-    if stamps.vsource_dc:
-        dc_rows = np.stack(
-            [
-                np.broadcast_to(np.asarray(dc, dtype=float), (batch,))
-                for dc in stamps.vsource_dc
-            ]
+    # Each candidate's own system: _initial_point reads its source values
+    # (corner-scaled supplies differ) and _finalize its MOSFET instances.
+    systems = [_MNASystem(circuit) for circuit in circuits]
+    stamps = _BatchStamps(circuits)
+    x0s = np.stack(
+        [_initial_point(system, guess) for system, guess in zip(systems, guesses, strict=True)]
+    )
+    outcomes: list = [None] * len(circuits)
+    pending = np.arange(len(circuits))
+    for strategy, from_zero, stages in _STRATEGIES:
+        if pending.size == 0:
+            break
+        x = np.zeros_like(x0s) if from_zero else x0s.copy()
+        totals = np.zeros(len(circuits), dtype=int)
+        alive = pending
+        for source_scale, gmin in stages:
+            solved, iterations, converged = _newton_batch(
+                systems[0], stamps.take(alive), x[alive], source_scale, gmin, max_iterations
+            )
+            x[alive] = solved
+            totals[alive] += iterations
+            alive = alive[converged]
+            if alive.size == 0:
+                break
+        for j in alive:
+            outcomes[j] = _finalize(systems[j], x[j], int(totals[j]), strategy)
+        pending = pending[~np.isin(pending, alive)]
+    for j in pending:
+        outcomes[j] = ConvergenceError(
+            f"DC solve failed for circuit {circuits[j].name!r} with all strategies"
         )
-        supply = np.max(np.abs(dc_rows), axis=0)
-    else:
-        supply = np.ones(batch)
-    x0s = np.zeros((batch, system.size))
-    x0s[:, :n] = (supply / 2.0)[:, None]
-    for k, src in enumerate(system.circuit.vsources):
-        ip = system.node_index(src.pos)
-        in_ = system.node_index(src.neg)
-        dc = np.broadcast_to(np.asarray(stamps.vsource_dc[k], dtype=float), (batch,))
-        if ip is not None and in_ is None:
-            x0s[:, ip] = dc
-        elif ip is None and in_ is not None:
-            x0s[:, in_] = -dc
-    for j, guess in enumerate(guesses):
-        if guess:
-            for name, value in guess.items():
-                idx = system.node_index(name)
-                if idx is not None:
-                    x0s[j, idx] = value
-    return x0s
+    return outcomes
 
 
 def _residual_and_jacobian_batch(
@@ -602,14 +412,15 @@ def _residual_and_jacobian_batch(
     gmin: float,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized counterpart of ``_MNASystem.residual_and_jacobian``.
+    """Residual ``f(x)`` and Jacobian ``J(x)`` of a candidate group's MNA equations.
 
     ``x`` has shape ``(P, size)`` -- one unknown vector per candidate --
     and ``stamps`` carries the per-candidate widths, technology parameters
-    and source values.  Every stamp mirrors the scalar assembly operation
-    for operation; because numpy ufuncs are elementwise, each candidate's
-    row is bit-identical to what the scalar assembly produces for that
-    candidate alone.
+    and source values.  ``source_scale`` multiplies every independent
+    source value (source stepping) and ``gmin`` is the shunt conductance
+    to ground at each node.  Numpy ufuncs are elementwise, so each
+    candidate's row is bit-identical to the scalar reference assembly of
+    that candidate alone.
 
     ``out`` optionally supplies preallocated ``(f, jac)`` buffers of shape
     ``(P, size)`` / ``(P, size, size)``; they are zero-filled before
@@ -715,12 +526,9 @@ def _residual_and_jacobian_batch(
 
 
 def _solve_newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:  # checks: hot-path
-    """Newton steps ``J dx = -f`` through :func:`repro.spice.linsolve.solve_stacked`.
-
-    ``jac`` may be one system ``(size, size)`` or a stack
-    ``(batch, size, size)``; the scalar and batched Newton loops share
-    this one call, and with it the per-item ``lstsq`` recovery.
-    """
+    """Newton steps ``J dx = -f`` of a ``(batch, size, size)`` stack through
+    :func:`repro.spice.linsolve.solve_stacked`, with its per-item
+    ``lstsq`` recovery; the DC and transient Newton loops share it."""
     return linsolve.solve_stacked(jac, -f)
 
 
@@ -738,8 +546,8 @@ def _newton_batch(  # checks: hot-path
 
     ``x0s`` has shape ``(batch, size)`` -- one starting point per candidate.
     Candidates freeze the moment their own convergence criterion fires, so
-    each trajectory reproduces the scalar ``_newton`` iteration for that
-    candidate exactly.  Returns ``(solutions, iterations, converged)``.
+    each trajectory is the candidate's own one-at-a-time Newton iteration,
+    bit for bit.  Returns ``(solutions, iterations, converged)``.
     """
     n = system.n_nodes
     batch = x0s.shape[0]
@@ -775,7 +583,7 @@ def _newton_batch(  # checks: hot-path
         node_residual = (
             np.max(np.abs(f[:, :n]), axis=1) if n else zero_residual[:m]
         )
-        done = (node_residual < abstol) & (np.max(np.abs(dx), axis=1) < reltol)
+        done = (node_residual < abstol) & (np.max(np.abs(dx), axis=1, initial=0.0) < reltol)
         if np.any(done):
             newly = active[done]
             solutions[newly] = x[newly]

@@ -7,9 +7,8 @@ response computed here.  The formulation reuses the DC machinery of
 
 * the resistive part of the residual/Jacobian at every time point is the
   *same* EKV MNA assembly the DC solver stamps
-  (:meth:`repro.spice.dc._MNASystem.residual_and_jacobian` in the scalar
-  path, :func:`repro.spice.dc._residual_and_jacobian_batch` in the
-  batched one), so device physics exists in exactly one place;
+  (:func:`repro.spice.dc._residual_and_jacobian_batch`), so device
+  physics exists in exactly one place;
 * capacitive elements -- explicit capacitors plus each MOSFET's
   operating-point ``Cgs``/``Cds`` (the same linearization the AC analysis
   stamps) -- are discretized with backward-Euler or trapezoidal
@@ -22,18 +21,19 @@ condition) and at ``t = 0+`` every independent source jumps by
 exactly the port the AC analysis drives (for the OTA testbenches: a
 differential input step of ``step_amplitude`` volts).
 
-:func:`run_tran_many` is the bulk path: solutions whose (stepped)
-circuits share one MNA structure -- one topology's population of width
-vectors, including the same population rebuilt at several PVT corners
-(the corner-skewed technology parameters ride the
+There is one implementation, :func:`run_tran_many`: solutions whose
+(stepped) circuits share one MNA structure -- one topology's population
+of width vectors, including the same population rebuilt at several PVT
+corners (the corner-skewed technology parameters ride the
 :class:`~repro.spice.dc._ArrayTech` path) -- integrate *together*, with
 the per-step Newton iterations vectorized over the candidate axis and
-one stacked ``np.linalg.solve`` per iteration.  Every per-candidate
-floating-point operation is elementwise-identical to the scalar path, so
-the returned waveforms are bit-identical to :func:`run_tran` run one
-candidate at a time (pinned by the parity tests), and failures are
-isolated per candidate: a design whose Newton diverges at some time step
-holds a :class:`~repro.spice.dc.ConvergenceError` in its slot instead of
+one stacked ``np.linalg.solve`` per iteration.  :func:`run_tran` is a
+batch of one.  Every per-candidate floating-point operation is
+elementwise, so each waveform is bit-identical to the scalar reference
+in ``tests/scalar_reference.py`` run on that candidate alone (pinned by
+the parity tests), and failures are isolated per candidate: a design
+whose Newton diverges at some time step holds a
+:class:`~repro.spice.dc.ConvergenceError` in its slot instead of
 aborting the batch.
 """
 
@@ -125,8 +125,8 @@ def _cap_elements(system: _MNASystem, solution: DCSolution) -> list:
     Explicit capacitors keep their netlist value; each MOSFET contributes
     its operating-point ``Cgs`` (gate-source) and ``Cds`` (drain-source),
     the same linearization the AC analysis stamps.  Order is fixed
-    (capacitors, then per-MOSFET gs/ds) so the scalar and batched paths
-    stamp identically.
+    (capacitors, then per-MOSFET gs/ds), so every candidate of a batch
+    stamps its elements in the same slots.
     """
     circuit = solution.circuit
     elements = []
@@ -145,8 +145,8 @@ def _cap_elements(system: _MNASystem, solution: DCSolution) -> list:
 
 
 def _cap_elements_batch(system: _MNASystem, solutions: list) -> list:
-    """Batched counterpart of :func:`_cap_elements`: ``c`` is a vector
-    over the candidate axis (same element order as the scalar path)."""
+    """:func:`_cap_elements` over a candidate batch: ``c`` is a vector
+    over the candidate axis."""
     per_candidate = [_cap_elements(system, solution) for solution in solutions]
     elements = []
     for e, (i1, i2, _) in enumerate(per_candidate[0]):
@@ -158,8 +158,8 @@ def _cap_elements_batch(system: _MNASystem, solutions: list) -> list:
 def _dv(x: np.ndarray, i1: int | None, i2: int | None):
     """Branch voltage ``v(i1) - v(i2)`` with ground as implicit zero.
 
-    Works on a flat unknown vector (scalar path) and on a ``(P, size)``
-    stack (batched path, where it returns a per-candidate vector).
+    Works on a flat unknown vector and on a ``(P, size)`` stack (where it
+    returns a per-candidate vector).
     """
     v1 = 0.0 if i1 is None else x[..., i1]
     v2 = 0.0 if i2 is None else x[..., i2]
@@ -183,70 +183,6 @@ def _step_coef(method: str, dt: float, step: int) -> float:
     raise ValueError(f"unknown integration method {method!r} (known: {', '.join(METHODS)})")
 
 
-# ----------------------------------------------------------------------
-# Scalar path
-# ----------------------------------------------------------------------
-def _tran_residual(
-    system: _MNASystem,
-    caps: list,
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    hist: np.ndarray,
-    coef: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual/Jacobian of one time step: DC stamps + cap companions.
-
-    The companion current of element ``e`` is
-    ``i = coef * C * (dv - dv_prev) - hist[e]`` where ``hist`` is zero
-    for backward-Euler and the previous step's capacitor current for the
-    trapezoidal rule.
-    """
-    f, jac = system.residual_and_jacobian(x, source_scale=1.0, gmin=GMIN)
-    for e, (i1, i2, c) in enumerate(caps):
-        g = coef * c
-        current = g * (_dv(x, i1, i2) - _dv(x_prev, i1, i2)) - hist[e]
-        if i1 is not None:
-            f[i1] += current
-            jac[i1, i1] += g
-            if i2 is not None:
-                jac[i1, i2] -= g
-        if i2 is not None:
-            f[i2] -= current
-            jac[i2, i2] += g
-            if i1 is not None:
-                jac[i2, i1] -= g
-    return f, jac
-
-
-def _tran_newton(
-    system: _MNASystem,
-    caps: list,
-    x_prev: np.ndarray,
-    hist: np.ndarray,
-    coef: float,
-    max_iterations: int,
-    abstol: float = 1e-10,
-    reltol: float = 1e-9,
-) -> tuple[np.ndarray, int]:
-    """Damped Newton for one time step (mirrors :func:`repro.spice.dc._newton`)."""
-    x = x_prev.copy()
-    for iteration in range(1, max_iterations + 1):
-        f, jac = _tran_residual(system, caps, x, x_prev, hist, coef)
-        dx = _solve_newton_steps(jac, f)
-        v_step = np.max(np.abs(dx[: system.n_nodes])) if system.n_nodes else 0.0
-        if v_step > MAX_STEP:
-            dx *= MAX_STEP / v_step
-        x += dx
-        node_residual = (
-            float(np.max(np.abs(f[: system.n_nodes]))) if system.n_nodes else 0.0
-        )
-        if node_residual < abstol and float(np.max(np.abs(dx), initial=0.0)) < reltol:
-            return x, iteration
-    raise ConvergenceError(
-        f"transient Newton failed after {max_iterations} iterations"
-    )
-
-
 def run_tran(
     solution: DCSolution,
     t_stop: float,
@@ -255,7 +191,8 @@ def run_tran(
     step_amplitude: float = DEFAULT_STEP_AMPLITUDE,
     max_newton_iterations: int = MAX_TRAN_ITERATIONS,
 ) -> TranResult:
-    """Integrate the step response of a solved circuit over ``[0, t_stop]``.
+    """Integrate the step response of a solved circuit over ``[0, t_stop]``:
+    a batch of one of :func:`run_tran_many`.
 
     Parameters
     ----------
@@ -282,33 +219,12 @@ def run_tran(
     ConvergenceError
         If any time step's Newton iteration fails to converge.
     """
-    dt, times = _grid(method, t_stop, n_steps)
-    stepped = step_sources(solution.circuit, step_amplitude)
-    system = _MNASystem(stepped)
-    caps = _cap_elements(system, solution)
-    x = system.pack(solution.node_voltages, solution.source_currents)
-    waveforms = np.empty((n_steps + 1, system.n_nodes))
-    waveforms[0] = x[: system.n_nodes]
-    # Starting from DC steady state, every capacitor current is zero.
-    hist = np.zeros(len(caps))
-    total_iterations = 0
-    for step in range(1, n_steps + 1):
-        coef = _step_coef(method, dt, step)
-        x_new, iterations = _tran_newton(system, caps, x, hist, coef, max_newton_iterations)
-        total_iterations += iterations
-        if method == "trap":
-            for e, (i1, i2, c) in enumerate(caps):
-                hist[e] = coef * c * (_dv(x_new, i1, i2) - _dv(x, i1, i2)) - hist[e]
-        x = x_new
-        waveforms[step] = x[: system.n_nodes]
-    return TranResult(
-        times=times,
-        node_names=system.node_names,
-        waveforms=waveforms,
-        method=method,
-        step_amplitude=step_amplitude,
-        newton_iterations=total_iterations,
-    )
+    outcome = run_tran_many(
+        [solution], t_stop, n_steps, method, step_amplitude, max_newton_iterations
+    )[0]
+    if isinstance(outcome, ConvergenceError):
+        raise outcome
+    return outcome
 
 
 def _grid(method: str, t_stop: float, n_steps: int) -> tuple[float, np.ndarray]:
@@ -325,9 +241,6 @@ def _grid(method: str, t_stop: float, n_steps: int) -> tuple[float, np.ndarray]:
     return dt, np.linspace(0.0, t_stop, n_steps + 1)
 
 
-# ----------------------------------------------------------------------
-# Batched path
-# ----------------------------------------------------------------------
 def _tran_structure_key(circuit: Circuit):
     """Transient grouping key: DC structure plus capacitor connectivity.
 
@@ -354,13 +267,13 @@ def run_tran_many(  # checks: hot-path
 ) -> list:
     """Integrate the step responses of many operating points together.
 
-    The bulk path of the transient engine: solutions whose stepped
-    circuits share one MNA structure (one topology's candidate
-    population, corner-mixed batches included -- the structure key is the
-    corner-agnostic one of :func:`repro.spice.dc.solve_dc_many`) run every
-    time step's Newton iteration *together*, with vectorized assembly and
-    one stacked linear solve per iteration.  Waveforms are bit-identical
-    to :func:`run_tran` per candidate (pinned by the parity tests).
+    Solutions whose stepped circuits share one MNA structure (one
+    topology's candidate population, corner-mixed batches included -- the
+    structure key is the corner-agnostic one of
+    :func:`repro.spice.dc.solve_dc_many`) run every time step's Newton
+    iteration *together*, with vectorized assembly and one stacked linear
+    solve per iteration.  Each waveform is bit-identical to the scalar
+    reference run on that candidate alone (pinned by the parity tests).
 
     Returns a list aligned with ``solutions`` whose entries are either
     :class:`TranResult` or :class:`ConvergenceError` (per-candidate
@@ -398,11 +311,14 @@ def _stamp_caps_batch(  # checks: hot-path
     hist: np.ndarray,
     coef: float,
 ) -> None:
-    """Vectorized counterpart of the capacitor stamps in :func:`_tran_residual`.
+    """Stamp the capacitor companion models of one time step into ``f``/``jac``.
 
-    ``x``/``x_prev`` have shape ``(P, size)``, ``hist`` is ``(P, E)`` and
-    every element's capacitance is a per-candidate vector; each
-    candidate's row mirrors the scalar stamps operation for operation.
+    The companion current of element ``e`` is
+    ``i = coef * C * (dv - dv_prev) - hist[e]``, where ``hist`` is zero
+    for backward-Euler and the previous step's capacitor current for the
+    trapezoidal rule.  ``x``/``x_prev`` have shape ``(P, size)``, ``hist``
+    is ``(P, E)`` and every element's capacitance is a per-candidate
+    vector.
     """
     for e, (i1, i2, c) in enumerate(caps):
         g = coef * c
@@ -434,8 +350,8 @@ def _tran_newton_batch(  # checks: hot-path
     """One time step's damped Newton over a candidate batch.
 
     Mirrors :func:`repro.spice.dc._newton_batch`: candidates freeze the
-    moment their own convergence criterion fires, so each trajectory
-    reproduces the scalar :func:`_tran_newton` iteration exactly.
+    moment their own convergence criterion fires, so each trajectory is
+    the candidate's own one-at-a-time Newton iteration, bit for bit.
     Returns ``(solutions, iterations, converged)``.
 
     ``work`` optionally carries preallocated ``(f, jac)`` buffers with
@@ -481,7 +397,7 @@ def _tran_newton_batch(  # checks: hot-path
         node_residual = (
             np.max(np.abs(f[:, :n]), axis=1) if n else zero_residual[:m]
         )
-        done = (node_residual < abstol) & (np.max(np.abs(dx), axis=1) < reltol)
+        done = (node_residual < abstol) & (np.max(np.abs(dx), axis=1, initial=0.0) < reltol)
         if np.any(done):
             newly = active[done]
             solutions[newly] = x[newly]

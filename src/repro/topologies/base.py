@@ -441,6 +441,11 @@ class OTATopology(ABC):
     ) -> MeasurementResult:
         """Build, solve DC, run AC and extract the paper's three metrics.
 
+        One candidate through the batched kernels as a batch of one
+        (:func:`repro.spice.solve_dc`, :func:`repro.spice.run_ac`,
+        :func:`repro.spice.run_tran`); unlike :meth:`measure_many` it
+        raises a failure instead of recording it.
+
         ``corner`` selects the PVT evaluation context (preset name,
         :class:`~repro.devices.Corner` or override mapping); the default
         nominal corner is bit-identical to the pre-corner flow.
@@ -448,36 +453,25 @@ class OTATopology(ABC):
         ``analyses`` selects the measurement pipeline (see
         :func:`resolve_analyses`): the default ``("dc", "ac")`` is
         bit-identical to the pre-transient flow; adding ``"tran"``
-        additionally integrates the step-response testbench
-        (:func:`repro.spice.run_tran` with this topology's ``tran_*``
-        knobs) and fills the transient metric fields.
+        additionally integrates the step-response testbench (this
+        topology's ``tran_*`` knobs) and fills the transient metric
+        fields.
         """
         resolved_analyses = resolve_analyses(analyses)
         circuit = self.build_circuit(widths, vcm=vcm, corner=corner)
         dc = solve_dc(circuit, initial_guess=self.initial_guess_for(corner))
         ac = run_ac(dc, frequencies=frequencies)
-        tran = self._run_tran(dc) if "tran" in resolved_analyses else None
+        tran = run_tran(dc, **self._tran_testbench()) if "tran" in resolved_analyses else None
         return self._package_measurement(circuit, dc, ac, tran=tran)
 
-    def _run_tran(self, dc: DCSolution) -> TranResult:
-        """One candidate's step-response integration (the scalar leg)."""
-        return run_tran(
-            dc,
-            t_stop=self.tran_t_stop,
-            n_steps=self.tran_steps,
-            method=self.tran_method,
-            step_amplitude=self.tran_step_v,
-        )
-
-    def _run_tran_many(self, solutions: list) -> list:
-        """Bulk step-response integration; aligned TranResult/error slots."""
-        return run_tran_many(
-            solutions,
-            t_stop=self.tran_t_stop,
-            n_steps=self.tran_steps,
-            method=self.tran_method,
-            step_amplitude=self.tran_step_v,
-        )
+    def _tran_testbench(self) -> dict:
+        """The step-response testbench as ``run_tran(_many)`` keywords."""
+        return {
+            "t_stop": self.tran_t_stop,
+            "n_steps": self.tran_steps,
+            "method": self.tran_method,
+            "step_amplitude": self.tran_step_v,
+        }
 
     def _package_measurement(
         self, circuit: Circuit, dc: DCSolution, ac, tran: TranResult | None = None
@@ -519,8 +513,9 @@ class OTATopology(ABC):
         population x frequency grid (:func:`repro.spice.run_ac_many`),
         and -- with ``"tran"`` in ``analyses`` -- the step-response
         integrations share one candidate-vectorized Newton per time step
-        (:func:`repro.spice.run_tran_many`).  Metrics are bit-identical
-        to calling :meth:`measure` per candidate.
+        (:func:`repro.spice.run_tran_many`).  A candidate's metrics do not
+        depend on what else shares its batch, so they are bit-identical to
+        :meth:`measure` on that candidate alone.
 
         ``corners=None`` evaluates the population at the nominal corner
         and returns a flat ``list[MeasureOutcome]`` -- the one-corner
@@ -554,7 +549,7 @@ class OTATopology(ABC):
         the transient analysis is selected, ``None`` placeholders else."""
         if "tran" not in analyses:
             return [None] * len(solutions)
-        return self._run_tran_many(solutions)
+        return run_tran_many(solutions, **self._tran_testbench())
 
     def _measure_corner_sweeps(
         self,

@@ -231,7 +231,8 @@ class Dropout(Module):
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
+        # The mask takes x's dtype, so a float32 model trains in float32.
+        self._mask = ((self.rng.random(x.shape) < keep) / keep).astype(x.dtype, copy=False)
         return x * self._mask
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

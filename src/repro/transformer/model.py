@@ -190,8 +190,9 @@ class Transformer(Module):
         """Greedy autoregressive decoding with per-layer KV caching.
 
         Mathematically identical to re-running the decoder on the whole
-        prefix each step (checked by a regression test against
-        :meth:`greedy_decode_naive`) but O(T^2) instead of O(T^3).
+        prefix each step (checked by a regression test against the naive
+        decoder in ``tests/scalar_reference.py``) but O(T^2) instead of
+        O(T^3).
         Sources must be right-padded; the memory comes from
         :meth:`encode_by_length`.  Returns one id list per batch row
         (without BOS, truncated at EOS).
@@ -258,37 +259,6 @@ class Transformer(Module):
             if finished.all():
                 break
 
-        return self._strip_generated(generated, eos_id)
-
-    def greedy_decode_naive(
-        self,
-        src_ids: np.ndarray,
-        src_pad: np.ndarray,
-        bos_id: int,
-        eos_id: int,
-        max_len: int | None = None,
-    ) -> list[list[int]]:
-        """Reference greedy decoder re-running the full prefix each step."""
-        limit = min(max_len or self.config.max_len, self.config.max_len)
-        batch = src_ids.shape[0]
-        memory = self.encode(src_ids, src_pad, training=False)
-        cross_mask = padding_mask(src_pad)
-
-        generated = np.full((batch, 1), bos_id, dtype=np.int64)
-        finished = np.zeros(batch, dtype=bool)
-        for _ in range(limit - 1):
-            t = generated.shape[1]
-            y = self.tgt_embed.forward(generated) * self._scale + self.positional[:t]
-            self_mask = causal_mask(t)
-            for block in self.decoder_blocks:
-                y = block.forward(y, memory, self_mask, cross_mask, training=False)
-            logits = self.out_proj.forward(y[:, -1:, :])
-            next_ids = np.argmax(logits[:, 0, :], axis=-1)
-            next_ids = np.where(finished, eos_id, next_ids)
-            generated = np.concatenate([generated, next_ids[:, None]], axis=1)
-            finished |= next_ids == eos_id
-            if finished.all():
-                break
         return self._strip_generated(generated, eos_id)
 
     @staticmethod

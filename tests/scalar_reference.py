@@ -1,0 +1,450 @@
+"""Scalar reference implementations of the batched kernels.
+
+Production has one evaluation path: the batched SPICE kernels of
+:mod:`repro.spice` (a single candidate is a batch of one) and the
+KV-cached :meth:`repro.transformer.Transformer.greedy_decode`.  This
+module keeps the one-candidate-at-a-time implementations they replaced,
+so the parity tests and the model-free bench smokes pin the batched
+kernels bit for bit against code that production never runs:
+
+* :func:`residual_and_jacobian`, :func:`newton` and :func:`solve_dc`:
+  scalar MNA assembly and damped DC Newton with gmin and source-stepping
+  continuation;
+* :func:`tran_residual`, :func:`tran_newton` and :func:`run_tran`: scalar
+  transient stepping;
+* :func:`run_ac`: one candidate's frequency sweep;
+* :func:`measure` and :class:`ScalarBackend`: one full SPICE run per
+  candidate (per candidate-corner pair on the corner axis);
+* :func:`greedy_decode_naive`: the decoder that re-runs the whole prefix
+  every step.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping, Sequence
+
+import numpy as np
+
+from repro.devices import NOMINAL_CORNER, Corner, CornerLike, resolve_corners
+from repro.solvers import EvalBackend
+from repro.spice import (
+    ACResult,
+    Circuit,
+    ConvergenceError,
+    DCSolution,
+    TranResult,
+    default_frequency_grid,
+    linsolve,
+    step_sources,
+)
+from repro.spice.ac import _ACSystem
+from repro.spice.dc import GMIN, MAX_STEP, _finalize, _initial_point, _MNASystem
+from repro.spice.tran import (
+    DEFAULT_STEP_AMPLITUDE,
+    MAX_TRAN_ITERATIONS,
+    _cap_elements,
+    _dv,
+    _grid,
+    _step_coef,
+)
+from repro.topologies import (
+    CornerSweep,
+    MeasureOutcome,
+    MeasurementResult,
+    OTATopology,
+    resolve_analyses,
+)
+from repro.transformer.functional import causal_mask, padding_mask
+
+#: Frequencies per stacked solve in :func:`run_ac`; keeps the
+#: ``(freqs, size, size)`` complex ``Y`` stack small.
+FREQ_CHUNK = 32
+
+
+# ----------------------------------------------------------------------
+# DC operating point
+# ----------------------------------------------------------------------
+def residual_and_jacobian(
+    system: _MNASystem, x: np.ndarray, source_scale: float, gmin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate ``f(x)`` and ``J(x)`` of one candidate's MNA equations.
+
+    ``source_scale`` multiplies every independent source value (used by
+    the source-stepping continuation).  ``gmin`` is the shunt
+    conductance to ground at each node.
+    """
+    circuit = system.circuit
+    n = system.n_nodes
+    f = np.zeros(system.size)
+    jac = np.zeros((system.size, system.size))
+
+    def volt(idx: int | None) -> float:
+        return 0.0 if idx is None else float(x[idx])
+
+    # gmin shunts keep floating subcircuits well-conditioned.
+    if n:
+        f[:n] += gmin * x[:n]
+        diag = np.arange(n)
+        jac[diag, diag] += gmin
+
+    for res in circuit.resistors:
+        i1, i2 = system.node_index(res.node1), system.node_index(res.node2)
+        g = res.conductance
+        current = g * (volt(i1) - volt(i2))
+        if i1 is not None:
+            f[i1] += current
+            jac[i1, i1] += g
+            if i2 is not None:
+                jac[i1, i2] -= g
+        if i2 is not None:
+            f[i2] -= current
+            jac[i2, i2] += g
+            if i1 is not None:
+                jac[i2, i1] -= g
+
+    for src in circuit.isources:
+        ip, in_ = system.node_index(src.pos), system.node_index(src.neg)
+        value = src.dc * source_scale
+        if ip is not None:
+            f[ip] += value
+        if in_ is not None:
+            f[in_] -= value
+
+    for mosfet in circuit.mosfets:
+        id_, ig, is_ = (
+            system.node_index(mosfet.drain),
+            system.node_index(mosfet.gate),
+            system.node_index(mosfet.source),
+        )
+        vd, vg, vs = volt(id_), volt(ig), volt(is_)
+        ids = mosfet.ids(vd, vg, vs)
+        gm, gds = mosfet.conductances(vd, vg, vs)
+        # Current i_ds leaves the drain node and enters the source node.
+        if id_ is not None:
+            f[id_] += ids
+            jac[id_, id_] += gds
+            if ig is not None:
+                jac[id_, ig] += gm
+            if is_ is not None:
+                jac[id_, is_] -= gm + gds
+        if is_ is not None:
+            f[is_] -= ids
+            jac[is_, is_] += gm + gds
+            if id_ is not None:
+                jac[is_, id_] -= gds
+            if ig is not None:
+                jac[is_, ig] -= gm
+
+    for k, src in enumerate(circuit.vsources):
+        row = n + k
+        ip, in_ = system.node_index(src.pos), system.node_index(src.neg)
+        branch_current = float(x[row])
+        # Branch current flows out of the positive node.
+        if ip is not None:
+            f[ip] += branch_current
+            jac[ip, row] += 1.0
+        if in_ is not None:
+            f[in_] -= branch_current
+            jac[in_, row] -= 1.0
+        f[row] = volt(ip) - volt(in_) - src.dc * source_scale
+        if ip is not None:
+            jac[row, ip] += 1.0
+        if in_ is not None:
+            jac[row, in_] -= 1.0
+
+    return f, jac
+
+
+def newton(
+    system: _MNASystem,
+    x0: np.ndarray,
+    source_scale: float,
+    gmin: float,
+    max_iterations: int = 150,
+    abstol: float = 1e-10,
+    reltol: float = 1e-9,
+) -> tuple[np.ndarray, int]:
+    """Damped Newton iteration; returns the solution and iteration count."""
+    x = x0.copy()
+    for iteration in range(1, max_iterations + 1):
+        f, jac = residual_and_jacobian(system, x, source_scale, gmin)
+        dx = linsolve.solve_stacked(jac, -f)
+        # Voltage-step damping: scale the whole update so no node moves
+        # more than MAX_STEP volts in one iteration.
+        v_step = np.max(np.abs(dx[: system.n_nodes])) if system.n_nodes else 0.0
+        if v_step > MAX_STEP:
+            dx *= MAX_STEP / v_step
+        x += dx
+        node_residual = (
+            float(np.max(np.abs(f[: system.n_nodes]))) if system.n_nodes else 0.0
+        )
+        if node_residual < abstol and float(np.max(np.abs(dx), initial=0.0)) < reltol:
+            return x, iteration
+    raise ConvergenceError(
+        f"Newton failed after {max_iterations} iterations "
+        f"(source_scale={source_scale}, gmin={gmin})"
+    )
+
+
+def solve_dc(
+    circuit: Circuit,
+    initial_guess: dict[str, float] | None = None,
+    max_iterations: int = 150,
+) -> DCSolution:
+    """Solve one circuit's DC operating point; raises :class:`ConvergenceError`
+    when plain Newton, gmin stepping and source stepping all fail."""
+    system = _MNASystem(circuit)
+    x0 = _initial_point(system, initial_guess)
+    total_iterations = 0
+
+    # Strategy 1: plain damped Newton.
+    try:
+        x, iters = newton(system, x0, 1.0, GMIN, max_iterations)
+        return _finalize(system, x, iters, "newton")
+    except ConvergenceError:
+        pass
+
+    # Strategy 2: gmin stepping.
+    x = x0.copy()
+    try:
+        for exponent in range(3, 13):
+            gmin = 10.0 ** (-exponent)
+            x, iters = newton(system, x, 1.0, gmin, max_iterations)
+            total_iterations += iters
+        return _finalize(system, x, total_iterations, "gmin-stepping")
+    except ConvergenceError:
+        pass
+
+    # Strategy 3: source stepping.
+    x = np.zeros(system.size)
+    total_iterations = 0
+    try:
+        for scale in np.linspace(0.1, 1.0, 10):
+            x, iters = newton(system, x, float(scale), GMIN, max_iterations)
+            total_iterations += iters
+        return _finalize(system, x, total_iterations, "source-stepping")
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"DC solve failed for circuit {circuit.name!r} with all strategies"
+        ) from exc
+
+
+# ----------------------------------------------------------------------
+# Transient
+# ----------------------------------------------------------------------
+def tran_residual(
+    system: _MNASystem,
+    caps: list,
+    x: np.ndarray,
+    x_prev: np.ndarray,
+    hist: np.ndarray,
+    coef: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual/Jacobian of one time step: DC stamps + cap companions.
+
+    The companion current of element ``e`` is
+    ``i = coef * C * (dv - dv_prev) - hist[e]`` where ``hist`` is zero
+    for backward-Euler and the previous step's capacitor current for the
+    trapezoidal rule.
+    """
+    f, jac = residual_and_jacobian(system, x, source_scale=1.0, gmin=GMIN)
+    for e, (i1, i2, c) in enumerate(caps):
+        g = coef * c
+        current = g * (_dv(x, i1, i2) - _dv(x_prev, i1, i2)) - hist[e]
+        if i1 is not None:
+            f[i1] += current
+            jac[i1, i1] += g
+            if i2 is not None:
+                jac[i1, i2] -= g
+        if i2 is not None:
+            f[i2] -= current
+            jac[i2, i2] += g
+            if i1 is not None:
+                jac[i2, i1] -= g
+    return f, jac
+
+
+def tran_newton(
+    system: _MNASystem,
+    caps: list,
+    x_prev: np.ndarray,
+    hist: np.ndarray,
+    coef: float,
+    max_iterations: int,
+    abstol: float = 1e-10,
+    reltol: float = 1e-9,
+) -> tuple[np.ndarray, int]:
+    """Damped Newton for one time step (mirrors :func:`newton`)."""
+    x = x_prev.copy()
+    for iteration in range(1, max_iterations + 1):
+        f, jac = tran_residual(system, caps, x, x_prev, hist, coef)
+        dx = linsolve.solve_stacked(jac, -f)
+        v_step = np.max(np.abs(dx[: system.n_nodes])) if system.n_nodes else 0.0
+        if v_step > MAX_STEP:
+            dx *= MAX_STEP / v_step
+        x += dx
+        node_residual = (
+            float(np.max(np.abs(f[: system.n_nodes]))) if system.n_nodes else 0.0
+        )
+        if node_residual < abstol and float(np.max(np.abs(dx), initial=0.0)) < reltol:
+            return x, iteration
+    raise ConvergenceError(
+        f"transient Newton failed after {max_iterations} iterations"
+    )
+
+
+def run_tran(
+    solution: DCSolution,
+    t_stop: float,
+    n_steps: int = 160,
+    method: str = "trap",
+    step_amplitude: float = DEFAULT_STEP_AMPLITUDE,
+    max_newton_iterations: int = MAX_TRAN_ITERATIONS,
+) -> TranResult:
+    """Integrate one solved circuit's step response over ``[0, t_stop]``;
+    raises :class:`ConvergenceError` when a time step's Newton fails."""
+    dt, times = _grid(method, t_stop, n_steps)
+    stepped = step_sources(solution.circuit, step_amplitude)
+    system = _MNASystem(stepped)
+    caps = _cap_elements(system, solution)
+    x = system.pack(solution.node_voltages, solution.source_currents)
+    waveforms = np.empty((n_steps + 1, system.n_nodes))
+    waveforms[0] = x[: system.n_nodes]
+    # Starting from DC steady state, every capacitor current is zero.
+    hist = np.zeros(len(caps))
+    total_iterations = 0
+    for step in range(1, n_steps + 1):
+        coef = _step_coef(method, dt, step)
+        x_new, iterations = tran_newton(system, caps, x, hist, coef, max_newton_iterations)
+        total_iterations += iterations
+        if method == "trap":
+            for e, (i1, i2, c) in enumerate(caps):
+                hist[e] = coef * c * (_dv(x_new, i1, i2) - _dv(x, i1, i2)) - hist[e]
+        x = x_new
+        waveforms[step] = x[: system.n_nodes]
+    return TranResult(
+        times=times,
+        node_names=system.node_names,
+        waveforms=waveforms,
+        method=method,
+        step_amplitude=step_amplitude,
+        newton_iterations=total_iterations,
+    )
+
+
+# ----------------------------------------------------------------------
+# AC
+# ----------------------------------------------------------------------
+def run_ac(solution: DCSolution, frequencies: np.ndarray | None = None) -> ACResult:
+    """One candidate's AC sweep, :data:`FREQ_CHUNK` frequencies per
+    stacked solve."""
+    freqs = default_frequency_grid() if frequencies is None else np.asarray(frequencies, dtype=float)
+    system = _ACSystem(solution)
+    phasors = np.zeros((len(freqs), system.n_nodes), dtype=complex)
+    omegas = 2.0 * np.pi * np.asarray(freqs, dtype=float)
+    for start in range(0, len(omegas), FREQ_CHUNK):
+        w = omegas[start : start + FREQ_CHUNK]
+        y_stack = system._conductance[None, :, :] + (1j * w)[:, None, None] * system._capacitance[None, :, :]
+        rhs = np.broadcast_to(system._rhs, (len(w), system.size))
+        solved = linsolve.solve_stacked(y_stack, rhs)
+        phasors[start : start + len(w)] = solved[:, : system.n_nodes]
+    return ACResult(frequencies=freqs, node_names=system.node_names, phasors=phasors)
+
+
+# ----------------------------------------------------------------------
+# One SPICE run per candidate
+# ----------------------------------------------------------------------
+def measure(
+    topology: OTATopology,
+    widths: Mapping[str, float],
+    vcm: float | None = None,
+    frequencies: np.ndarray | None = None,
+    corner: CornerLike = None,
+    analyses: Sequence[str] | None = None,
+) -> MeasurementResult:
+    """:meth:`OTATopology.measure` on the scalar kernels above."""
+    circuit = topology.build_circuit(widths, vcm=vcm, corner=corner)
+    dc = solve_dc(circuit, initial_guess=topology.initial_guess_for(corner))
+    ac = run_ac(dc, frequencies=frequencies)
+    tran = None
+    if "tran" in resolve_analyses(analyses):
+        tran = run_tran(dc, **topology._tran_testbench())
+    return topology._package_measurement(circuit, dc, ac, tran=tran)
+
+
+class ScalarBackend(EvalBackend):
+    """Sequential reference backend: one full scalar SPICE run per
+    candidate (per candidate-corner pair on the corner axis)."""
+
+    def measure_many(
+        self,
+        topology: OTATopology,
+        widths_list: Sequence[Mapping[str, float]],
+        corners: Sequence[CornerLike] | None = None,
+        analyses: Sequence[str] | None = None,
+    ) -> list:
+        if corners is None:
+            return [
+                self._sweep_one(topology, widths, (NOMINAL_CORNER,), analyses).outcomes[0]
+                for widths in widths_list
+            ]
+        resolved = resolve_corners(corners)
+        if not resolved:
+            # Same contract as the batched path (which inherits the
+            # check from topology.measure_many): an empty corner axis
+            # would yield vacuous all-pass sweeps.
+            raise ValueError("corners must be non-empty (use corners=None for nominal)")
+        return [self._sweep_one(topology, widths, resolved, analyses) for widths in widths_list]
+
+    @staticmethod
+    def _sweep_one(
+        topology: OTATopology,
+        widths: Mapping[str, float],
+        corners: tuple[Corner, ...],
+        analyses: Sequence[str] | None = None,
+    ) -> CornerSweep:
+        outcomes = []
+        for corner in corners:
+            outcome = MeasureOutcome(widths=dict(widths))
+            try:
+                outcome.result = measure(topology, widths, corner=corner, analyses=analyses)
+            except (ConvergenceError, KeyError, ValueError) as error:
+                outcome.error = str(error)
+            outcomes.append(outcome)
+        return CornerSweep(widths=dict(widths), corners=corners, outcomes=tuple(outcomes))
+
+
+# ----------------------------------------------------------------------
+# Decoder
+# ----------------------------------------------------------------------
+def greedy_decode_naive(
+    model,
+    src_ids: np.ndarray,
+    src_pad: np.ndarray,
+    bos_id: int,
+    eos_id: int,
+    max_len: int | None = None,
+) -> list[list[int]]:
+    """Greedy decoder re-running the full prefix each step, without a
+    KV cache and with every source padded to the batch's longest."""
+    limit = min(max_len or model.config.max_len, model.config.max_len)
+    batch = src_ids.shape[0]
+    memory = model.encode(src_ids, src_pad, training=False)
+    cross_mask = padding_mask(src_pad)
+
+    generated = np.full((batch, 1), bos_id, dtype=np.int64)
+    finished = np.zeros(batch, dtype=bool)
+    for _ in range(limit - 1):
+        t = generated.shape[1]
+        y = model.tgt_embed.forward(generated) * model._scale + model.positional[:t]
+        self_mask = causal_mask(t)
+        for block in model.decoder_blocks:
+            y = block.forward(y, memory, self_mask, cross_mask, training=False)
+        logits = model.out_proj.forward(y[:, -1:, :])
+        next_ids = np.argmax(logits[:, 0, :], axis=-1)
+        next_ids = np.where(finished, eos_id, next_ids)
+        generated = np.concatenate([generated, next_ids[:, None]], axis=1)
+        finished |= next_ids == eos_id
+        if finished.all():
+            break
+    return model._strip_generated(generated, eos_id)

@@ -122,6 +122,12 @@ class _OracleModel(SizingModel):
             }
         return ParsedParams(values=values, complete=True), "<oracle>"
 
+    def predict_params_many(self, specs_by_topology, max_len=None):
+        return {
+            name: [self.predict_params(name, spec, max_len) for spec in specs]
+            for name, specs in specs_by_topology.items()
+        }
+
 
 @pytest.fixture(scope="module")
 def oracle_records(five_t_module):

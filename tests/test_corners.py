@@ -39,7 +39,7 @@ from repro.devices import (
 )
 from repro.service import SizingEngine, SizingRequest, SizingResponse
 from repro.service.cache import ResultCache, quantize_spec
-from repro.solvers import BatchedBackend, ScalarBackend, SearchObjective
+from repro.solvers import BatchedBackend, SearchObjective
 from repro.spice import ConvergenceError, PerformanceMetrics, parse_netlist, to_spice
 from repro.spice.dc import _structure_key
 from repro.topologies import (
@@ -49,12 +49,14 @@ from repro.topologies import (
     build_active_inductor,
 )
 
+from tests import scalar_reference
 from tests.conftest import (
     GOOD_WIDTHS,
     PoisonedFiveT,
     assert_sweeps_identical,
     make_population,
 )
+from tests.scalar_reference import ScalarBackend
 
 #: Width marking the candidate that converges at TT but not at SS below.
 POISON_WIDTH = 4.444e-6
@@ -251,7 +253,7 @@ class TestCornerMeasurement:
 
     def test_measure_many_single_corner_flat(self, five_t):
         sweep = five_t.measure_many([GOOD_WIDTHS["5T-OTA"]], corners=("ss",))[0]
-        reference = five_t.measure(GOOD_WIDTHS["5T-OTA"], corner="ss")
+        reference = scalar_reference.measure(five_t, GOOD_WIDTHS["5T-OTA"], corner="ss")
         assert isinstance(sweep.outcomes[0], MeasureOutcome)
         assert np.array_equal(
             sweep.outcomes[0].result.metrics.as_array(), reference.metrics.as_array()
@@ -332,7 +334,7 @@ class TestCornerBackendParity:
 
     def test_backend_measure_single_corner(self, five_t):
         outcome = BatchedBackend().measure(five_t, GOOD_WIDTHS["5T-OTA"], corner="ff")
-        reference = five_t.measure(GOOD_WIDTHS["5T-OTA"], corner="ff")
+        reference = scalar_reference.measure(five_t, GOOD_WIDTHS["5T-OTA"], corner="ff")
         assert np.array_equal(
             outcome.result.metrics.as_array(), reference.metrics.as_array()
         )

@@ -5,10 +5,11 @@ Two layers of guarantees:
 * :func:`solve_stacked` is one stacked ``np.linalg.solve`` -- bit for bit,
   at any size, real or complex -- with a per-item ``lstsq`` recovery on
   singular batches;
-* every analysis engine reaches LAPACK only through it (the scalar DC
-  Newton included), and the batched measurement path reproduces the
-  scalar one bit for bit for every registered topology at every PVT
-  corner across all three analyses.
+* every analysis engine reaches LAPACK only through it (a single DC
+  solve included, as a stack of one), and the batched measurement path
+  reproduces the scalar reference (``tests/scalar_reference.py``) bit for
+  bit for every registered topology at every PVT corner across all three
+  analyses.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import repro.spice.linsolve as linsolve
 from repro.spice import solve_dc, solve_dc_many, solve_stacked
 from repro.topologies import available_topologies, topology_by_name
 
+from tests import scalar_reference
 from tests.conftest import GOOD_WIDTHS, assert_measurements_identical
 
 
@@ -67,8 +69,8 @@ class TestDenseBackend:
 
 class TestSolveEntryPoint:
     def test_scalar_newton_solves_through_solve_stacked(self, monkeypatch):
-        """The scalar DC Newton takes one ``solve_stacked`` call per
-        iteration, like the batched one: there is one solve path."""
+        """A single-candidate DC solve is a batch of one: one
+        ``solve_stacked`` call per Newton iteration, on a stack of one."""
         calls = []
         real = linsolve.solve_stacked
 
@@ -83,7 +85,7 @@ class TestSolveEntryPoint:
         )
         assert solution.strategy == "newton"
         size = calls[0][-1]
-        assert calls == [(size, size)] * solution.iterations
+        assert calls == [(1, size, size)] * solution.iterations
 
 
 # ----------------------------------------------------------------------
@@ -92,8 +94,8 @@ class TestSolveEntryPoint:
 class TestTopologyParity:
     """The engines' contract with the solve entry point: the batched
     path (stacked DC Newton, the stacked AC sweep, candidate-vectorized
-    transient stepping) reproduces the scalar :meth:`measure` bit for bit
-    for every registered topology at every PVT corner."""
+    transient stepping) reproduces the scalar reference ``measure`` bit
+    for bit for every registered topology at every PVT corner."""
 
     @pytest.mark.parametrize("corner", ["tt", "ss", "ff"])
     @pytest.mark.parametrize("name", sorted(available_topologies()))
@@ -101,7 +103,7 @@ class TestTopologyParity:
         topology = topology_by_name(name)
         widths = GOOD_WIDTHS[name]
         analyses = ("dc", "ac", "tran")
-        reference = topology.measure(widths, corner=corner, analyses=analyses)
+        reference = scalar_reference.measure(topology, widths, corner=corner, analyses=analyses)
         sweep = topology.measure_many([widths], corners=(corner,), analyses=analyses)[0]
         assert sweep.ok
         assert_measurements_identical(reference, sweep.outcomes[0].result)
@@ -128,7 +130,7 @@ class TestMixedSizeBatches:
         circuits = [topo.build(w) for topo, w in plans]
         guesses = [topo.initial_guess() for topo, _ in plans]
         references = [
-            solve_dc(topo.build(w), initial_guess=topo.initial_guess())
+            scalar_reference.solve_dc(topo.build(w), initial_guess=topo.initial_guess())
             for topo, w in plans
         ]
         solutions = solve_dc_many(circuits, initial_guess=guesses)

@@ -19,7 +19,7 @@ from repro.core.bundle import SizingModel
 from repro.datagen import SequenceBuilder, SequenceConfig
 from repro.service import ResultCache, SizingEngine, SizingRequest, SizingResponse
 from repro.service.cache import quantize_spec
-from repro.solvers import BatchedBackend, ScalarBackend
+from repro.solvers import BatchedBackend
 from repro.spice import PerformanceMetrics
 from repro.topologies import (
     FiveTransistorOTA,
@@ -35,6 +35,7 @@ from tests.conftest import (
     PoisonedFiveT,
     assert_responses_identical,
 )
+from tests.scalar_reference import ScalarBackend
 
 # ----------------------------------------------------------------------
 # Topology registry
@@ -416,11 +417,13 @@ class TestEngineServing:
         assert engine.stats.spice_simulations == sum(r.spice_simulations for r in responses)
 
     def test_single_request_uses_single_path(self, oracle_setup):
+        """A single request takes the one decode path: one one-row
+        ``predict_params_many`` call per round."""
         engine, model, records = self._engine(oracle_setup, cache_size=0)
         response = engine.size(self._achievable(records[0]))
         assert response.success
-        assert model.batch_calls == 0
-        assert model.single_calls >= 1
+        assert model.batch_calls == response.iterations
+        assert model.single_calls == 0
 
     def test_cache_skips_inference_for_duplicates(self, oracle_setup):
         engine, model, records = self._engine(oracle_setup, cache_size=16)
@@ -557,7 +560,9 @@ class TestEngineServing:
         result = flow.size(spec)
         assert result.success
         assert result.single_simulation
-        assert model.batch_calls == 0  # sequential facade stays single-shot
+        # One fused one-row decode per round, like any engine request.
+        assert model.batch_calls == result.iterations
+        assert model.single_calls == 0
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The parity classes are the contract of the API redesign: the bulk
 ``measure_many`` path (vectorized AC, amortized DC Newton) must produce
-*bit-identical* measurements to the sequential ``measure`` path, with
-per-candidate failure isolation; and every sizing method — copilot and
-SPICE-in-the-loop baselines — must be dispatchable through
+*bit-identical* measurements to the sequential scalar reference
+(``tests/scalar_reference.py``), with per-candidate failure isolation;
+and every sizing method — copilot and SPICE-in-the-loop baselines (SA /
+PSO / DE, the Table IX baselines) — must be dispatchable through
 ``repro.solvers`` and the service layers built on it.
 """
 
@@ -22,14 +23,16 @@ from repro.solvers import (
     PENALTY,
     BatchedBackend,
     EvalBackend,
-    ScalarBackend,
     SearchObjective,
     SearchSolver,
+    SearchSpace,
     SolveResult,
 )
 from repro.spice import ConvergenceError
 from repro.topologies import FiveTransistorOTA
 
+from tests import scalar_reference
+from tests.scalar_reference import ScalarBackend
 from tests.conftest import (
     GOOD_WIDTHS,
     PoisonedFiveT,
@@ -114,7 +117,7 @@ class TestMeasureManyParity:
 
     def test_bit_identical_to_sequential(self, five_t_module):
         population = make_population(five_t_module, 8)
-        sequential = [five_t_module.measure(w) for w in population]
+        sequential = [scalar_reference.measure(five_t_module, w) for w in population]
         outcomes = five_t_module.measure_many(population)
         assert len(outcomes) == len(population)
         for ref, outcome in zip(sequential, outcomes, strict=True):
@@ -134,7 +137,7 @@ class TestMeasureManyParity:
         assert not outcomes[1].ok  # ...the bulk path isolates the failure
         assert outcomes[1].error is not None
         for index in (0, 2, 3):
-            self._assert_identical(topology.measure(batch[index]), outcomes[index])
+            self._assert_identical(scalar_reference.measure(topology, batch[index]), outcomes[index])
 
     def test_unbuildable_candidate_is_isolated(self, five_t_module):
         population = make_population(five_t_module, 2)
@@ -142,7 +145,7 @@ class TestMeasureManyParity:
         bad.pop("M5")  # missing group -> build-time KeyError
         outcomes = five_t_module.measure_many([bad, population[1]])
         assert not outcomes[0].ok and "M5" in outcomes[0].error
-        self._assert_identical(five_t_module.measure(population[1]), outcomes[1])
+        self._assert_identical(scalar_reference.measure(five_t_module, population[1]), outcomes[1])
 
     def test_empty_population(self, five_t_module):
         assert five_t_module.measure_many([]) == []
@@ -249,6 +252,49 @@ class TestSearchObjectiveHistory:
 
 
 # ----------------------------------------------------------------------
+# Search space and objective of the SPICE-in-the-loop solvers
+# ----------------------------------------------------------------------
+class TestSearchSpace:
+    def test_decode_bounds(self, five_t_module):
+        space = SearchSpace(five_t_module)
+        lows = space.decode(np.zeros(space.dimension))
+        highs = space.decode(np.ones(space.dimension))
+        for name in space.names:
+            low, high = five_t_module.group(name).width_bounds
+            assert lows[name] == pytest.approx(low)
+            assert highs[name] == pytest.approx(high)
+
+    def test_decode_clips(self, five_t_module):
+        space = SearchSpace(five_t_module)
+        widths = space.decode(np.full(space.dimension, 2.0))
+        for name, width in widths.items():
+            assert width == pytest.approx(five_t_module.group(name).width_bounds[1])
+
+
+class TestObjective:
+    def test_counts_spice_calls(self, five_t_module, easy_spec):
+        objective = SearchObjective(five_t_module, easy_spec)
+        space = objective.space
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            objective.evaluate_one(space.random_point(rng))
+        assert objective.spice_calls == 4
+
+    def test_zero_cost_when_satisfied(self, five_t_module, easy_spec):
+        objective = SearchObjective(five_t_module, easy_spec)
+        # Encode the known-good design into the normalized space.
+        space = objective.space
+        point = np.zeros(space.dimension)
+        for i, name in enumerate(space.names):
+            low, high = five_t_module.group(name).width_bounds
+            width = GOOD_WIDTHS["5T-OTA"][name]
+            point[i] = (np.log(width) - np.log(low)) / (np.log(high) - np.log(low))
+        value = objective.evaluate_one(point)
+        assert value == pytest.approx(0.0)
+        assert objective.satisfied
+
+
+# ----------------------------------------------------------------------
 # Search solvers through the unified API
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["sa", "pso", "de"])
@@ -268,8 +314,8 @@ class TestSearchSolvers:
         result = solver.solve(easy_spec, budget=100, rng=np.random.default_rng(7))
         assert len(result.history) == result.spice_calls
         history = np.array(result.history)
-        finite = history[np.isfinite(history)]
-        assert np.all(np.diff(finite) <= 1e-12)
+        assert np.all(np.isfinite(history))
+        assert np.all(np.diff(history) <= 1e-12)
         assert history[-1] == result.best_value
 
     def test_budget_is_a_hard_cap(self, name, five_t_module):

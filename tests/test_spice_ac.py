@@ -79,11 +79,13 @@ class TestACAnalysis:
     def test_run_ac_many_bitwise_matches_run_ac(self):
         from repro.spice import run_ac_many
 
+        from tests import scalar_reference
+
         freqs = np.logspace(2, 9, 40)
         solutions = [solve_dc(rc_lowpass(r=r)) for r in (5e2, 1e3, 2e3, 8e3)]
         stacked = run_ac_many(solutions, freqs)
         for dc, result in zip(solutions, stacked, strict=True):
-            reference = run_ac(dc, freqs)
+            reference = scalar_reference.run_ac(dc, freqs)
             assert result.node_names == reference.node_names
             np.testing.assert_array_equal(result.phasors, reference.phasors)
 

@@ -1,11 +1,16 @@
 """Tests of the nonlinear DC operating-point solver."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import NMOS_65NM, PMOS_65NM
-from repro.spice import Circuit, solve_dc, solve_dc_many
+from repro.spice import Circuit, ConvergenceError, run_tran_many, solve_dc, solve_dc_many
+from repro.topologies import topology_by_name
+
+from tests import scalar_reference
+from tests.conftest import GOOD_WIDTHS, make_population
 
 L = 180e-9
 
@@ -142,7 +147,7 @@ class TestSolveDCMany:
         widths = [1e-6, 2e-6, 5e-6, 12e-6, 30e-6]
         batched = solve_dc_many([self._cs_stage(w) for w in widths])
         for width, solution in zip(widths, batched, strict=True):
-            reference = solve_dc(self._cs_stage(width))
+            reference = scalar_reference.solve_dc(self._cs_stage(width))
             assert solution.node_voltages == reference.node_voltages
             assert solution.source_currents == reference.source_currents
             assert solution.iterations == reference.iterations
@@ -161,5 +166,54 @@ class TestSolveDCMany:
         mixed = [self._cs_stage(2e-6), resistor_divider(), self._cs_stage(5e-6)]
         solutions = solve_dc_many(mixed)
         assert solutions[1].voltage("mid") == pytest.approx(1.2 * 3.0 / 4.0, rel=1e-9)
-        assert solutions[0].node_voltages == solve_dc(self._cs_stage(2e-6)).node_voltages
-        assert solutions[2].node_voltages == solve_dc(self._cs_stage(5e-6)).node_voltages
+        assert solutions[0].node_voltages == scalar_reference.solve_dc(self._cs_stage(2e-6)).node_voltages
+        assert solutions[2].node_voltages == scalar_reference.solve_dc(self._cs_stage(5e-6)).node_voltages
+
+    @pytest.mark.parametrize(
+        "max_iterations, corners, known_good, strategies",
+        [
+            (5, ("tt",), ("source-stepping", 48), {"newton", "source-stepping", "failed"}),
+            (8, ("tt", "ss", "ff"), ("newton", 6), {"newton", "gmin-stepping", "source-stepping"}),
+        ],
+    )
+    def test_continuation_bit_identical_to_scalar(
+        self, max_iterations, corners, known_good, strategies
+    ):
+        """One TELE-OTA batch whose candidates end in different strategies:
+        at ``max_iterations=5`` plain Newton, source stepping (the
+        known-good design, 48 iterations) and failure of every strategy;
+        the corner-mixed batch at 8 adds gmin stepping.  Each candidate's
+        outcome equals the scalar reference's, bit for bit."""
+        tele = topology_by_name("TELE-OTA")
+        population = [GOOD_WIDTHS["TELE-OTA"], *make_population(tele, 6, seed=4)]
+        circuits = [tele.build_circuit(w, corner=c) for w in population for c in corners]
+        guesses = [tele.initial_guess_for(c) for _ in population for c in corners]
+        batched = solve_dc_many(circuits, initial_guess=guesses, max_iterations=max_iterations)
+        assert (batched[0].strategy, batched[0].iterations) == known_good
+        seen = set()
+        for circuit, guess, outcome in zip(circuits, guesses, batched, strict=True):
+            try:
+                reference = scalar_reference.solve_dc(circuit, guess, max_iterations)
+            except ConvergenceError as error:
+                assert isinstance(outcome, ConvergenceError)
+                assert str(outcome) == str(error)
+                seen.add("failed")
+                continue
+            assert outcome.node_voltages == reference.node_voltages
+            assert outcome.source_currents == reference.source_currents
+            assert outcome.iterations == reference.iterations
+            assert outcome.strategy == reference.strategy
+            seen.add(outcome.strategy)
+        assert seen == strategies
+
+    def test_empty_circuit_shares_a_call_with_a_real_one(self):
+        """A circuit with no unknowns gets its own structure group and
+        solves, in both bulk kernels, without failing its call neighbour."""
+        five_t = topology_by_name("5T-OTA")
+        circuits = [Circuit("empty"), five_t.build(GOOD_WIDTHS["5T-OTA"])]
+        empty, ota = solve_dc_many(circuits, initial_guess=[None, five_t.initial_guess()])
+        assert empty.node_voltages == {} and empty.strategy == "newton"
+        assert ota.strategy == "newton"
+        flat, step = run_tran_many([empty, ota], t_stop=50e-9, n_steps=10)
+        assert flat.waveforms.shape == (11, 0)
+        assert np.isfinite(step.voltage("out")).all()

@@ -4,8 +4,9 @@ Layer by layer, the contract of the transient extension:
 
 * the integrator is *correct* (analytic RC reference, trap/BE agreement,
   monotone error-vs-timestep convergence -- hypothesis property tests);
-* the batched ``run_tran_many`` is **bit-identical** to the sequential
-  ``run_tran`` loop, with per-candidate failure isolation;
+* the batched ``run_tran_many`` is **bit-identical** to the scalar
+  reference ``run_tran`` loop (``tests/scalar_reference.py``), with
+  per-candidate failure isolation;
 * golden traces pin every topology's known-good step response, so future
   solver/stamp refactors diff against known-good waveforms;
 * specs/requests/cache/engine/CLI carry the transient targets, while the
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DesignSpec, tighten_spec
 from repro.service import ResultCache, SizingEngine, SizingRequest, SizingResponse
-from repro.solvers import BatchedBackend, ScalarBackend, SearchObjective
+from repro.solvers import BatchedBackend, SearchObjective
 from repro.spice import (
     Circuit,
     ConvergenceError,
@@ -41,6 +42,7 @@ from repro.topologies import (
     topology_by_name,
 )
 
+from tests import scalar_reference
 from tests.conftest import (
     GOOD_WIDTHS,
     PoisonedFiveT,
@@ -48,6 +50,7 @@ from tests.conftest import (
     assert_sweeps_identical,
     make_population,
 )
+from tests.scalar_reference import ScalarBackend
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "tran_traces.json"
 
@@ -175,7 +178,8 @@ class TestIntegratorProperties:
     )
     def test_batched_bit_identical_to_sequential_loop(self, five_t, points):
         """``run_tran_many`` over a random candidate population returns
-        waveforms bit-identical to the per-candidate ``run_tran`` loop."""
+        waveforms bit-identical to the scalar reference's per-candidate
+        ``run_tran`` loop."""
         from repro.solvers import SearchSpace
 
         space = SearchSpace(five_t)
@@ -184,7 +188,9 @@ class TestIntegratorProperties:
         for widths in population:
             try:
                 solutions.append(
-                    solve_dc(five_t.build(widths), initial_guess=five_t.initial_guess())
+                    scalar_reference.solve_dc(
+                        five_t.build(widths), initial_guess=five_t.initial_guess()
+                    )
                 )
             except ConvergenceError:
                 continue
@@ -192,7 +198,7 @@ class TestIntegratorProperties:
             return
         batched = run_tran_many(solutions, t_stop=50e-9, n_steps=20)
         for solution, outcome in zip(solutions, batched, strict=True):
-            reference = run_tran(solution, t_stop=50e-9, n_steps=20)
+            reference = scalar_reference.run_tran(solution, t_stop=50e-9, n_steps=20)
             assert np.array_equal(reference.waveforms, outcome.waveforms)
             assert reference.newton_iterations == outcome.newton_iterations
             assert np.array_equal(reference.times, outcome.times)
@@ -207,11 +213,11 @@ class TestTranBatchGrouping:
         plain = _rc_circuit(1e3, 1e-9)
         extra = _rc_circuit(1e3, 1e-9)
         extra.add_capacitor("C2", "in", "out", 2e-10)
-        solutions = [solve_dc(plain), solve_dc(extra)]
+        solutions = [scalar_reference.solve_dc(plain), scalar_reference.solve_dc(extra)]
         for ordered in (solutions, solutions[::-1]):
             batched = run_tran_many(ordered, t_stop=5e-6, n_steps=50)
             for solution, outcome in zip(ordered, batched, strict=True):
-                reference = run_tran(solution, t_stop=5e-6, n_steps=50)
+                reference = scalar_reference.run_tran(solution, t_stop=5e-6, n_steps=50)
                 assert np.array_equal(reference.waveforms, outcome.waveforms)
 
 
@@ -221,7 +227,7 @@ class TestTranBatchGrouping:
 class TestTranMeasureParity:
     def test_measure_many_bit_identical_with_tran(self, five_t):
         population = make_population(five_t, 6, seed=3)
-        sequential = [five_t.measure(w, analyses=TRAN) for w in population]
+        sequential = [scalar_reference.measure(five_t, w, analyses=TRAN) for w in population]
         outcomes = five_t.measure_many(population, analyses=TRAN)
         for reference, outcome in zip(sequential, outcomes, strict=True):
             assert outcome.ok

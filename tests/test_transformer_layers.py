@@ -202,6 +202,15 @@ class TestDropout:
         with pytest.raises(ValueError):
             Dropout(1.0, np.random.default_rng(0))
 
+    def test_mask_keeps_input_dtype_and_draw(self):
+        """A float32 input stays float32; the mask is the float64 one
+        (same draw from the generator) rounded to float32."""
+        x = np.ones((6, 5), dtype=np.float32)
+        out = Dropout(0.3, np.random.default_rng(2)).forward(x, training=True)
+        assert out.dtype == np.float32
+        expected = (np.random.default_rng(2).random(x.shape) < 0.7) / 0.7
+        assert np.array_equal(out, expected.astype(np.float32))
+
 
 class TestFeedForward:
     def test_gradcheck(self):

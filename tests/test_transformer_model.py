@@ -16,6 +16,8 @@ from repro.transformer import (
     numeric_token_weights,
 )
 
+from tests.scalar_reference import greedy_decode_naive
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -145,6 +147,19 @@ def right_padded(sources, width):
     return src, src_pad
 
 
+class TestDtype:
+    def test_float32_training_forward_stays_float32(self):
+        """Dropout does not promote a float32 model's activations."""
+        model = Transformer(tiny_config(dtype="float32", dropout=0.1))
+        src = np.random.default_rng(3).integers(4, 12, size=(2, 5))
+        tgt = np.random.default_rng(4).integers(4, 12, size=(2, 4))
+        src_pad = np.zeros_like(src, dtype=bool)
+        tgt_pad = np.zeros_like(tgt, dtype=bool)
+        for training in (True, False):
+            logits = model.forward(src, tgt, src_pad, tgt_pad, training=training)
+            assert logits.dtype == np.float32
+
+
 class TestDecoding:
     def test_incremental_matches_naive(self, float32_model):
         model = Transformer(tiny_config(n_encoder_layers=2, n_decoder_layers=2))
@@ -153,7 +168,7 @@ class TestDecoding:
         src_pad = np.zeros_like(src, dtype=bool)
         src_pad[2, 4:] = True
         fast = model.greedy_decode(src, src_pad, bos_id=1, eos_id=2, max_len=15)
-        naive = model.greedy_decode_naive(src, src_pad, bos_id=1, eos_id=2, max_len=15)
+        naive = greedy_decode_naive(model, src, src_pad, bos_id=1, eos_id=2, max_len=15)
         assert fast == naive
         # float32, three distinct source lengths: the per-length encoder
         # and the padded reference agree.
@@ -166,7 +181,7 @@ class TestDecoding:
             n = len(ids)
             np.testing.assert_allclose(memory[row, :n], padded[row, :n], rtol=1e-5, atol=1e-5)
         fast = model.greedy_decode(src, src_pad, bos_id=1, eos_id=2)
-        naive = model.greedy_decode_naive(src, src_pad, bos_id=1, eos_id=2)
+        naive = greedy_decode_naive(model, src, src_pad, bos_id=1, eos_id=2)
         assert fast == naive
         assert len(set(map(tuple, fast))) == len(sources)  # decodes follow the source
 
