@@ -26,8 +26,9 @@ Inside a marked function the rule flags, through the pass-1 call graph:
   *supposed* to stage work.
 
 ``except`` handler bodies are exempt end to end: the singular-matrix
-fallback in ``_solve_newton_steps`` deliberately drops to a per-item
-solve, and that is the correct shape for a rarely-taken recovery path.
+fallback in ``repro.spice.linsolve.solve_stacked`` deliberately drops to
+a per-item solve, and that is the correct shape for a rarely-taken
+recovery path.
 
 The pluggable linear-solve layer is *sanctioned*: hot-path loops call
 :func:`repro.spice.linsolve.solve_stacked` once per structure group or

@@ -31,6 +31,16 @@ All functions are vectorized over numpy arrays.  Voltages are
 polarity-normalized: pass ``Vgs, Vds >= 0`` for normal operation of both
 NMOS and PMOS; the circuit-level wrapper in :mod:`repro.devices.mosfet`
 performs the polarity mapping.
+
+:class:`EKVModel` evaluates one technology parameter set.  The batched MNA
+kernels instead evaluate a whole grid of device instances -- one row per
+MOSFET slot, one column per candidate circuit, each with its own
+(corner-skewed) technology and width -- through :class:`DeviceArrays` and
+two fused functions: :func:`stamp_terms` returns ``(Id, gm, gds)`` for a
+Newton iteration and :func:`operating_point_arrays` every operating-point
+quantity of a converged solve.  Both are bit for bit the per-instance
+:class:`EKVModel` results (the parity tests pin this); they only share the
+subexpressions the three methods each recompute.
 """
 
 from __future__ import annotations
@@ -41,7 +51,15 @@ import numpy as np
 
 from .params import TechParams
 
-__all__ = ["EKVModel", "SmallSignal", "interp_f", "interp_f_prime"]
+__all__ = [
+    "DeviceArrays",
+    "EKVModel",
+    "SmallSignal",
+    "interp_f",
+    "interp_f_prime",
+    "operating_point_arrays",
+    "stamp_terms",
+]
 
 ArrayLike = float | np.ndarray
 
@@ -274,3 +292,128 @@ class EKVModel:
     ) -> np.ndarray:
         """Elementwise saturation check ``Vds >= Vds,sat + margin``."""
         return np.asarray(vds, dtype=float) >= self.saturation_voltage(vgs) + margin
+
+
+class DeviceArrays:
+    """EKV parameters of a grid of device instances, for the fused kernels.
+
+    Every field is an array over the grid (the MNA kernels use one row per
+    MOSFET slot and one column per candidate), stored as one plane of
+    ``values`` so that :meth:`take` gathers all of them at once.  Each
+    entry is computed with the scalar model's own arithmetic on that
+    instance's :class:`TechParams`, width and length: ``ispec`` is
+    :meth:`TechParams.spec_current`, ``lam`` is ``lambda_l / L``,
+    ``lam_ut`` is ``lam * ut`` and ``n_ut`` is ``n_slope * ut`` -- the
+    subexpressions every :class:`EKVModel` call recomputes, here computed
+    once per batch.
+    """
+
+    FIELDS = (
+        "vt0", "n_slope", "ut", "ispec", "lam", "lam_ut", "n_ut",
+        "width", "length", "cox", "cov", "cj", "pb", "mj",
+    )
+
+    __slots__ = ("values", *FIELDS)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        for plane, name in zip(values, self.FIELDS, strict=True):
+            setattr(self, name, plane)
+
+    @classmethod
+    def from_instances(cls, instances, shape: tuple[int, ...]) -> DeviceArrays:
+        """Build from ``(tech, width, length)`` triples listed in C order
+        of the grid ``shape``."""
+        values = np.array([_instance_values(*instance) for instance in instances], dtype=float)
+        values = values.reshape(*shape, len(cls.FIELDS))
+        return cls(np.ascontiguousarray(np.moveaxis(values, -1, 0)))
+
+    def take(self, columns: np.ndarray) -> DeviceArrays:
+        """The instances of the given columns (the grid's last axis)."""
+        return DeviceArrays(np.take(self.values, columns, axis=-1))
+
+
+def _instance_values(tech: TechParams, width: float, length: float) -> tuple[float, ...]:
+    """One instance's :attr:`DeviceArrays.FIELDS`, in that order."""
+    lam = tech.lambda_l / length
+    return (
+        tech.vt0,
+        tech.n_slope,
+        tech.ut,
+        tech.spec_current(width, length),
+        lam,
+        lam * tech.ut,
+        tech.n_slope * tech.ut,
+        width,
+        length,
+        tech.cox,
+        tech.cov,
+        tech.cj,
+        tech.pb,
+        tech.mj,
+    )
+
+
+def stamp_terms(
+    vgs: np.ndarray, vds: np.ndarray, devices: DeviceArrays
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fused ``(Id, gm, gds)`` of every instance in ``devices``.
+
+    ``vgs``/``vds`` are polarity-normalized and shaped like the grid.  The
+    result is bit for bit what :meth:`EKVModel.drain_current`,
+    :meth:`~EKVModel.transconductance` and
+    :meth:`~EKVModel.output_conductance` return for each instance: the
+    same operations in the same order, with the pinch-off voltage, the
+    ``logaddexp`` terms of :func:`interp_f`/:func:`interp_f_prime`, the
+    CLM factor and ``Ispec`` evaluated once instead of once per method.
+    """
+    ut = devices.ut
+    vp = (vgs - devices.vt0) / devices.n_slope
+    half_f = vp / ut / 2.0
+    half_r = (vp - vds) / ut / 2.0
+    log_f = np.logaddexp(0.0, half_f)
+    log_r = np.logaddexp(0.0, half_r)
+    d_if = log_f * np.exp(half_f - log_f)
+    d_ir = log_r * np.exp(half_r - log_r)
+    v = vds / ut
+    softplus = np.logaddexp(0.0, v)
+    clm = 1.0 + devices.lam_ut * softplus
+    dclm = devices.lam * np.exp(v - softplus)
+    ispec = devices.ispec
+    channel = ispec * (log_f * log_f - log_r * log_r)
+    drain_current = channel * clm
+    gm = ispec * (d_if - d_ir) * clm / devices.n_ut
+    gds = ispec * d_ir * clm / ut + channel * dclm
+    return drain_current, gm, gds
+
+
+def operating_point_arrays(
+    vgs: np.ndarray, vds: np.ndarray, devices: DeviceArrays
+) -> dict[str, np.ndarray]:
+    """Every operating-point quantity of every instance in ``devices``.
+
+    Returns arrays keyed ``id``/``gm``/``gds``/``cgs``/``cds`` (as
+    :meth:`EKVModel.evaluate_all`), ``ic`` (:meth:`EKVModel.inversion_coefficient`)
+    and ``saturated`` (:meth:`EKVModel.is_saturated` at zero margin), bit
+    for bit the per-instance scalar results.  The scalar ``Cds`` raises a
+    numpy *scalar* to the power ``mj``, which runs the C library's ``pow``;
+    numpy's array power rounds differently in the last bit for some
+    inputs, so that one power is taken per element here as well.
+    """
+    drain_current, gm, gds = stamp_terms(vgs, vds, devices)
+    ic = interp_f((vgs - devices.vt0) / devices.n_slope / devices.ut)
+    width = devices.width
+    cgs = (2.0 / 3.0) * devices.cox * width * devices.length * (ic / (ic + 2.0)) + devices.cov * width
+    bias = np.maximum(1.0 + vds / devices.pb, 0.5)
+    power = [b**mj for b, mj in zip(bias.ravel().tolist(), devices.mj.ravel().tolist())]
+    cds = devices.cj * width / np.array(power, dtype=float).reshape(bias.shape)
+    vsat = devices.ut * (2.0 * np.sqrt(ic) + 4.0)
+    return {
+        "id": drain_current,
+        "gm": gm,
+        "gds": gds,
+        "cgs": cgs,
+        "cds": cds,
+        "ic": ic,
+        "saturated": vds >= vsat + 0.0,
+    }

@@ -21,8 +21,12 @@ These are the same continuation tricks production SPICE engines use.
 
 There is one implementation: :func:`solve_dc_many` runs every strategy
 vectorized over the candidates of one circuit structure, and
-:func:`solve_dc` is a batch of one.  The scalar reference the parity
-tests pin it against lives in ``tests/scalar_reference.py``.
+:func:`solve_dc` is a batch of one.  Each structure group compiles one
+:class:`~repro.spice.plan.StampPlan`, so a Newton iteration is one fused
+EKV evaluation over every MOSFET of every candidate plus an ordered
+index-array assembly, and the operating points of a converged group are
+extracted in one array pass.  The scalar reference the parity tests pin
+it against lives in ``tests/scalar_reference.py``.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..devices import EKVModel, OperatingPoint
+from ..devices import OperatingPoint, SmallSignal
+from ..devices.ekv import operating_point_arrays
 from . import linsolve
 from .netlist import GROUND, Circuit
+from .plan import StampPlan
 
 __all__ = ["DCSolution", "ConvergenceError", "solve_dc", "solve_dc_many"]
 
@@ -72,12 +78,10 @@ class DCSolution:
 
     def kcl_residual(self) -> float:
         """Max KCL residual (A) over all nodes -- a correctness self-check."""
-        system = _MNASystem(self.circuit)
-        x = system.pack(self.node_voltages, self.source_currents)
-        residual, _ = _residual_and_jacobian_batch(
-            system, _BatchStamps([self.circuit]), x[None, :], 1.0, GMIN
-        )
-        return float(np.max(np.abs(residual[0, : system.n_nodes]), initial=0.0))
+        plan = StampPlan([self.circuit])
+        x = _MNASystem(self.circuit).pack(self.node_voltages, self.source_currents)
+        residual, _ = plan.assemble(plan.padded(x[None, :]), 1.0, GMIN, plan.workspace(1))
+        return float(np.max(np.abs(residual[0, : plan.n_nodes]), initial=0.0))
 
 
 class _MNASystem:
@@ -186,15 +190,18 @@ def solve_dc_many(  # checks: hot-path
     and element connectivity -- exactly what one topology's ``build``
     produces over a population of width vectors, including the same
     population rebuilt at several PVT corners) run every Newton stage
-    *together*, with the residual/Jacobian assembly vectorized over the
-    candidate axis and one stacked ``np.linalg.solve`` per iteration.
-    Candidates of one group may differ in MOSFET widths, MOSFET
-    technology parameters (corner-skewed ``vt0``/``kp``/``ut``) and
-    voltage-source DC values (corner-scaled supplies).  Every
-    per-candidate floating-point operation is elementwise, so each
-    solution is bit-identical to the scalar reference solve of that
-    circuit alone, whatever else shares its batch (the parity tests pin
-    this).
+    *together*: each iteration assembles the group's residuals and
+    Jacobians through its :class:`~repro.spice.plan.StampPlan` and makes
+    one stacked ``np.linalg.solve``.  Candidates of one group may differ
+    in MOSFET widths, MOSFET technology parameters (corner-skewed
+    ``vt0``/``kp``/``ut``, each instance's ``Ispec`` computed by its own
+    :meth:`~repro.devices.TechParams.spec_current`) and voltage-source DC
+    values (corner-scaled supplies).  Every per-candidate floating-point
+    operation is elementwise and every matrix entry sums its terms in the
+    scalar order, so each solution -- operating points included -- is
+    bit-identical to the scalar reference solve of that circuit alone,
+    whatever else shares its batch (the parity and batch-invariance tests
+    pin this).
 
     ``initial_guess`` is either one mapping shared by every candidate or a
     sequence of per-candidate mappings aligned with ``circuits`` (the
@@ -257,103 +264,6 @@ def _structure_key(circuit: Circuit):
     )
 
 
-class _ArrayTech:
-    """Per-candidate technology parameters for one MOSFET slot.
-
-    Duck-types the :class:`~repro.devices.TechParams` fields the EKV DC
-    path reads (``vt0``/``n_slope``/``kp``/``ut``/``lambda_l`` plus
-    :meth:`spec_current`) with numpy arrays over the candidate axis, so
-    :class:`~repro.devices.EKVModel` evaluates a whole corner-mixed batch
-    in one broadcasted sweep.  Elementwise ufuncs make each candidate's
-    result bit-identical to the scalar-tech evaluation.
-    """
-
-    __slots__ = ("vt0", "n_slope", "kp", "ut", "lambda_l")
-
-    def __init__(self, vt0, n_slope, kp, ut, lambda_l):
-        self.vt0 = vt0
-        self.n_slope = n_slope
-        self.kp = kp
-        self.ut = ut
-        self.lambda_l = lambda_l
-
-    @classmethod
-    def from_techs(cls, techs) -> _ArrayTech:
-        return cls(
-            vt0=np.array([t.vt0 for t in techs]),
-            n_slope=np.array([t.n_slope for t in techs]),
-            kp=np.array([t.kp for t in techs]),
-            ut=np.array([t.ut for t in techs]),
-            lambda_l=np.array([t.lambda_l for t in techs]),
-        )
-
-    def take(self, indices: np.ndarray) -> _ArrayTech:
-        return _ArrayTech(
-            self.vt0[indices],
-            self.n_slope[indices],
-            self.kp[indices],
-            self.ut[indices],
-            self.lambda_l[indices],
-        )
-
-    def spec_current(self, width, length):
-        # Mirrors TechParams.spec_current arithmetic without the scalar
-        # validation (widths were validated when the circuits were built).
-        return 2.0 * self.n_slope * self.kp * (width / length) * self.ut**2
-
-
-class _BatchStamps:
-    """Per-candidate element data of one structure-sharing batch.
-
-    Holds, for each MOSFET slot, the width vector and the evaluation model
-    (a plain shared :class:`EKVModel` when every candidate uses the same
-    technology parameters -- the pre-corner fast path -- or an
-    :class:`_ArrayTech`-backed model when the batch mixes corners), and for
-    each voltage source its DC value (scalar when shared, array when
-    corner-scaled supplies differ).
-    """
-
-    __slots__ = ("slot_widths", "slot_models", "slot_polarity", "vsource_dc")
-
-    def __init__(self, circuits: list):
-        first = circuits[0]
-        self.slot_widths = [
-            np.array([circuit.mosfets[slot].width for circuit in circuits])
-            for slot in range(len(first.mosfets))
-        ]
-        self.slot_models = []
-        self.slot_polarity = []
-        for slot, mosfet in enumerate(first.mosfets):
-            self.slot_polarity.append(mosfet.tech.polarity)
-            techs = [circuit.mosfets[slot].tech for circuit in circuits]
-            if all(tech == techs[0] for tech in techs[1:]):
-                self.slot_models.append(mosfet.model)
-            else:
-                self.slot_models.append(EKVModel(_ArrayTech.from_techs(techs)))
-        self.vsource_dc = []
-        for k, source in enumerate(first.vsources):
-            values = [circuit.vsources[k].dc for circuit in circuits]
-            if all(value == values[0] for value in values[1:]):
-                self.vsource_dc.append(source.dc)
-            else:
-                self.vsource_dc.append(np.array(values))
-
-    def take(self, indices: np.ndarray) -> _BatchStamps:
-        subset = _BatchStamps.__new__(_BatchStamps)
-        subset.slot_widths = [w[indices] for w in self.slot_widths]
-        subset.slot_polarity = self.slot_polarity
-        subset.slot_models = [
-            EKVModel(model.tech.take(indices))
-            if isinstance(model.tech, _ArrayTech)
-            else model
-            for model in self.slot_models
-        ]
-        subset.vsource_dc = [
-            dc[indices] if isinstance(dc, np.ndarray) else dc for dc in self.vsource_dc
-        ]
-        return subset
-
-
 #: The continuation strategies in the order they are tried: name, whether
 #: it starts from zero rather than the initial point, and its Newton stages
 #: as ``(source_scale, gmin)`` pairs, each starting where the last converged.
@@ -370,13 +280,18 @@ def _solve_batch(circuits: list, guesses: list, max_iterations: int) -> list:
     Each strategy runs on the candidates every earlier one left
     unconverged; its iteration count is the sum over its stages.
     """
-    # Each candidate's own system: _initial_point reads its source values
-    # (corner-scaled supplies differ) and _finalize its MOSFET instances.
-    systems = [_MNASystem(circuit) for circuit in circuits]
-    stamps = _BatchStamps(circuits)
-    x0s = np.stack(
-        [_initial_point(system, guess) for system, guess in zip(systems, guesses, strict=True)]
+    # _initial_point reads each candidate's own source values (corner-scaled
+    # supplies differ).
+    plan = StampPlan(circuits)
+    x0s = plan.padded(
+        np.stack(
+            [
+                _initial_point(_MNASystem(circuit), guess)
+                for circuit, guess in zip(circuits, guesses, strict=True)
+            ]
+        )
     )
+    work = plan.workspace(len(circuits))
     outcomes: list = [None] * len(circuits)
     pending = np.arange(len(circuits))
     for strategy, from_zero, stages in _STRATEGIES:
@@ -387,15 +302,19 @@ def _solve_batch(circuits: list, guesses: list, max_iterations: int) -> list:
         alive = pending
         for source_scale, gmin in stages:
             solved, iterations, converged = _newton_batch(
-                systems[0], stamps.take(alive), x[alive], source_scale, gmin, max_iterations
+                plan.take(alive), x[alive], source_scale, gmin, max_iterations, work
             )
             x[alive] = solved
             totals[alive] += iterations
             alive = alive[converged]
             if alive.size == 0:
                 break
-        for j in alive:
-            outcomes[j] = _finalize(systems[j], x[j], int(totals[j]), strategy)
+        if alive.size:
+            solutions = _finalize(
+                plan.take(alive), [circuits[j] for j in alive], x[alive], totals[alive], strategy
+            )
+            for j, solution in zip(alive, solutions, strict=True):
+                outcomes[j] = solution
         pending = pending[~np.isin(pending, alive)]
     for j in pending:
         outcomes[j] = ConvergenceError(
@@ -404,174 +323,52 @@ def _solve_batch(circuits: list, guesses: list, max_iterations: int) -> list:
     return outcomes
 
 
-def _residual_and_jacobian_batch(
-    system: _MNASystem,
-    stamps: _BatchStamps,
-    x: np.ndarray,
-    source_scale: float,
-    gmin: float,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual ``f(x)`` and Jacobian ``J(x)`` of a candidate group's MNA equations.
-
-    ``x`` has shape ``(P, size)`` -- one unknown vector per candidate --
-    and ``stamps`` carries the per-candidate widths, technology parameters
-    and source values.  ``source_scale`` multiplies every independent
-    source value (source stepping) and ``gmin`` is the shunt conductance
-    to ground at each node.  Numpy ufuncs are elementwise, so each
-    candidate's row is bit-identical to the scalar reference assembly of
-    that candidate alone.
-
-    ``out`` optionally supplies preallocated ``(f, jac)`` buffers of shape
-    ``(P, size)`` / ``(P, size, size)``; they are zero-filled before
-    assembly, so reuse across Newton iterations is bit-identical to fresh
-    allocation.
-    """
-    circuit = system.circuit
-    n = system.n_nodes
-    batch = x.shape[0]
-    if out is None:
-        f = np.zeros((batch, system.size))
-        jac = np.zeros((batch, system.size, system.size))
-    else:
-        f, jac = out
-        f[:] = 0.0
-        jac[:] = 0.0
-
-    def volt(idx: int | None):
-        return 0.0 if idx is None else x[:, idx]
-
-    # gmin shunts keep floating subcircuits well-conditioned.
-    if n:
-        f[:, :n] += gmin * x[:, :n]
-        diag = np.arange(n)
-        jac[:, diag, diag] += gmin
-
-    for res in circuit.resistors:
-        i1, i2 = system.node_index(res.node1), system.node_index(res.node2)
-        g = res.conductance
-        current = g * (volt(i1) - volt(i2))
-        if i1 is not None:
-            f[:, i1] += current
-            jac[:, i1, i1] += g
-            if i2 is not None:
-                jac[:, i1, i2] -= g
-        if i2 is not None:
-            f[:, i2] -= current
-            jac[:, i2, i2] += g
-            if i1 is not None:
-                jac[:, i2, i1] -= g
-
-    for src in circuit.isources:
-        ip, in_ = system.node_index(src.pos), system.node_index(src.neg)
-        value = src.dc * source_scale
-        if ip is not None:
-            f[:, ip] += value
-        if in_ is not None:
-            f[:, in_] -= value
-
-    for slot, mosfet in enumerate(circuit.mosfets):
-        id_, ig, is_ = (
-            system.node_index(mosfet.drain),
-            system.node_index(mosfet.gate),
-            system.node_index(mosfet.source),
-        )
-        vd, vg, vs = volt(id_), volt(ig), volt(is_)
-        widths = stamps.slot_widths[slot]
-        model = stamps.slot_models[slot]
-        pol = stamps.slot_polarity[slot]
-        # Mirrors MOSFET.ids / MOSFET.conductances with width (and, for
-        # corner-mixed batches, tech-parameter) vectors.
-        vgs = pol * (vg - vs)
-        vds = pol * (vd - vs)
-        ids = pol * model.drain_current(vgs, vds, widths, mosfet.length)
-        gm = model.transconductance(vgs, vds, widths, mosfet.length)
-        gds = model.output_conductance(vgs, vds, widths, mosfet.length)
-        # Current i_ds leaves the drain node and enters the source node.
-        if id_ is not None:
-            f[:, id_] += ids
-            jac[:, id_, id_] += gds
-            if ig is not None:
-                jac[:, id_, ig] += gm
-            if is_ is not None:
-                jac[:, id_, is_] -= gm + gds
-        if is_ is not None:
-            f[:, is_] -= ids
-            jac[:, is_, is_] += gm + gds
-            if id_ is not None:
-                jac[:, is_, id_] -= gds
-            if ig is not None:
-                jac[:, is_, ig] -= gm
-
-    for k, src in enumerate(circuit.vsources):
-        row = n + k
-        ip, in_ = system.node_index(src.pos), system.node_index(src.neg)
-        branch_current = x[:, row]
-        # Branch current flows out of the positive node.
-        if ip is not None:
-            f[:, ip] += branch_current
-            jac[:, ip, row] += 1.0
-        if in_ is not None:
-            f[:, in_] -= branch_current
-            jac[:, in_, row] -= 1.0
-        # ``dc`` is a scalar when the batch shares the value, an array over
-        # candidates when supplies are corner-scaled.
-        f[:, row] = volt(ip) - volt(in_) - stamps.vsource_dc[k] * source_scale
-        if ip is not None:
-            jac[:, row, ip] += 1.0
-        if in_ is not None:
-            jac[:, row, in_] -= 1.0
-
-    return f, jac
-
-
-def _solve_newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:  # checks: hot-path
-    """Newton steps ``J dx = -f`` of a ``(batch, size, size)`` stack through
-    :func:`repro.spice.linsolve.solve_stacked`, with its per-item
-    ``lstsq`` recovery; the DC and transient Newton loops share it."""
-    return linsolve.solve_stacked(jac, -f)
-
-
 def _newton_batch(  # checks: hot-path
-    system: _MNASystem,
-    stamps: _BatchStamps,
+    plan: StampPlan,
     x0s: np.ndarray,
     source_scale: float,
     gmin: float,
     max_iterations: int = 150,
+    work=None,
+    companion: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     abstol: float = 1e-10,
     reltol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton over one candidate group; per-candidate convergence.
+    """Damped Newton over the candidates of ``plan``; per-candidate convergence.
 
-    ``x0s`` has shape ``(batch, size)`` -- one starting point per candidate.
-    Candidates freeze the moment their own convergence criterion fires, so
-    each trajectory is the candidate's own one-at-a-time Newton iteration,
-    bit for bit.  Returns ``(solutions, iterations, converged)``.
+    ``x0s`` has shape ``(batch, size + 1)`` -- one padded starting point
+    per candidate (:meth:`StampPlan.padded`).  Candidates freeze the
+    moment their own convergence criterion fires, so each trajectory is
+    the candidate's own one-at-a-time Newton iteration, bit for bit.
+    Returns ``(solutions, iterations, converged)``, views of ``work`` (a
+    :meth:`StampPlan.workspace` of at least ``batch`` rows, allocated when
+    not given) that the next call on the same workspace overwrites.
+
+    The DC strategies call it with ``source_scale``/``gmin`` per stage;
+    each transient time step calls it with the step's ``companion``
+    arrays (see :meth:`StampPlan.assemble`), which follow the candidates.
     """
-    n = system.n_nodes
+    n, size = plan.n_nodes, plan.size
     batch = x0s.shape[0]
-    x = np.array(x0s, copy=True)
-    solutions = np.array(x, copy=True)
-    iterations = np.zeros(batch, dtype=int)
-    converged = np.zeros(batch, dtype=bool)
-    active = np.arange(batch)
-    # Preallocated per-iteration workspace.  Assembly zero-fills the
-    # sliced views, a gathered stamp subset carries the same values, and
-    # the all-zero residual placeholder never changes -- so buffer reuse
-    # is bit-identical to the former fresh allocation every iteration.
-    active_stamps = stamps
-    f_buf = np.zeros((batch, system.size))
-    jac_buf = np.zeros((batch, system.size, system.size))
-    zero_residual = np.zeros(batch)
-
+    if work is None:
+        work = plan.workspace(batch)
+    x = work.newton_x[:batch]
+    np.copyto(x, x0s)
+    solutions = work.solutions[:batch]
+    np.copyto(solutions, x0s)
+    iterations = work.iterations[:batch]
+    iterations.fill(0)
+    converged = work.converged[:batch]
+    converged.fill(False)
+    active = work.rows[:batch]
+    active_plan = plan
     for iteration in range(1, max_iterations + 1):
         m = active.size
-        f, jac = _residual_and_jacobian_batch(
-            system, active_stamps, x[active], source_scale, gmin,
-            out=(f_buf[:m], jac_buf[:m]),
-        )
-        dx = _solve_newton_steps(jac, f)
+        xa = np.take(x, active, axis=0, out=work.x[:m])
+        f, jac = active_plan.assemble(xa, source_scale, gmin, work, companion)
+        # Newton steps J dx = -f, with solve_stacked's per-item recovery
+        # of singular systems.
+        dx = linsolve.solve_stacked(jac, -f)
         # Voltage-step damping: scale each candidate's update so no node
         # moves more than MAX_STEP volts in one iteration.
         if n:
@@ -579,10 +376,8 @@ def _newton_batch(  # checks: hot-path
             over = v_step > MAX_STEP
             if np.any(over):
                 dx[over] *= (MAX_STEP / v_step[over])[:, None]
-        x[active] += dx
-        node_residual = (
-            np.max(np.abs(f[:, :n]), axis=1) if n else zero_residual[:m]
-        )
+        x[active, :size] += dx
+        node_residual = np.max(np.abs(f[:, :n]), axis=1, initial=0.0)
         done = (node_residual < abstol) & (np.max(np.abs(dx), axis=1, initial=0.0) < reltol)
         if np.any(done):
             newly = active[done]
@@ -592,28 +387,62 @@ def _newton_batch(  # checks: hot-path
             active = active[~done]
             if active.size == 0:
                 break
-            # Re-gather stamps only when the active set shrinks.
-            active_stamps = stamps.take(active)
+            # Re-gather per-candidate data only when the active set shrinks.
+            active_plan = plan.take(active)
+            if companion is not None:
+                companion = tuple(array[:, ~done] for array in companion)
     return solutions, iterations, converged
 
 
-def _finalize(system: _MNASystem, x: np.ndarray, iterations: int, strategy: str) -> DCSolution:
-    voltages, currents = system.unpack(x)
+def _finalize(
+    plan: StampPlan, circuits: list, x: np.ndarray, iterations: np.ndarray, strategy: str
+) -> list[DCSolution]:
+    """The :class:`DCSolution` of each converged candidate of ``plan``.
 
-    def volt(node: str) -> float:
-        return 0.0 if node == GROUND else voltages[node]
-
-    ops = {
-        mosfet.name: mosfet.operating_point(
-            volt(mosfet.drain), volt(mosfet.gate), volt(mosfet.source)
-        )
-        for mosfet in system.circuit.mosfets
+    ``x`` holds the padded solutions.  Every MOSFET operating point of the
+    group comes out of one :func:`~repro.devices.ekv.operating_point_arrays`
+    call, bit for bit each device's scalar
+    :meth:`~repro.devices.MOSFET.operating_point`.
+    """
+    n, size = plan.n_nodes, plan.size
+    vgs, vds = plan.bias(x)
+    # One row per candidate, one column per MOSFET.
+    values = {
+        name: array.T.tolist()
+        for name, array in operating_point_arrays(vgs, vds, plan.devices).items()
     }
-    return DCSolution(
-        circuit=system.circuit,
-        node_voltages=voltages,
-        source_currents=currents,
-        iterations=iterations,
-        strategy=strategy,
-        operating_points=ops,
-    )
+    vgs, vds = vgs.T.tolist(), vds.T.tolist()
+    voltages, currents = x[:, :n].tolist(), x[:, n:size].tolist()
+    names = [mosfet.name for mosfet in circuits[0].mosfets]
+    solutions = []
+    for j, circuit in enumerate(circuits):
+        ops = {
+            name: OperatingPoint(
+                vgs=vgs[j][k],
+                vds=vds[j][k],
+                small_signal=SmallSignal(
+                    id=values["id"][j][k],
+                    gm=values["gm"][j][k],
+                    gds=values["gds"][j][k],
+                    cgs=values["cgs"][j][k],
+                    cds=values["cds"][j][k],
+                ),
+                inversion_coefficient=values["ic"][j][k],
+                saturated=values["saturated"][j][k],
+            )
+            for k, name in enumerate(names)
+        }
+        solutions.append(
+            DCSolution(
+                circuit=circuit,
+                node_voltages=dict(zip(plan.node_names, voltages[j], strict=True)),
+                source_currents={
+                    source.name: current
+                    for source, current in zip(circuit.vsources, currents[j], strict=True)
+                },
+                iterations=int(iterations[j]),
+                strategy=strategy,
+                operating_points=ops,
+            )
+        )
+    return solutions

@@ -5,14 +5,15 @@ slew-rate / settling-time / overshoot specs are measured on the step
 response computed here.  The formulation reuses the DC machinery of
 :mod:`repro.spice.dc` wholesale:
 
-* the resistive part of the residual/Jacobian at every time point is the
-  *same* EKV MNA assembly the DC solver stamps
-  (:func:`repro.spice.dc._residual_and_jacobian_batch`), so device
-  physics exists in exactly one place;
+* the residual/Jacobian at every time point is the *same* compiled
+  assembly the DC solver uses (:class:`repro.spice.plan.StampPlan`), and
+  every time step is one call of the DC solver's damped Newton
+  (:func:`repro.spice.dc._newton_batch`), so device physics and the
+  iteration exist in exactly one place;
 * capacitive elements -- explicit capacitors plus each MOSFET's
   operating-point ``Cgs``/``Cds`` (the same linearization the AC analysis
   stamps) -- are discretized with backward-Euler or trapezoidal
-  companion models and solved with damped Newton at every time step.
+  companion models that the plan stamps after the resistive elements.
 
 The testbench is a *step*: the simulation starts from a converged DC
 operating point (capacitor currents are zero -- a consistent initial
@@ -24,12 +25,13 @@ differential input step of ``step_amplitude`` volts).
 There is one implementation, :func:`run_tran_many`: solutions whose
 (stepped) circuits share one MNA structure -- one topology's population
 of width vectors, including the same population rebuilt at several PVT
-corners (the corner-skewed technology parameters ride the
-:class:`~repro.spice.dc._ArrayTech` path) -- integrate *together*, with
-the per-step Newton iterations vectorized over the candidate axis and
-one stacked ``np.linalg.solve`` per iteration.  :func:`run_tran` is a
-batch of one.  Every per-candidate floating-point operation is
-elementwise, so each waveform is bit-identical to the scalar reference
+corners (each candidate carries its own corner-skewed device parameters
+in the plan) -- integrate *together*, with the per-step Newton
+iterations vectorized over the candidate axis, one fused device
+evaluation and one stacked ``np.linalg.solve`` per iteration.
+:func:`run_tran` is a batch of one.  Every per-candidate floating-point
+operation is elementwise and every matrix entry sums its terms in the
+scalar order, so each waveform is bit-identical to the scalar reference
 in ``tests/scalar_reference.py`` run on that candidate alone (pinned by
 the parity tests), and failures are isolated per candidate: a design
 whose Newton diverges at some time step holds a
@@ -45,16 +47,14 @@ import numpy as np
 
 from .dc import (
     GMIN,
-    MAX_STEP,
     ConvergenceError,
     DCSolution,
-    _BatchStamps,
     _MNASystem,
-    _residual_and_jacobian_batch,
-    _solve_newton_steps,
+    _newton_batch,
     _structure_key,
 )
 from .netlist import GROUND, Circuit
+from .plan import StampPlan
 
 __all__ = ["TranResult", "run_tran", "run_tran_many", "step_sources"]
 
@@ -116,54 +116,24 @@ def step_sources(circuit: Circuit, amplitude: float) -> Circuit:
     return stepped
 
 
-# ----------------------------------------------------------------------
-# Capacitive elements (companion-model data)
-# ----------------------------------------------------------------------
-def _cap_elements(system: _MNASystem, solution: DCSolution) -> list:
-    """Capacitive two-terminal elements as ``(i1, i2, c)`` index triples.
+def _capacitances(solutions: list) -> np.ndarray:
+    """Capacitive element values, ``(n_caps, P)``: one column per candidate.
 
     Explicit capacitors keep their netlist value; each MOSFET contributes
     its operating-point ``Cgs`` (gate-source) and ``Cds`` (drain-source),
-    the same linearization the AC analysis stamps.  Order is fixed
-    (capacitors, then per-MOSFET gs/ds), so every candidate of a batch
-    stamps its elements in the same slots.
+    the same linearization the AC analysis stamps.  The column order --
+    capacitors, then gs/ds per MOSFET -- is the element order of
+    :class:`~repro.spice.plan.StampPlan`'s companion stamps.
     """
-    circuit = solution.circuit
-    elements = []
-    for cap in circuit.capacitors:
-        elements.append(
-            (system.node_index(cap.node1), system.node_index(cap.node2), cap.capacitance)
-        )
-    for mosfet in circuit.mosfets:
-        small = solution.op(mosfet.name).small_signal
-        gate = system.node_index(mosfet.gate)
-        drain = system.node_index(mosfet.drain)
-        source = system.node_index(mosfet.source)
-        elements.append((gate, source, small.cgs))
-        elements.append((drain, source, small.cds))
-    return elements
-
-
-def _cap_elements_batch(system: _MNASystem, solutions: list) -> list:
-    """:func:`_cap_elements` over a candidate batch: ``c`` is a vector
-    over the candidate axis."""
-    per_candidate = [_cap_elements(system, solution) for solution in solutions]
-    elements = []
-    for e, (i1, i2, _) in enumerate(per_candidate[0]):
-        values = np.array([caps[e][2] for caps in per_candidate])
-        elements.append((i1, i2, values))
-    return elements
-
-
-def _dv(x: np.ndarray, i1: int | None, i2: int | None):
-    """Branch voltage ``v(i1) - v(i2)`` with ground as implicit zero.
-
-    Works on a flat unknown vector and on a ``(P, size)`` stack (where it
-    returns a per-candidate vector).
-    """
-    v1 = 0.0 if i1 is None else x[..., i1]
-    v2 = 0.0 if i2 is None else x[..., i2]
-    return v1 - v2
+    rows = []
+    for solution in solutions:
+        circuit = solution.circuit
+        row = [cap.capacitance for cap in circuit.capacitors]
+        for mosfet in circuit.mosfets:
+            small = solution.op(mosfet.name).small_signal
+            row += [small.cgs, small.cds]
+        rows.append(row)
+    return np.ascontiguousarray(np.array(rows, dtype=float).T)
 
 
 def _step_coef(method: str, dt: float, step: int) -> float:
@@ -249,7 +219,7 @@ def _tran_structure_key(circuit: Circuit):
     align capacitor *slots* across a batch, so circuits differing in
     capacitor count or connectivity must never share a group.
     Capacitance values stay out of the key: they are per-candidate data
-    (``_cap_elements_batch`` vectorizes them), exactly like widths.
+    (:func:`_capacitances`), exactly like widths.
     """
     return (
         _structure_key(circuit),
@@ -302,115 +272,6 @@ def run_tran_many(  # checks: hot-path
     return results
 
 
-def _stamp_caps_batch(  # checks: hot-path
-    f: np.ndarray,
-    jac: np.ndarray,
-    caps: list,
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    hist: np.ndarray,
-    coef: float,
-) -> None:
-    """Stamp the capacitor companion models of one time step into ``f``/``jac``.
-
-    The companion current of element ``e`` is
-    ``i = coef * C * (dv - dv_prev) - hist[e]``, where ``hist`` is zero
-    for backward-Euler and the previous step's capacitor current for the
-    trapezoidal rule.  ``x``/``x_prev`` have shape ``(P, size)``, ``hist``
-    is ``(P, E)`` and every element's capacitance is a per-candidate
-    vector.
-    """
-    for e, (i1, i2, c) in enumerate(caps):
-        g = coef * c
-        current = g * (_dv(x, i1, i2) - _dv(x_prev, i1, i2)) - hist[:, e]
-        if i1 is not None:
-            f[:, i1] += current
-            jac[:, i1, i1] += g
-            if i2 is not None:
-                jac[:, i1, i2] -= g
-        if i2 is not None:
-            f[:, i2] -= current
-            jac[:, i2, i2] += g
-            if i1 is not None:
-                jac[:, i2, i1] -= g
-
-
-def _tran_newton_batch(  # checks: hot-path
-    system: _MNASystem,
-    stamps: _BatchStamps,
-    caps: list,
-    x_prev: np.ndarray,
-    hist: np.ndarray,
-    coef: float,
-    max_iterations: int,
-    abstol: float = 1e-10,
-    reltol: float = 1e-9,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One time step's damped Newton over a candidate batch.
-
-    Mirrors :func:`repro.spice.dc._newton_batch`: candidates freeze the
-    moment their own convergence criterion fires, so each trajectory is
-    the candidate's own one-at-a-time Newton iteration, bit for bit.
-    Returns ``(solutions, iterations, converged)``.
-
-    ``work`` optionally carries preallocated ``(f, jac)`` buffers with
-    leading dimension >= ``batch`` (the time-step driver shares one pair
-    across every step); assembly zero-fills the sliced views, so reuse
-    is bit-identical to fresh allocation.
-    """
-    n = system.n_nodes
-    batch = x_prev.shape[0]
-    x = np.array(x_prev, copy=True)
-    solutions = np.array(x, copy=True)
-    iterations = np.zeros(batch, dtype=int)
-    converged = np.zeros(batch, dtype=bool)
-    active = np.arange(batch)
-    # Preallocated per-iteration workspace; stamp/cap subsets are only
-    # re-gathered when the active set shrinks (gathered values are
-    # identical, so this is bit-identical to gathering every iteration).
-    active_stamps = stamps
-    active_caps = caps
-    if work is None:
-        f_buf = np.zeros((batch, system.size))
-        jac_buf = np.zeros((batch, system.size, system.size))
-    else:
-        f_buf, jac_buf = work
-    zero_residual = np.zeros(batch)
-
-    for iteration in range(1, max_iterations + 1):
-        m = active.size
-        f, jac = _residual_and_jacobian_batch(
-            system, active_stamps, x[active], 1.0, GMIN,
-            out=(f_buf[:m], jac_buf[:m]),
-        )
-        _stamp_caps_batch(
-            f, jac, active_caps, x[active], x_prev[active], hist[active], coef
-        )
-        dx = _solve_newton_steps(jac, f)
-        if n:
-            v_step = np.max(np.abs(dx[:, :n]), axis=1)
-            over = v_step > MAX_STEP
-            if np.any(over):
-                dx[over] *= (MAX_STEP / v_step[over])[:, None]
-        x[active] += dx
-        node_residual = (
-            np.max(np.abs(f[:, :n]), axis=1) if n else zero_residual[:m]
-        )
-        done = (node_residual < abstol) & (np.max(np.abs(dx), axis=1, initial=0.0) < reltol)
-        if np.any(done):
-            newly = active[done]
-            solutions[newly] = x[newly]
-            iterations[newly] = iteration
-            converged[newly] = True
-            active = active[~done]
-            if active.size == 0:
-                break
-            active_stamps = stamps.take(active)
-            active_caps = [(i1, i2, c[active]) for i1, i2, c in caps]
-    return solutions, iterations, converged
-
-
 def _tran_batch(  # checks: hot-path
     solutions: list,
     stepped: list,
@@ -420,68 +281,69 @@ def _tran_batch(  # checks: hot-path
     step_amplitude: float,
     max_newton_iterations: int,
 ) -> list:
-    """Integrate one structure-sharing group; see :func:`run_tran_many`."""
+    """Integrate one structure-sharing group; see :func:`run_tran_many`.
+
+    Every time step is one :func:`repro.spice.dc._newton_batch` call on the
+    candidates still alive, with the companion model of each capacitive
+    element: ``g = coef * C``, the branch voltages at the previous step and
+    the trapezoidal history ``hist`` (zero for backward-Euler), which after
+    a step becomes the companion current at the new point.  A candidate
+    whose Newton fails at some step is dropped from the state arrays.
+    """
     system = _MNASystem(stepped[0])
-    stamps = _BatchStamps(stepped)
-    caps = _cap_elements_batch(system, solutions)
+    plan = StampPlan(stepped, _capacitances(solutions))
+    n = system.n_nodes
     batch = len(solutions)
     n_steps = len(times) - 1
-    x = np.stack(
-        [
-            system.pack(solution.node_voltages, solution.source_currents)
-            for solution in solutions
-        ]
+    x = plan.padded(
+        np.stack(
+            [
+                system.pack(solution.node_voltages, solution.source_currents)
+                for solution in solutions
+            ]
+        )
     )
-    waveforms = np.empty((batch, n_steps + 1, system.n_nodes))
-    waveforms[:, 0, :] = x[:, : system.n_nodes]
-    hist = np.zeros((batch, len(caps)))
+    waveforms = np.empty((batch, n_steps + 1, n))
+    waveforms[:, 0, :] = x[:, :n]
+    # Starting from DC steady state, every capacitor current is zero.
+    hist = np.zeros((plan.n_caps, batch))
     newton_totals = np.zeros(batch, dtype=int)
-    alive = np.ones(batch, dtype=bool)
-    # Hoisted out of the time-step loop: the stamp/cap subsets change
-    # only when a candidate diverges, and the Newton work buffers are
-    # shared across every step (zero-filled per iteration inside the
-    # solver, so reuse is bit-identical to fresh allocation).
-    active = np.nonzero(alive)[0]
-    active_stamps = stamps
-    active_caps = caps
-    f_buf = np.zeros((batch, system.size))
-    jac_buf = np.zeros((batch, system.size, system.size))
+    # ``x``, ``hist`` and ``active_plan`` hold the rows of ``alive``, the
+    # candidates no step has failed yet; the work buffers serve every step.
+    alive = np.arange(batch)
+    active_plan = plan
+    work = plan.workspace(batch)
 
     for step in range(1, n_steps + 1):
-        if active.size == 0:
+        if alive.size == 0:
             break
+        m = alive.size
         coef = _step_coef(method, dt, step)
-        x_new, iterations, converged = _tran_newton_batch(
-            system,
-            active_stamps,
-            active_caps,
-            x[active],
-            hist[active],
-            coef,
-            max_newton_iterations,
-            work=(f_buf, jac_buf),
+        g = np.multiply(active_plan.capacitance, coef, out=work.cap_g(m))
+        v_prev = active_plan.cap_voltages(x, work, out=work.cap_v(m))
+        x_new, iterations, converged = _newton_batch(
+            active_plan, x, 1.0, GMIN, max_newton_iterations, work, (g, v_prev, hist)
         )
-        newton_totals[active] += iterations
-        diverged = active[~converged]
-        survivors = active[converged]
+        newton_totals[alive] += iterations
         if method == "trap":
-            for e, (i1, i2, c) in enumerate(caps):
-                dv_new = _dv(x_new, i1, i2)
-                dv_old = _dv(x[active], i1, i2)
-                updated = coef * c[active] * (dv_new - dv_old) - hist[active, e]
-                hist[survivors, e] = updated[converged]
-        x[survivors] = x_new[converged]
-        waveforms[survivors, step, :] = x_new[converged][:, : system.n_nodes]
-        if diverged.size:
-            alive[diverged] = False
-            active = survivors
-            if active.size:
-                active_stamps = stamps.take(active)
-                active_caps = [(i1, i2, c[active]) for i1, i2, c in caps]
+            # The new history is the companion current at the new point.
+            update = active_plan.cap_voltages(x_new, work, out=work.cap_v_new(m))
+            update -= v_prev
+            update *= g
+            np.subtract(update, hist, out=hist)
+        if converged.all():
+            np.copyto(x, x_new)
+        else:
+            x, hist = x_new[converged], hist[:, converged]
+            alive = alive[converged]
+            active_plan = plan.take(alive)
+        waveforms[alive, step, :] = x[:, :n]
 
     outcomes: list = []
+    survived = np.zeros(batch, dtype=bool)
+    survived[alive] = True
     for j in range(batch):
-        if alive[j]:
+        if survived[j]:
             outcomes.append(
                 TranResult(
                     times=times,

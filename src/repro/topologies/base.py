@@ -566,8 +566,9 @@ class OTATopology(ABC):
         the DC structure key is corner-agnostic, so the whole block
         factorizes together instead of once per corner (``bench_table8``'s
         corner-throughput mode pins the resulting >=2x over per-corner
-        sequential evaluation); the corner-skewed technology parameters of
-        a transient batch ride the same ``_ArrayTech`` path.
+        sequential evaluation); the transient batch groups the same way,
+        with each candidate's corner-skewed device parameters in its
+        stamp plan.
         """
         rows = [[MeasureOutcome(widths=dict(widths)) for _ in corners] for widths in widths_list]
         corner_guesses = [self.initial_guess_for(corner) for corner in corners]

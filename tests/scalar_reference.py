@@ -9,9 +9,10 @@ kernels bit for bit against code that production never runs:
 
 * :func:`residual_and_jacobian`, :func:`newton` and :func:`solve_dc`:
   scalar MNA assembly and damped DC Newton with gmin and source-stepping
-  continuation;
-* :func:`tran_residual`, :func:`tran_newton` and :func:`run_tran`: scalar
-  transient stepping;
+  continuation, and :func:`finalize`: each MOSFET's operating point from
+  its own scalar model calls;
+* :func:`cap_elements`, :func:`tran_residual`, :func:`tran_newton` and
+  :func:`run_tran`: scalar transient stepping;
 * :func:`run_ac`: one candidate's frequency sweep;
 * :func:`measure` and :class:`ScalarBackend`: one full SPICE run per
   candidate (per candidate-corner pair on the corner axis);
@@ -38,15 +39,9 @@ from repro.spice import (
     step_sources,
 )
 from repro.spice.ac import _ACSystem
-from repro.spice.dc import GMIN, MAX_STEP, _finalize, _initial_point, _MNASystem
-from repro.spice.tran import (
-    DEFAULT_STEP_AMPLITUDE,
-    MAX_TRAN_ITERATIONS,
-    _cap_elements,
-    _dv,
-    _grid,
-    _step_coef,
-)
+from repro.spice.dc import GMIN, MAX_STEP, _initial_point, _MNASystem
+from repro.spice.netlist import GROUND
+from repro.spice.tran import DEFAULT_STEP_AMPLITUDE, MAX_TRAN_ITERATIONS, _grid, _step_coef
 from repro.topologies import (
     CornerSweep,
     MeasureOutcome,
@@ -186,6 +181,30 @@ def newton(
     )
 
 
+def finalize(system: _MNASystem, x: np.ndarray, iterations: int, strategy: str) -> DCSolution:
+    """One candidate's :class:`DCSolution`, each MOSFET's operating point
+    from its scalar :meth:`~repro.devices.MOSFET.operating_point`."""
+    voltages, currents = system.unpack(x)
+
+    def volt(node: str) -> float:
+        return 0.0 if node == GROUND else voltages[node]
+
+    ops = {
+        mosfet.name: mosfet.operating_point(
+            volt(mosfet.drain), volt(mosfet.gate), volt(mosfet.source)
+        )
+        for mosfet in system.circuit.mosfets
+    }
+    return DCSolution(
+        circuit=system.circuit,
+        node_voltages=voltages,
+        source_currents=currents,
+        iterations=iterations,
+        strategy=strategy,
+        operating_points=ops,
+    )
+
+
 def solve_dc(
     circuit: Circuit,
     initial_guess: dict[str, float] | None = None,
@@ -200,7 +219,7 @@ def solve_dc(
     # Strategy 1: plain damped Newton.
     try:
         x, iters = newton(system, x0, 1.0, GMIN, max_iterations)
-        return _finalize(system, x, iters, "newton")
+        return finalize(system, x, iters, "newton")
     except ConvergenceError:
         pass
 
@@ -211,7 +230,7 @@ def solve_dc(
             gmin = 10.0 ** (-exponent)
             x, iters = newton(system, x, 1.0, gmin, max_iterations)
             total_iterations += iters
-        return _finalize(system, x, total_iterations, "gmin-stepping")
+        return finalize(system, x, total_iterations, "gmin-stepping")
     except ConvergenceError:
         pass
 
@@ -222,7 +241,7 @@ def solve_dc(
         for scale in np.linspace(0.1, 1.0, 10):
             x, iters = newton(system, x, float(scale), GMIN, max_iterations)
             total_iterations += iters
-        return _finalize(system, x, total_iterations, "source-stepping")
+        return finalize(system, x, total_iterations, "source-stepping")
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"DC solve failed for circuit {circuit.name!r} with all strategies"
@@ -232,6 +251,36 @@ def solve_dc(
 # ----------------------------------------------------------------------
 # Transient
 # ----------------------------------------------------------------------
+def cap_elements(system: _MNASystem, solution: DCSolution) -> list:
+    """Capacitive two-terminal elements as ``(i1, i2, c)`` index triples.
+
+    Explicit capacitors keep their netlist value; each MOSFET contributes
+    its operating-point ``Cgs`` (gate-source) and ``Cds`` (drain-source),
+    in that order after the capacitors.
+    """
+    circuit = solution.circuit
+    elements = []
+    for cap in circuit.capacitors:
+        elements.append(
+            (system.node_index(cap.node1), system.node_index(cap.node2), cap.capacitance)
+        )
+    for mosfet in circuit.mosfets:
+        small = solution.op(mosfet.name).small_signal
+        gate = system.node_index(mosfet.gate)
+        drain = system.node_index(mosfet.drain)
+        source = system.node_index(mosfet.source)
+        elements.append((gate, source, small.cgs))
+        elements.append((drain, source, small.cds))
+    return elements
+
+
+def _dv(x: np.ndarray, i1: int | None, i2: int | None) -> float:
+    """Branch voltage ``v(i1) - v(i2)`` with ground as implicit zero."""
+    v1 = 0.0 if i1 is None else x[i1]
+    v2 = 0.0 if i2 is None else x[i2]
+    return v1 - v2
+
+
 def tran_residual(
     system: _MNASystem,
     caps: list,
@@ -306,7 +355,7 @@ def run_tran(
     dt, times = _grid(method, t_stop, n_steps)
     stepped = step_sources(solution.circuit, step_amplitude)
     system = _MNASystem(stepped)
-    caps = _cap_elements(system, solution)
+    caps = cap_elements(system, solution)
     x = system.pack(solution.node_voltages, solution.source_currents)
     waveforms = np.empty((n_steps + 1, system.n_nodes))
     waveforms[0] = x[: system.n_nodes]

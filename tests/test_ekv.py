@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.devices import EKVModel, NMOS_65NM, PMOS_65NM, TechParams
-from repro.devices.ekv import interp_f, interp_f_prime
+from repro.devices import MOSFET, EKVModel, NMOS_65NM, PMOS_65NM, TechParams, resolve_corner
+from repro.devices.ekv import (
+    DeviceArrays,
+    interp_f,
+    interp_f_prime,
+    operating_point_arrays,
+    stamp_terms,
+)
 
 L = 180e-9
 MODELS = [EKVModel(NMOS_65NM), EKVModel(PMOS_65NM)]
@@ -214,3 +220,85 @@ class TestTechParams:
         modified = NMOS_65NM.with_(vt0=0.5)
         assert modified.vt0 == 0.5
         assert modified.kp == NMOS_65NM.kp
+
+
+#: Every technology the batched kernels meet: both polarities at the
+#: tt/ss/ff presets and at a non-preset temperature, whose ``ut**2`` the
+#: C library's ``pow`` and numpy's square round differently.
+CORNER_TECHS = [
+    resolve_corner(corner).apply_tech(tech)
+    for tech in (NMOS_65NM, PMOS_65NM)
+    for corner in ("tt", "ss", "ff", {"name": "warm", "temperature_k": 344.8})
+]
+
+
+def _device_grid(seed: int, columns: int = 40):
+    """Random instances of every corner technology (one row each) with
+    random widths and lengths, and bias points that include negative
+    ``vds`` and gate drives from cutoff to strong inversion."""
+    rng = np.random.default_rng(seed)
+    instances = [
+        [
+            (tech, float(w), float(length))
+            for w, length in zip(
+                rng.uniform(0.2e-6, 80e-6, columns),
+                rng.choice([L, 2 * L, 0.5e-6], columns),
+                strict=True,
+            )
+        ]
+        for tech in CORNER_TECHS
+    ]
+    shape = (len(CORNER_TECHS), columns)
+    devices = DeviceArrays.from_instances([i for row in instances for i in row], shape)
+    return instances, devices, rng.uniform(-0.4, 1.5, shape), rng.uniform(-1.0, 1.4, shape)
+
+
+class TestFusedKernels:
+    def test_device_arrays_use_scalar_arithmetic(self):
+        """``ispec`` is each instance's own ``TechParams.spec_current``,
+        including at 344.8 K where numpy's ``ut**2`` differs from it."""
+        instances, devices, _, _ = _device_grid(seed=1)
+        for row, instance_row in enumerate(instances):
+            for column, (tech, w, length) in enumerate(instance_row):
+                assert devices.ispec[row, column] == tech.spec_current(w, length)
+                assert devices.lam_ut[row, column] == tech.lambda_l / length * tech.ut
+        taken = devices.take(np.array([3, 0]))
+        assert np.array_equal(taken.values, devices.values[:, :, [3, 0]])
+        assert taken.ispec.flags.c_contiguous
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_stamp_terms_bit_identical_to_the_three_methods(self, seed):
+        instances, devices, vgs, vds = _device_grid(seed)
+        drain_current, gm, gds = stamp_terms(vgs, vds, devices)
+        assert (vds < 0).any()
+        for row, instance_row in enumerate(instances):
+            for column, (tech, w, length) in enumerate(instance_row):
+                model = EKVModel(tech)
+                bias = (float(vgs[row, column]), float(vds[row, column]))
+                assert drain_current[row, column] == model.drain_current(*bias, w, length)
+                assert gm[row, column] == model.transconductance(*bias, w, length)
+                assert gds[row, column] == model.output_conductance(*bias, w, length)
+
+    def test_operating_point_arrays_bit_identical_to_scalar_operating_points(self):
+        """Every field of every instance's ``MOSFET.operating_point``; the
+        ``Cds`` power is the one numpy's array ``pow`` would round
+        differently."""
+        instances, devices, vgs, vds = _device_grid(seed=4, columns=60)
+        values = operating_point_arrays(vgs, vds, devices)
+        for row, instance_row in enumerate(instances):
+            for column, (tech, w, length) in enumerate(instance_row):
+                # MOSFET.operating_point maps circuit voltages by polarity;
+                # feed it the voltages that map to this normalized bias.
+                pol = tech.polarity
+                op = MOSFET("M", "d", "g", "s", tech, w, length).operating_point(
+                    pol * float(vds[row, column]), pol * float(vgs[row, column]), 0.0
+                )
+                assert op.vgs == vgs[row, column] and op.vds == vds[row, column]
+                small = op.small_signal
+                assert values["id"][row, column] == small.id
+                assert values["gm"][row, column] == small.gm
+                assert values["gds"][row, column] == small.gds
+                assert values["cgs"][row, column] == small.cgs
+                assert values["cds"][row, column] == small.cds
+                assert values["ic"][row, column] == op.inversion_coefficient
+                assert values["saturated"][row, column] == op.saturated
