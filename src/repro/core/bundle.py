@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -87,21 +86,6 @@ class SizingModel:  # checks: process-shared
         :meth:`predict_params_many`: a single row has no padding.
         """
         return self.predict_params_many({topology_name: [spec]}, max_len)[topology_name][0]
-
-    def predict_params_batch(
-        self,
-        topology_name: str,
-        specs: Sequence[DesignSpec],
-        max_len: int | None = None,
-    ) -> list[tuple[ParsedParams, str]]:
-        """Batched :meth:`predict_params`: one decode for many specs.
-
-        Sources are right-padded to a common length (the padding mask
-        keeps padded positions out of every attention sum), and the
-        decoder tracks EOS per sequence, so each row decodes exactly as
-        it would alone while the matmuls amortize over the whole batch.
-        """
-        return self.predict_params_many({topology_name: list(specs)}, max_len)[topology_name]
 
     def predict_params_many(
         self,

@@ -77,7 +77,7 @@ def predict_over_records(
     for start in range(0, len(records), max(1, batch_size)):
         chunk = records[start : start + max(1, batch_size)]
         specs = [DesignSpec(r.gain_db, r.f3db_hz, r.ugf_hz) for r in chunk]
-        outputs = model.predict_params_batch(topology.name, specs)
+        outputs = model.predict_params_many({topology.name: specs})[topology.name]
         for record, (parsed, _) in zip(chunk, outputs, strict=True):
             if not parsed.complete:
                 failures += 1

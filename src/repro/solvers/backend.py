@@ -28,7 +28,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 
 from ..devices import NOMINAL_CORNER, CornerLike
-from ..topologies import CornerSweep, MeasureOutcome, OTATopology
+from ..topologies import CornerSweep, OTATopology
 
 __all__ = ["EvalBackend", "BatchedBackend"]
 
@@ -83,17 +83,6 @@ class EvalBackend(ABC):
             CornerSweep(widths=dict(widths), corners=(NOMINAL_CORNER,), outcomes=(outcome,))
             for widths, outcome in zip(widths_list, outcomes, strict=True)
         ]
-
-    def measure(
-        self,
-        topology: OTATopology,
-        widths: Mapping[str, float],
-        corner: CornerLike = None,
-        analyses: Sequence[str] | None = None,
-    ) -> MeasureOutcome:
-        """Single-candidate convenience wrapper over :meth:`measure_sweeps`."""
-        corners = () if corner is None else (corner,)
-        return self.measure_sweeps(topology, [widths], corners, analyses)[0].outcomes[0]
 
 
 class BatchedBackend(EvalBackend):

@@ -13,7 +13,7 @@ from .metrics import (
     extract_tran_metrics,
 )
 from .netlist import GROUND, Capacitor, Circuit, ISource, Resistor, VSource
-from .tran import TranResult, run_tran, run_tran_many, step_sources
+from .tran import TranResult, run_tran, run_tran_many
 from .sweep import (
     CharacterizationResult,
     ICMRResult,
@@ -43,7 +43,6 @@ __all__ = [
     "TranResult",
     "run_tran",
     "run_tran_many",
-    "step_sources",
     "GROUND",
     "Capacitor",
     "Circuit",

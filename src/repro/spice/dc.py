@@ -20,13 +20,17 @@ robustness comes from three stacked strategies, tried in order:
 These are the same continuation tricks production SPICE engines use.
 
 There is one implementation: :func:`solve_dc_many` runs every strategy
-vectorized over the candidates of one circuit structure, and
-:func:`solve_dc` is a batch of one.  Each structure group compiles one
-:class:`~repro.spice.plan.StampPlan`, so a Newton iteration is one fused
-EKV evaluation over every MOSFET of every candidate plus an ordered
-index-array assembly, and the operating points of a converged group are
-extracted in one array pass.  The scalar reference the parity tests pin
-it against lives in ``tests/scalar_reference.py``.
+vectorized over the candidates of one circuit structure (the key that
+also groups the AC and transient analyses,
+:func:`repro.spice.plan.structure_groups`), and :func:`solve_dc` is a
+batch of one.  Each structure group compiles one
+:class:`~repro.spice.plan.StampPlan`, which also indexes the nodes,
+builds every candidate's starting point and unpacks the solutions; a
+Newton iteration is one fused EKV evaluation over every MOSFET of every
+candidate plus an ordered index-array assembly, and the operating points
+of a converged group are extracted in one array pass.  The scalar
+reference the parity tests pin it against lives in
+``tests/scalar_reference.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from ..devices import OperatingPoint, SmallSignal
 from ..devices.ekv import operating_point_arrays
 from . import linsolve
 from .netlist import GROUND, Circuit
-from .plan import StampPlan
+from .plan import StampPlan, structure_groups
 
 __all__ = ["DCSolution", "ConvergenceError", "solve_dc", "solve_dc_many"]
 
@@ -79,62 +83,9 @@ class DCSolution:
     def kcl_residual(self) -> float:
         """Max KCL residual (A) over all nodes -- a correctness self-check."""
         plan = StampPlan([self.circuit])
-        x = _MNASystem(self.circuit).pack(self.node_voltages, self.source_currents)
-        residual, _ = plan.assemble(plan.padded(x[None, :]), 1.0, GMIN, plan.workspace(1))
+        x = plan.pack([self.node_voltages], [self.source_currents])
+        residual, _ = plan.assemble(x, 1.0, GMIN, plan.workspace(1))
         return float(np.max(np.abs(residual[0, : plan.n_nodes]), initial=0.0))
-
-
-class _MNASystem:
-    """Assembles residual and Jacobian of the nonlinear MNA equations."""
-
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self.node_names = circuit.nodes()
-        self.n_nodes = len(self.node_names)
-        self.n_sources = len(circuit.vsources)
-        self.size = self.n_nodes + self.n_sources
-        self._index = {name: i for i, name in enumerate(self.node_names)}
-
-    # ------------------------------------------------------------------
-    def node_index(self, name: str) -> int | None:
-        """Index of a node in the unknown vector; ``None`` for ground."""
-        if name == GROUND:
-            return None
-        return self._index[name]
-
-    def pack(
-        self, voltages: dict[str, float], currents: dict[str, float]
-    ) -> np.ndarray:
-        x = np.zeros(self.size)
-        for name, idx in self._index.items():
-            x[idx] = voltages.get(name, 0.0)
-        for k, source in enumerate(self.circuit.vsources):
-            x[self.n_nodes + k] = currents.get(source.name, 0.0)
-        return x
-
-    def unpack(self, x: np.ndarray) -> tuple[dict[str, float], dict[str, float]]:
-        voltages = {name: float(x[idx]) for name, idx in self._index.items()}
-        currents = {
-            source.name: float(x[self.n_nodes + k])
-            for k, source in enumerate(self.circuit.vsources)
-        }
-        return voltages, currents
-
-
-def _default_guess(system: _MNASystem) -> np.ndarray:
-    """Heuristic starting point: source nodes pinned, others at mid-rail."""
-    circuit = system.circuit
-    supply = max((abs(src.dc) for src in circuit.vsources), default=1.0)
-    x = np.full(system.size, 0.0)
-    x[: system.n_nodes] = supply / 2.0
-    for src in circuit.vsources:
-        ip = system.node_index(src.pos)
-        in_ = system.node_index(src.neg)
-        if ip is not None and in_ is None:
-            x[ip] = src.dc
-        elif ip is None and in_ is not None:
-            x[in_] = -src.dc
-    return x
 
 
 def solve_dc(
@@ -164,19 +115,6 @@ def solve_dc(
     if isinstance(outcome, ConvergenceError):
         raise outcome
     return outcome
-
-
-def _initial_point(
-    system: _MNASystem, initial_guess: dict[str, float] | None
-) -> np.ndarray:
-    """Starting vector: heuristic guess overridden by the caller's hints."""
-    x0 = _default_guess(system)
-    if initial_guess:
-        for name, value in initial_guess.items():
-            idx = system.node_index(name)
-            if idx is not None:
-                x0[idx] = value
-    return x0
 
 
 def solve_dc_many(  # checks: hot-path
@@ -219,10 +157,7 @@ def solve_dc_many(  # checks: hot-path
     """
     guesses = _per_candidate_guesses(initial_guess, len(circuits))
     results: list = [None] * len(circuits)
-    groups: dict = {}
-    for index, circuit in enumerate(circuits):
-        groups.setdefault(_structure_key(circuit), []).append(index)
-    for indices in groups.values():
+    for indices in structure_groups(circuits):
         batch = [circuits[i] for i in indices]
         batch_guesses = [guesses[i] for i in indices]
         for i, outcome in zip(indices, _solve_batch(batch, batch_guesses, max_iterations), strict=True):
@@ -242,28 +177,6 @@ def _per_candidate_guesses(initial_guess, count: int) -> list:
     return guesses
 
 
-def _structure_key(circuit: Circuit):
-    """Hashable MNA-structure signature.
-
-    Everything the vectorized assembly cannot express per candidate goes
-    into the key; widths, MOSFET technology parameters and voltage-source
-    DC values are deliberately *excluded* so one population evaluated at
-    several PVT corners still forms a single batch (the corner axis stacks
-    into the candidate axis).  Device polarity stays in the key: the
-    assembly treats it as a per-slot scalar.
-    """
-    return (
-        tuple(circuit.nodes()),
-        tuple((r.node1, r.node2, r.resistance) for r in circuit.resistors),
-        tuple((s.pos, s.neg, s.dc) for s in circuit.isources),
-        tuple((s.pos, s.neg) for s in circuit.vsources),
-        tuple(
-            (m.name, m.drain, m.gate, m.source, m.tech.polarity, m.length)
-            for m in circuit.mosfets
-        ),
-    )
-
-
 #: The continuation strategies in the order they are tried: name, whether
 #: it starts from zero rather than the initial point, and its Newton stages
 #: as ``(source_scale, gmin)`` pairs, each starting where the last converged.
@@ -280,17 +193,10 @@ def _solve_batch(circuits: list, guesses: list, max_iterations: int) -> list:
     Each strategy runs on the candidates every earlier one left
     unconverged; its iteration count is the sum over its stages.
     """
-    # _initial_point reads each candidate's own source values (corner-scaled
-    # supplies differ).
     plan = StampPlan(circuits)
-    x0s = plan.padded(
-        np.stack(
-            [
-                _initial_point(_MNASystem(circuit), guess)
-                for circuit, guess in zip(circuits, guesses, strict=True)
-            ]
-        )
-    )
+    # Each candidate starts from its own source values (corner-scaled
+    # supplies differ).
+    x0s = plan.start_points(guesses)
     work = plan.workspace(len(circuits))
     outcomes: list = [None] * len(circuits)
     pending = np.arange(len(circuits))
@@ -337,9 +243,10 @@ def _newton_batch(  # checks: hot-path
     """Damped Newton over the candidates of ``plan``; per-candidate convergence.
 
     ``x0s`` has shape ``(batch, size + 1)`` -- one padded starting point
-    per candidate (:meth:`StampPlan.padded`).  Candidates freeze the
-    moment their own convergence criterion fires, so each trajectory is
-    the candidate's own one-at-a-time Newton iteration, bit for bit.
+    per candidate (:meth:`StampPlan.start_points`, :meth:`StampPlan.pack`).
+    Candidates freeze the moment their own convergence criterion fires,
+    so each trajectory is the candidate's own one-at-a-time Newton
+    iteration, bit for bit.
     Returns ``(solutions, iterations, converged)``, views of ``work`` (a
     :meth:`StampPlan.workspace` of at least ``batch`` rows, allocated when
     not given) that the next call on the same workspace overwrites.
@@ -404,7 +311,6 @@ def _finalize(
     call, bit for bit each device's scalar
     :meth:`~repro.devices.MOSFET.operating_point`.
     """
-    n, size = plan.n_nodes, plan.size
     vgs, vds = plan.bias(x)
     # One row per candidate, one column per MOSFET.
     values = {
@@ -412,10 +318,9 @@ def _finalize(
         for name, array in operating_point_arrays(vgs, vds, plan.devices).items()
     }
     vgs, vds = vgs.T.tolist(), vds.T.tolist()
-    voltages, currents = x[:, :n].tolist(), x[:, n:size].tolist()
     names = [mosfet.name for mosfet in circuits[0].mosfets]
     solutions = []
-    for j, circuit in enumerate(circuits):
+    for j, (circuit, (voltages, currents)) in enumerate(zip(circuits, plan.unpack(x), strict=True)):
         ops = {
             name: OperatingPoint(
                 vgs=vgs[j][k],
@@ -435,11 +340,8 @@ def _finalize(
         solutions.append(
             DCSolution(
                 circuit=circuit,
-                node_voltages=dict(zip(plan.node_names, voltages[j], strict=True)),
-                source_currents={
-                    source.name: current
-                    for source, current in zip(circuit.vsources, currents[j], strict=True)
-                },
+                node_voltages=voltages,
+                source_currents=currents,
                 iterations=int(iterations[j]),
                 strategy=strategy,
                 operating_points=ops,

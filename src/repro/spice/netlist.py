@@ -16,7 +16,7 @@ sources.  Node ``"0"`` (alias ``"gnd"``) is ground.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..devices import MOSFET, Corner, TechParams
 
@@ -243,16 +243,17 @@ class Circuit:
                 device.width = new_width
 
     def copy(self) -> Circuit:
-        """Deep-enough copy: shared immutable tech params, fresh elements."""
-        dup = Circuit(name=self.name, corner=self.corner)
-        for m in self.mosfets:
-            dup.add_mosfet(m.name, m.drain, m.gate, m.source, m.tech, m.width, m.length)
-        for r in self.resistors:
-            dup.add_resistor(r.name, r.node1, r.node2, r.resistance)
-        for c in self.capacitors:
-            dup.add_capacitor(c.name, c.node1, c.node2, c.capacitance)
-        for v in self.vsources:
-            dup.add_vsource(v.name, v.pos, v.neg, v.dc, v.ac)
-        for i in self.isources:
-            dup.add_isource(i.name, i.pos, i.neg, i.dc, i.ac)
-        return dup
+        """Deep-enough copy: shared immutable tech params, fresh elements.
+
+        The element names are already unique, so the copy rebuilds each
+        element from its fields without the per-element name check.
+        """
+        return Circuit(
+            name=self.name,
+            mosfets=[replace(m) for m in self.mosfets],
+            resistors=[replace(r) for r in self.resistors],
+            capacitors=[replace(c) for c in self.capacitors],
+            vsources=[replace(v) for v in self.vsources],
+            isources=[replace(i) for i in self.isources],
+            corner=self.corner,
+        )

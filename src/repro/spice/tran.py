@@ -11,30 +11,34 @@ response computed here.  The formulation reuses the DC machinery of
   (:func:`repro.spice.dc._newton_batch`), so device physics and the
   iteration exist in exactly one place;
 * capacitive elements -- explicit capacitors plus each MOSFET's
-  operating-point ``Cgs``/``Cds`` (the same linearization the AC analysis
-  stamps) -- are discretized with backward-Euler or trapezoidal
-  companion models that the plan stamps after the resistive elements.
+  operating-point ``Cgs``/``Cds``, from the same gather of the
+  linearization the AC analysis stamps -- are discretized with
+  backward-Euler or trapezoidal companion models that the plan stamps
+  after the resistive elements.
 
 The testbench is a *step*: the simulation starts from a converged DC
 operating point (capacitor currents are zero -- a consistent initial
 condition) and at ``t = 0+`` every independent source jumps by
 ``step_amplitude`` times its AC magnitude, so the transient excites
 exactly the port the AC analysis drives (for the OTA testbenches: a
-differential input step of ``step_amplitude`` volts).
+differential input step of ``step_amplitude`` volts).  The step moves
+the plan's source arrays (:meth:`~repro.spice.plan.StampPlan.stepped`);
+no netlist is copied or changed.
 
 There is one implementation, :func:`run_tran_many`: solutions whose
-(stepped) circuits share one MNA structure -- one topology's population
-of width vectors, including the same population rebuilt at several PVT
-corners (each candidate carries its own corner-skewed device parameters
-in the plan) -- integrate *together*, with the per-step Newton
-iterations vectorized over the candidate axis, one fused device
-evaluation and one stacked ``np.linalg.solve`` per iteration.
-:func:`run_tran` is a batch of one.  Every per-candidate floating-point
-operation is elementwise and every matrix entry sums its terms in the
-scalar order, so each waveform is bit-identical to the scalar reference
-in ``tests/scalar_reference.py`` run on that candidate alone (pinned by
-the parity tests), and failures are isolated per candidate: a design
-whose Newton diverges at some time step holds a
+circuits share one MNA structure (the key that also groups the DC and
+AC analyses, :func:`repro.spice.plan.structure_groups`) -- one
+topology's population of width vectors, including the same population
+rebuilt at several PVT corners (each candidate carries its own
+corner-skewed device parameters in the plan) -- integrate *together*,
+with the per-step Newton iterations vectorized over the candidate axis,
+one fused device evaluation and one stacked ``np.linalg.solve`` per
+iteration.  :func:`run_tran` is a batch of one.  Every per-candidate
+floating-point operation is elementwise and every matrix entry sums its
+terms in the scalar order, so each waveform is bit-identical to the
+scalar reference in ``tests/scalar_reference.py`` run on that candidate
+alone (pinned by the parity tests), and failures are isolated per
+candidate: a design whose Newton diverges at some time step holds a
 :class:`~repro.spice.dc.ConvergenceError` in its slot instead of
 aborting the batch.
 """
@@ -45,18 +49,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dc import (
-    GMIN,
-    ConvergenceError,
-    DCSolution,
-    _MNASystem,
-    _newton_batch,
-    _structure_key,
-)
-from .netlist import GROUND, Circuit
-from .plan import StampPlan
+from .dc import GMIN, ConvergenceError, DCSolution, _newton_batch
+from .netlist import GROUND
+from .plan import StampPlan, structure_groups
 
-__all__ = ["TranResult", "run_tran", "run_tran_many", "step_sources"]
+__all__ = ["TranResult", "run_tran", "run_tran_many"]
 
 #: Supported integration methods: backward-Euler and trapezoidal.
 METHODS = ("be", "trap")
@@ -98,42 +95,6 @@ class TranResult:
         except KeyError:
             raise ValueError(f"{node!r} is not a node of this transient result") from None
         return self.waveforms[:, idx]
-
-
-def step_sources(circuit: Circuit, amplitude: float) -> Circuit:
-    """The post-step netlist: every source jumps by ``amplitude * ac``.
-
-    Supplies and bias sources carry ``ac = 0`` and stay put; the stimulus
-    sources (the OTA testbenches drive ``ac = +-0.5`` on the differential
-    inputs) step by their share of the amplitude.  The copy leaves the
-    original circuit untouched.
-    """
-    stepped = circuit.copy()
-    for source in stepped.vsources:
-        source.dc = source.dc + amplitude * source.ac
-    for source in stepped.isources:
-        source.dc = source.dc + amplitude * source.ac
-    return stepped
-
-
-def _capacitances(solutions: list) -> np.ndarray:
-    """Capacitive element values, ``(n_caps, P)``: one column per candidate.
-
-    Explicit capacitors keep their netlist value; each MOSFET contributes
-    its operating-point ``Cgs`` (gate-source) and ``Cds`` (drain-source),
-    the same linearization the AC analysis stamps.  The column order --
-    capacitors, then gs/ds per MOSFET -- is the element order of
-    :class:`~repro.spice.plan.StampPlan`'s companion stamps.
-    """
-    rows = []
-    for solution in solutions:
-        circuit = solution.circuit
-        row = [cap.capacitance for cap in circuit.capacitors]
-        for mosfet in circuit.mosfets:
-            small = solution.op(mosfet.name).small_signal
-            row += [small.cgs, small.cds]
-        rows.append(row)
-    return np.ascontiguousarray(np.array(rows, dtype=float).T)
 
 
 def _step_coef(method: str, dt: float, step: int) -> float:
@@ -180,7 +141,7 @@ def run_tran(
         (backward-Euler, first order, heavily damped).
     step_amplitude:
         Source step scale: every source jumps by ``step_amplitude * ac``
-        at ``t = 0+`` (see :func:`step_sources`).
+        at ``t = 0+`` (see :meth:`~repro.spice.plan.StampPlan.stepped`).
     max_newton_iterations:
         Newton cap per time step.
 
@@ -211,22 +172,6 @@ def _grid(method: str, t_stop: float, n_steps: int) -> tuple[float, np.ndarray]:
     return dt, np.linspace(0.0, t_stop, n_steps + 1)
 
 
-def _tran_structure_key(circuit: Circuit):
-    """Transient grouping key: DC structure plus capacitor connectivity.
-
-    Capacitors are open circuits at DC and deliberately absent from
-    :func:`repro.spice.dc._structure_key`, but the companion-model stamps
-    align capacitor *slots* across a batch, so circuits differing in
-    capacitor count or connectivity must never share a group.
-    Capacitance values stay out of the key: they are per-candidate data
-    (:func:`_capacitances`), exactly like widths.
-    """
-    return (
-        _structure_key(circuit),
-        tuple((cap.node1, cap.node2) for cap in circuit.capacitors),
-    )
-
-
 def run_tran_many(  # checks: hot-path
     solutions: list,
     t_stop: float,
@@ -237,12 +182,12 @@ def run_tran_many(  # checks: hot-path
 ) -> list:
     """Integrate the step responses of many operating points together.
 
-    Solutions whose stepped circuits share one MNA structure (one
-    topology's candidate population, corner-mixed batches included -- the
-    structure key is the corner-agnostic one of
-    :func:`repro.spice.dc.solve_dc_many`) run every time step's Newton
-    iteration *together*, with vectorized assembly and one stacked linear
-    solve per iteration.  Each waveform is bit-identical to the scalar
+    Solutions whose circuits share one MNA structure (one topology's
+    candidate population, corner-mixed batches included -- the structure
+    key is the corner-agnostic one of every analysis,
+    :func:`repro.spice.plan.structure_groups`) run every time step's
+    Newton iteration *together*, with vectorized assembly and one stacked
+    linear solve per iteration.  Each waveform is bit-identical to the scalar
     reference run on that candidate alone (pinned by the parity tests).
 
     Returns a list aligned with ``solutions`` whose entries are either
@@ -251,16 +196,10 @@ def run_tran_many(  # checks: hot-path
     """
     dt, times = _grid(method, t_stop, n_steps)
     results: list = [None] * len(solutions)
-    stepped = [step_sources(solution.circuit, step_amplitude) for solution in solutions]
-    groups: dict = {}
-    for index, circuit in enumerate(stepped):
-        groups.setdefault(_tran_structure_key(circuit), []).append(index)
-    for indices in groups.values():
-        batch_solutions = [solutions[i] for i in indices]
-        batch_stepped = [stepped[i] for i in indices]
+    for indices in structure_groups([solution.circuit for solution in solutions]):
+        batch = [solutions[i] for i in indices]
         outcomes = _tran_batch(
-            batch_solutions,
-            batch_stepped,
+            batch,
             times,
             dt,
             method,
@@ -274,7 +213,6 @@ def run_tran_many(  # checks: hot-path
 
 def _tran_batch(  # checks: hot-path
     solutions: list,
-    stepped: list,
     times: np.ndarray,
     dt: float,
     method: str,
@@ -290,18 +228,14 @@ def _tran_batch(  # checks: hot-path
     a step becomes the companion current at the new point.  A candidate
     whose Newton fails at some step is dropped from the state arrays.
     """
-    system = _MNASystem(stepped[0])
-    plan = StampPlan(stepped, _capacitances(solutions))
-    n = system.n_nodes
+    plan = StampPlan([solution.circuit for solution in solutions], solutions)
+    plan = plan.stepped(step_amplitude)
+    n = plan.n_nodes
     batch = len(solutions)
     n_steps = len(times) - 1
-    x = plan.padded(
-        np.stack(
-            [
-                system.pack(solution.node_voltages, solution.source_currents)
-                for solution in solutions
-            ]
-        )
+    x = plan.pack(
+        [solution.node_voltages for solution in solutions],
+        [solution.source_currents for solution in solutions],
     )
     waveforms = np.empty((batch, n_steps + 1, n))
     waveforms[:, 0, :] = x[:, :n]
@@ -347,7 +281,7 @@ def _tran_batch(  # checks: hot-path
             outcomes.append(
                 TranResult(
                     times=times,
-                    node_names=system.node_names,
+                    node_names=plan.node_names,
                     waveforms=waveforms[j].copy(),
                     method=method,
                     step_amplitude=step_amplitude,

@@ -7,17 +7,26 @@ module keeps the one-candidate-at-a-time implementations they replaced,
 so the parity tests and the model-free bench smokes pin the batched
 kernels bit for bit against code that production never runs:
 
+* :class:`MNASystem` and :func:`initial_point`: one candidate's node
+  indexing, packing and Newton start point;
 * :func:`residual_and_jacobian`, :func:`newton` and :func:`solve_dc`:
   scalar MNA assembly and damped DC Newton with gmin and source-stepping
   continuation, and :func:`finalize`: each MOSFET's operating point from
   its own scalar model calls;
-* :func:`cap_elements`, :func:`tran_residual`, :func:`tran_newton` and
-  :func:`run_tran`: scalar transient stepping;
-* :func:`run_ac`: one candidate's frequency sweep;
+* :func:`step_sources`, :func:`cap_elements`, :func:`tran_residual`,
+  :func:`tran_newton` and :func:`run_tran`: scalar transient stepping on
+  a stepped copy of the netlist;
+* :class:`ACSystem` and :func:`run_ac`: one candidate's element-by-element
+  ``G``/``C`` stamps and frequency sweep;
 * :func:`measure` and :class:`ScalarBackend`: one full SPICE run per
   candidate (per candidate-corner pair on the corner axis);
 * :func:`greedy_decode_naive`: the decoder that re-runs the whole prefix
   every step.
+
+The module shares no assembly code with the kernels it checks: it
+imports no stamp plan, no fused device kernel and no private
+``repro.spice`` name except the transient's time grid and step
+coefficient (``tests/test_stamp_plan.py`` enforces this).
 """
 
 from __future__ import annotations
@@ -36,10 +45,8 @@ from repro.spice import (
     TranResult,
     default_frequency_grid,
     linsolve,
-    step_sources,
 )
-from repro.spice.ac import _ACSystem
-from repro.spice.dc import GMIN, MAX_STEP, _initial_point, _MNASystem
+from repro.spice.dc import GMIN, MAX_STEP
 from repro.spice.netlist import GROUND
 from repro.spice.tran import DEFAULT_STEP_AMPLITUDE, MAX_TRAN_ITERATIONS, _grid, _step_coef
 from repro.topologies import (
@@ -57,10 +64,75 @@ FREQ_CHUNK = 32
 
 
 # ----------------------------------------------------------------------
+# Node indexing and start point
+# ----------------------------------------------------------------------
+class MNASystem:
+    """One circuit's MNA unknowns: node voltages, then one branch current
+    per voltage source."""
+
+    def __init__(self, circuit: Circuit):
+        self.circuit = circuit
+        self.node_names = circuit.nodes()
+        self.n_nodes = len(self.node_names)
+        self.n_sources = len(circuit.vsources)
+        self.size = self.n_nodes + self.n_sources
+        self._index = {name: i for i, name in enumerate(self.node_names)}
+
+    def node_index(self, name: str) -> int | None:
+        """Index of a node in the unknown vector; ``None`` for ground."""
+        if name == GROUND:
+            return None
+        return self._index[name]
+
+    def pack(self, voltages: dict[str, float], currents: dict[str, float]) -> np.ndarray:
+        x = np.zeros(self.size)
+        for name, idx in self._index.items():
+            x[idx] = voltages.get(name, 0.0)
+        for k, source in enumerate(self.circuit.vsources):
+            x[self.n_nodes + k] = currents.get(source.name, 0.0)
+        return x
+
+    def unpack(self, x: np.ndarray) -> tuple[dict[str, float], dict[str, float]]:
+        voltages = {name: float(x[idx]) for name, idx in self._index.items()}
+        currents = {
+            source.name: float(x[self.n_nodes + k])
+            for k, source in enumerate(self.circuit.vsources)
+        }
+        return voltages, currents
+
+
+def default_guess(system: MNASystem) -> np.ndarray:
+    """Heuristic starting point: source nodes pinned, others at mid-rail."""
+    circuit = system.circuit
+    supply = max((abs(src.dc) for src in circuit.vsources), default=1.0)
+    x = np.full(system.size, 0.0)
+    x[: system.n_nodes] = supply / 2.0
+    for src in circuit.vsources:
+        ip = system.node_index(src.pos)
+        in_ = system.node_index(src.neg)
+        if ip is not None and in_ is None:
+            x[ip] = src.dc
+        elif ip is None and in_ is not None:
+            x[in_] = -src.dc
+    return x
+
+
+def initial_point(system: MNASystem, initial_guess: dict[str, float] | None) -> np.ndarray:
+    """Starting vector: heuristic guess overridden by the caller's hints."""
+    x0 = default_guess(system)
+    if initial_guess:
+        for name, value in initial_guess.items():
+            idx = system.node_index(name)
+            if idx is not None:
+                x0[idx] = value
+    return x0
+
+
+# ----------------------------------------------------------------------
 # DC operating point
 # ----------------------------------------------------------------------
 def residual_and_jacobian(
-    system: _MNASystem, x: np.ndarray, source_scale: float, gmin: float
+    system: MNASystem, x: np.ndarray, source_scale: float, gmin: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``f(x)`` and ``J(x)`` of one candidate's MNA equations.
 
@@ -151,7 +223,7 @@ def residual_and_jacobian(
 
 
 def newton(
-    system: _MNASystem,
+    system: MNASystem,
     x0: np.ndarray,
     source_scale: float,
     gmin: float,
@@ -181,7 +253,7 @@ def newton(
     )
 
 
-def finalize(system: _MNASystem, x: np.ndarray, iterations: int, strategy: str) -> DCSolution:
+def finalize(system: MNASystem, x: np.ndarray, iterations: int, strategy: str) -> DCSolution:
     """One candidate's :class:`DCSolution`, each MOSFET's operating point
     from its scalar :meth:`~repro.devices.MOSFET.operating_point`."""
     voltages, currents = system.unpack(x)
@@ -212,8 +284,8 @@ def solve_dc(
 ) -> DCSolution:
     """Solve one circuit's DC operating point; raises :class:`ConvergenceError`
     when plain Newton, gmin stepping and source stepping all fail."""
-    system = _MNASystem(circuit)
-    x0 = _initial_point(system, initial_guess)
+    system = MNASystem(circuit)
+    x0 = initial_point(system, initial_guess)
     total_iterations = 0
 
     # Strategy 1: plain damped Newton.
@@ -251,7 +323,22 @@ def solve_dc(
 # ----------------------------------------------------------------------
 # Transient
 # ----------------------------------------------------------------------
-def cap_elements(system: _MNASystem, solution: DCSolution) -> list:
+def step_sources(circuit: Circuit, amplitude: float) -> Circuit:
+    """The post-step netlist: every source jumps by ``amplitude * ac``.
+
+    Supplies and bias sources carry ``ac = 0`` and stay put; the stimulus
+    sources step by their share of the amplitude.  The copy leaves the
+    original circuit untouched.
+    """
+    stepped = circuit.copy()
+    for source in stepped.vsources:
+        source.dc = source.dc + amplitude * source.ac
+    for source in stepped.isources:
+        source.dc = source.dc + amplitude * source.ac
+    return stepped
+
+
+def cap_elements(system: MNASystem, solution: DCSolution) -> list:
     """Capacitive two-terminal elements as ``(i1, i2, c)`` index triples.
 
     Explicit capacitors keep their netlist value; each MOSFET contributes
@@ -282,7 +369,7 @@ def _dv(x: np.ndarray, i1: int | None, i2: int | None) -> float:
 
 
 def tran_residual(
-    system: _MNASystem,
+    system: MNASystem,
     caps: list,
     x: np.ndarray,
     x_prev: np.ndarray,
@@ -314,7 +401,7 @@ def tran_residual(
 
 
 def tran_newton(
-    system: _MNASystem,
+    system: MNASystem,
     caps: list,
     x_prev: np.ndarray,
     hist: np.ndarray,
@@ -354,7 +441,7 @@ def run_tran(
     raises :class:`ConvergenceError` when a time step's Newton fails."""
     dt, times = _grid(method, t_stop, n_steps)
     stepped = step_sources(solution.circuit, step_amplitude)
-    system = _MNASystem(stepped)
+    system = MNASystem(stepped)
     caps = cap_elements(system, solution)
     x = system.pack(solution.node_voltages, solution.source_currents)
     waveforms = np.empty((n_steps + 1, system.n_nodes))
@@ -384,17 +471,109 @@ def run_tran(
 # ----------------------------------------------------------------------
 # AC
 # ----------------------------------------------------------------------
+class ACSystem:
+    """The complex MNA matrices of one linearized circuit, stamped element
+    by element: ``G`` (resistors, then each MOSFET's ``gds`` and ``gm``
+    VCCS, then the voltage-source incidence), ``C`` (capacitors, then each
+    MOSFET's ``Cds`` and ``Cgs``) and the excitation ``rhs``."""
+
+    def __init__(self, solution: DCSolution):
+        self.circuit: Circuit = solution.circuit
+        self.solution = solution
+        self.node_names = self.circuit.nodes()
+        self.n_nodes = len(self.node_names)
+        self.n_sources = len(self.circuit.vsources)
+        self.size = self.n_nodes + self.n_sources
+        self._index = {name: i for i, name in enumerate(self.node_names)}
+        self.conductance, self.capacitance, self.rhs = self._assemble()
+
+    def _node(self, name: str) -> int | None:
+        return None if name == GROUND else self._index[name]
+
+    def _assemble(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = self.n_nodes
+        g_matrix = np.zeros((self.size, self.size))
+        c_matrix = np.zeros((self.size, self.size))
+        rhs = np.zeros(self.size, dtype=complex)
+
+        def stamp_admittance(matrix: np.ndarray, i1: int | None, i2: int | None, value: float) -> None:
+            if i1 is not None:
+                matrix[i1, i1] += value
+                if i2 is not None:
+                    matrix[i1, i2] -= value
+            if i2 is not None:
+                matrix[i2, i2] += value
+                if i1 is not None:
+                    matrix[i2, i1] -= value
+
+        def stamp_vccs(
+            matrix: np.ndarray,
+            out_pos: int | None,
+            out_neg: int | None,
+            ctrl_pos: int | None,
+            ctrl_neg: int | None,
+            gm: float,
+        ) -> None:
+            # Current gm*(v_ctrl_pos - v_ctrl_neg) flows out_pos -> out_neg.
+            for out, sign_out in ((out_pos, 1.0), (out_neg, -1.0)):
+                if out is None:
+                    continue
+                for ctrl, sign_ctrl in ((ctrl_pos, 1.0), (ctrl_neg, -1.0)):
+                    if ctrl is None:
+                        continue
+                    matrix[out, ctrl] += sign_out * sign_ctrl * gm
+
+        for res in self.circuit.resistors:
+            stamp_admittance(
+                g_matrix, self._node(res.node1), self._node(res.node2), res.conductance
+            )
+        for cap in self.circuit.capacitors:
+            stamp_admittance(
+                c_matrix, self._node(cap.node1), self._node(cap.node2), cap.capacitance
+            )
+
+        for mosfet in self.circuit.mosfets:
+            small = self.solution.op(mosfet.name).small_signal
+            drain = self._node(mosfet.drain)
+            gate = self._node(mosfet.gate)
+            source = self._node(mosfet.source)
+            stamp_admittance(g_matrix, drain, source, small.gds)
+            stamp_admittance(c_matrix, drain, source, small.cds)
+            stamp_admittance(c_matrix, gate, source, small.cgs)
+            stamp_vccs(g_matrix, drain, source, gate, source, small.gm)
+
+        for src in self.circuit.isources:
+            ip, in_ = self._node(src.pos), self._node(src.neg)
+            if ip is not None:
+                rhs[ip] -= src.ac
+            if in_ is not None:
+                rhs[in_] += src.ac
+
+        for k, src in enumerate(self.circuit.vsources):
+            row = n + k
+            ip, in_ = self._node(src.pos), self._node(src.neg)
+            if ip is not None:
+                g_matrix[ip, row] += 1.0
+                g_matrix[row, ip] += 1.0
+            if in_ is not None:
+                g_matrix[in_, row] -= 1.0
+                g_matrix[row, in_] -= 1.0
+            rhs[row] = src.ac
+
+        return g_matrix, c_matrix, rhs
+
+
 def run_ac(solution: DCSolution, frequencies: np.ndarray | None = None) -> ACResult:
     """One candidate's AC sweep, :data:`FREQ_CHUNK` frequencies per
     stacked solve."""
     freqs = default_frequency_grid() if frequencies is None else np.asarray(frequencies, dtype=float)
-    system = _ACSystem(solution)
+    system = ACSystem(solution)
     phasors = np.zeros((len(freqs), system.n_nodes), dtype=complex)
     omegas = 2.0 * np.pi * np.asarray(freqs, dtype=float)
     for start in range(0, len(omegas), FREQ_CHUNK):
         w = omegas[start : start + FREQ_CHUNK]
-        y_stack = system._conductance[None, :, :] + (1j * w)[:, None, None] * system._capacitance[None, :, :]
-        rhs = np.broadcast_to(system._rhs, (len(w), system.size))
+        y_stack = system.conductance[None, :, :] + (1j * w)[:, None, None] * system.capacitance[None, :, :]
+        rhs = np.broadcast_to(system.rhs, (len(w), system.size))
         solved = linsolve.solve_stacked(y_stack, rhs)
         phasors[start : start + len(w)] = solved[:, : system.n_nodes]
     return ACResult(frequencies=freqs, node_names=system.node_names, phasors=phasors)

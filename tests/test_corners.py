@@ -41,7 +41,7 @@ from repro.service import SizingEngine, SizingRequest, SizingResponse
 from repro.service.cache import ResultCache, quantize_spec
 from repro.solvers import BatchedBackend, SearchObjective
 from repro.spice import ConvergenceError, PerformanceMetrics, parse_netlist, to_spice
-from repro.spice.dc import _structure_key
+from repro.spice.plan import _structure_key
 from repro.topologies import (
     CornerSweep,
     FiveTransistorOTA,
@@ -333,7 +333,8 @@ class TestCornerBackendParity:
                 backend.measure_many(five_t, [GOOD_WIDTHS["5T-OTA"]], corners=())
 
     def test_backend_measure_single_corner(self, five_t):
-        outcome = BatchedBackend().measure(five_t, GOOD_WIDTHS["5T-OTA"], corner="ff")
+        (sweep,) = BatchedBackend().measure_sweeps(five_t, [GOOD_WIDTHS["5T-OTA"]], ("ff",))
+        outcome = sweep.outcomes[0]
         reference = scalar_reference.measure(five_t, GOOD_WIDTHS["5T-OTA"], corner="ff")
         assert np.array_equal(
             outcome.result.metrics.as_array(), reference.metrics.as_array()

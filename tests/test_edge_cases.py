@@ -6,7 +6,7 @@ import pytest
 from repro.devices import NMOS_65NM
 from repro.dpsfg import MasonEvaluator, build_dpsfg
 from repro.spice import Circuit, ConvergenceError, solve_dc
-from repro.spice.dc import _MNASystem
+from repro.spice.plan import StampPlan
 
 
 class TestDCSolverFailurePaths:
@@ -33,13 +33,13 @@ class TestDCSolverFailurePaths:
 
     def test_mna_pack_unpack_roundtrip(self, five_t):
         circuit = five_t.build({"M1": 1.2e-6, "M3": 15e-6, "M5": 4e-6})
-        system = _MNASystem(circuit)
+        plan = StampPlan([circuit, circuit])
         voltages = {name: float(i) / 10 for i, name in enumerate(circuit.nodes())}
         currents = {src.name: 1e-6 * i for i, src in enumerate(circuit.vsources)}
-        packed = system.pack(voltages, currents)
-        unpacked_v, unpacked_i = system.unpack(packed)
-        assert unpacked_v == voltages
-        assert unpacked_i == currents
+        packed = plan.pack([voltages, {}], [currents, {}])
+        assert packed.shape == (2, plan.size + 1)
+        assert not packed[1].any()  # absent names read 0, ground column stays 0
+        assert plan.unpack(packed)[0] == (voltages, currents)
 
 
 class TestMasonEdgeCases:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.devices import NMOS_65NM, PMOS_65NM
-from repro.spice import Circuit, characterize_device, dc_transfer_sweep, icmr_sweep
+from repro.spice import Circuit, characterize_device, dc_transfer_sweep, icmr_sweep, to_spice
 from repro.spice.netlist import GROUND
+from repro.topologies import topology_by_name
+
+from tests.conftest import GOOD_WIDTHS
 
 
 class TestCircuitContainer:
@@ -58,6 +61,32 @@ class TestCircuitContainer:
         dup.mosfet("M1").width = 9e-6
         assert circuit.vsource("V1").dc == 1.0
         assert circuit.mosfet("M1").width == 1e-6
+
+    def test_copy_rebuilds_elements_without_name_checks(self, monkeypatch):
+        """Copying checks no element name (the source's are unique), gives
+        fresh elements with shared tech params and keeps the corner."""
+        circuit = topology_by_name("TELE-OTA").build_circuit(GOOD_WIDTHS["TELE-OTA"], corner="ss")
+        calls = []
+        element_names = Circuit.element_names
+        monkeypatch.setattr(
+            Circuit, "element_names", lambda self: calls.append(self) or element_names(self)
+        )
+        dup = circuit.copy()
+        assert calls == []
+        assert to_spice(dup) == to_spice(circuit) and dup.corner is circuit.corner
+        groups = ("mosfets", "resistors", "capacitors", "vsources", "isources")
+        for group in groups:
+            for original, copied in zip(getattr(circuit, group), getattr(dup, group), strict=True):
+                assert copied is not original
+        for original, copied in zip(circuit.mosfets, dup.mosfets, strict=True):
+            assert copied.tech is original.tech
+        before = [[vars(e).copy() for e in getattr(circuit, group)] for group in groups]
+        dup.mosfets[0].width *= 2
+        dup.vsources[0].dc += 1.0
+        dup.add_resistor("RX", dup.nodes()[0], "0", 1e3)
+        assert [[vars(e) for e in getattr(circuit, group)] for group in groups] == before
+        with pytest.raises(ValueError, match="duplicate"):
+            dup.add_resistor("RX", "a", "0", 1e3)
 
 
 class TestCharacterization:

@@ -327,7 +327,7 @@ class TestBatchedDecodeParity:
             records = (tiny_artifacts.val_records[name] + tiny_artifacts.train_records[name])[:8]
             specs = [DesignSpec(r.gain_db, r.f3db_hz, r.ugf_hz) for r in records]
             sequential = [model.predict_params(name, spec)[1] for spec in specs]
-            batched = [text for _, text in model.predict_params_batch(name, specs)]
+            batched = [text for _, text in model.predict_params_many({name: specs})[name]]
             assert batched == sequential
 
     def test_predict_params_many_fuses_topologies(self, tiny_artifacts):
@@ -346,7 +346,7 @@ class TestBatchedDecodeParity:
             assert [text for _, text in fused[name]] == sequential
 
     def test_empty_batch(self, tiny_artifacts):
-        assert tiny_artifacts.model.predict_params_batch("5T-OTA", []) == []
+        assert tiny_artifacts.model.predict_params_many({"5T-OTA": []}) == {"5T-OTA": []}
 
     def test_size_batch_matches_sequential_flows(self, tiny_artifacts):
         """The headline parity contract over mixed topologies."""

@@ -32,7 +32,6 @@ from repro.spice import (
     run_tran,
     run_tran_many,
     solve_dc,
-    step_sources,
 )
 from repro.topologies import (
     DEFAULT_ANALYSES,
@@ -122,12 +121,20 @@ class TestIntegratorAccuracy:
 
     def test_step_sources_scales_by_ac_and_preserves_original(self, five_t):
         circuit = five_t.build(GOOD_WIDTHS["5T-OTA"])
-        stepped = step_sources(circuit, 2e-3)
+        stepped = scalar_reference.step_sources(circuit, 2e-3)
         assert stepped.vsource("VINP").dc == circuit.vsource("VINP").dc + 1e-3
         assert stepped.vsource("VINN").dc == circuit.vsource("VINN").dc - 1e-3
         assert stepped.vsource("VDD").dc == circuit.vsource("VDD").dc  # ac = 0
         # The original netlist is untouched.
         assert circuit.vsource("VINP").dc == five_t.vcm
+        # The batched kernel steps its plan's source arrays and leaves the
+        # solutions' circuits as they were.
+        dc = solve_dc(circuit, initial_guess=five_t.initial_guess())
+        before = [(s.name, s.dc, s.ac) for s in (*circuit.vsources, *circuit.isources)]
+        (result,) = run_tran_many([dc], t_stop=20e-9, n_steps=4, step_amplitude=2e-3)
+        assert not isinstance(result, ConvergenceError)
+        assert dc.circuit is circuit
+        assert [(s.name, s.dc, s.ac) for s in (*circuit.vsources, *circuit.isources)] == before
 
 
 # ----------------------------------------------------------------------
