@@ -16,14 +16,14 @@ iteration counts of the remainder.
 
 ``test_table8_batched_inference_throughput`` additionally reports the
 before/after number of the service redesign: inference-stage throughput
-of ``SizingEngine.size_batch`` over a mixed-topology batch vs the
-sequential ``SizingFlow.size`` path, with decoded texts pinned
-bit-identical between the two.
+of ``SizingEngine.size_batch`` over a mixed-topology batch vs sizing one
+request at a time (``SizingEngine.size_results`` per request), with
+decoded texts pinned bit-identical between the two.
 
 ``test_table8_verification_throughput`` is the Stage IV counterpart (and
 the CI smoke of the round-batched verification path): one multi-request
 copilot round verified through the engine's batched backend (one
-``measure_many`` per topology per round) vs the sequential per-candidate
+``measure_sweeps`` per topology per round) vs the sequential per-candidate
 ``ScalarBackend`` of ``tests/scalar_reference.py``, responses pinned
 bit-identical.  It needs no trained model — a
 measured-oracle stand-in drives the round — so it stays minutes-free.
@@ -51,9 +51,11 @@ import time
 
 import numpy as np
 
-from repro.core import DesignSpec, SizingFlow, run_sizing_study
+from repro.core import DesignSpec, run_sizing_study
+from repro.devices import resolve_corners
 from repro.service import SizingEngine, SizingRequest
 from repro.solvers import BatchedBackend, EvalBackend, SearchSpace
+from repro.topologies import DEFAULT_ANALYSES
 
 from conftest import write_bench_json, write_result
 from tests import scalar_reference
@@ -100,13 +102,15 @@ def test_table8_runtime_analysis(benchmark, artifact, topologies):
     overall_success = 0
     overall_total = 0
     studies = {}
-    for name, topology in topologies.items():
-        flow = SizingFlow(topology, artifact.model)
+    engine = SizingEngine(artifact.model, cache_size=0)
+    for topology in topologies.values():
+        engine.adopt_topology(topology)
+    for name in topologies:
         specs = [
             DesignSpec(r.gain_db, r.f3db_hz, r.ugf_hz)
             for r in artifact.val_records[name][:N_SPECS]
         ]
-        study = run_sizing_study(flow, specs, max_iterations=6, rel_tol=0.01)
+        study = run_sizing_study(engine, name, specs, max_iterations=6, rel_tol=0.01)
         studies[name] = study
         lines.append(
             f"{name:8s} {study.single_iteration_successes:>8d} "
@@ -131,15 +135,15 @@ def test_table8_runtime_analysis(benchmark, artifact, topologies):
     singles = sum(s.single_iteration_successes for s in studies.values())
     assert singles >= overall_success * 0.5
 
-    flow = SizingFlow(topologies["5T-OTA"], artifact.model)
     record = artifact.val_records["5T-OTA"][0]
-    spec = DesignSpec(record.gain_db, record.f3db_hz, record.ugf_hz)
-    benchmark.pedantic(lambda: flow.size(spec), rounds=1, iterations=1)
+    request = SizingRequest.for_spec("5T-OTA", record.gain_db, record.f3db_hz, record.ugf_hz)
+    benchmark.pedantic(lambda: engine.size_results([request]), rounds=1, iterations=1)
 
 
 def test_table8_batched_inference_throughput(artifact, topologies):
-    """Before/after of the service redesign: sequential ``SizingFlow.size``
-    vs ``SizingEngine.size_batch`` over a mixed-topology batch.
+    """Before/after of the service redesign: one request at a time
+    (``SizingEngine.size_results`` per request) vs ``SizingEngine.size_batch``
+    over a mixed-topology batch.
 
     Both paths run the identical copilot loop (the parity assertion pins
     bit-identical decoded texts per iteration), so the comparison isolates
@@ -160,16 +164,11 @@ def test_table8_batched_inference_throughput(artifact, topologies):
             )
     assert len(requests) >= 32
 
-    flows = {name: SizingFlow(topology, artifact.model) for name, topology in topologies.items()}
-    sequential_results = [
-        flows[request.topology].size(
-            request.spec, max_iterations=request.max_iterations, rel_tol=request.rel_tol
-        )
-        for request in requests
-    ]
-    sequential_inference_s = sum(
-        flow._engine.stats.inference_seconds for flow in flows.values()
-    )
+    alone = SizingEngine(artifact.model, cache_size=0)
+    for topology in topologies.values():
+        alone.adopt_topology(topology)
+    sequential_results = [alone.size_results([request])[0] for request in requests]
+    sequential_inference_s = alone.stats.inference_seconds
 
     # ------------------------------------------------------------------
     # After: one batched engine call (cache off for an honest comparison).
@@ -196,7 +195,7 @@ def test_table8_batched_inference_throughput(artifact, topologies):
         "",
         f"mixed-topology batch: {len(requests)} requests "
         f"({N_BATCH_PER_TOPOLOGY} per topology), {sequences} decoded sequences",
-        f"sequential SizingFlow.size inference stage: {sequential_inference_s:8.2f} s "
+        f"one request at a time, inference stage:    {sequential_inference_s:8.2f} s "
         f"({sequences / sequential_inference_s:6.2f} seq/s)",
         f"batched engine.size_batch inference stage:  {batched_inference_s:8.2f} s "
         f"({sequences / batched_inference_s:6.2f} seq/s)",
@@ -220,13 +219,13 @@ class _TimedBackend(EvalBackend):
         self.calls = 0
         self.candidates = 0
 
-    def measure_many(self, topology, widths_list):
+    def measure_sweeps(self, topology, widths_list, corners, analyses):
         start = time.perf_counter()
-        outcomes = self.inner.measure_many(topology, widths_list)
+        sweeps = self.inner.measure_sweeps(topology, widths_list, corners, analyses)
         self.seconds += time.perf_counter() - start
         self.calls += 1
         self.candidates += len(widths_list)
-        return outcomes
+        return sweeps
 
 
 def _measured_oracle(topology, count, rng):
@@ -293,8 +292,8 @@ def test_table8_verification_throughput(topologies):
 
     The engine round is driven by a measured-oracle model (no training),
     so the timed difference isolates the verification stage: one
-    ``measure_many`` over the round's candidates vs one ``measure`` per
-    candidate through the same engine code path.
+    ``measure_sweeps`` over the round's candidates vs one scalar
+    ``measure`` per candidate through the same engine code path.
     """
     topology = topologies["5T-OTA"]
     model, specs = _measured_oracle(topology, N_VERIFY_ROUND, np.random.default_rng(17))
@@ -347,7 +346,7 @@ def test_table8_verification_throughput(topologies):
         f"best of {VERIFY_REPEATS} runs",
         f"sequential per-candidate backend: {scalar_s:8.3f} s "
         f"({verified / scalar_s:7.1f} verifications/s)",
-        f"round-batched measure_many path: {batched_s:8.3f} s "
+        f"round-batched measure_sweeps path: {batched_s:8.3f} s "
         f"({verified / batched_s:7.1f} verifications/s)",
         f"verification-stage speedup: {speedup:.1f}x",
         "responses: bit-identical to the sequential backend",
@@ -376,7 +375,7 @@ def test_table8_corner_throughput(topologies):
 
     Model-free: the population is random simulatable designs; the batched
     path evaluates the whole population x corner block through one
-    ``measure_many(corners=...)`` call (the corner axis stacks into the
+    ``measure_sweeps`` call (the corner axis stacks into the
     same batched DC Newton and complex AC factorization as the population
     axis), the sequential reference measures one (candidate, corner) pair
     per SPICE run.
@@ -398,21 +397,22 @@ def test_table8_corner_throughput(topologies):
         population.append(widths)
     assert len(population) >= N_CORNER_POP // 2, "too few simulatable designs"
 
+    corners = resolve_corners(CORNER_AXIS)
     scalar_backend, batched_backend = ScalarBackend(), BatchedBackend()
     # Warm both paths (imports, first-touch allocations).
-    scalar_backend.measure_many(topology, population[:2], corners=CORNER_AXIS)
-    batched_backend.measure_many(topology, population[:2], corners=CORNER_AXIS)
+    scalar_backend.measure_sweeps(topology, population[:2], corners, DEFAULT_ANALYSES)
+    batched_backend.measure_sweeps(topology, population[:2], corners, DEFAULT_ANALYSES)
 
     scalar_s = batched_s = float("inf")
     for _ in range(CORNER_REPEATS):
         start = time.perf_counter()
-        scalar_sweeps = scalar_backend.measure_many(
-            topology, population, corners=CORNER_AXIS
+        scalar_sweeps = scalar_backend.measure_sweeps(
+            topology, population, corners, DEFAULT_ANALYSES
         )
         scalar_s = min(scalar_s, time.perf_counter() - start)
         start = time.perf_counter()
-        batched_sweeps = batched_backend.measure_many(
-            topology, population, corners=CORNER_AXIS
+        batched_sweeps = batched_backend.measure_sweeps(
+            topology, population, corners, DEFAULT_ANALYSES
         )
         batched_s = min(batched_s, time.perf_counter() - start)
 

@@ -10,7 +10,7 @@ counts, runtime and success.
 
 ``test_table9_population_throughput`` is the backend's own before/after
 number: one population evaluated through the sequential scalar reference
-(``tests/scalar_reference.py``) vs the batched ``measure_many`` path
+(``tests/scalar_reference.py``) vs the batched ``measure_sweeps`` path
 (vectorized AC, amortized DC Newton), with a bit-identical-metrics parity
 assertion.  It needs no trained model, so it doubles as the CI smoke of
 the unified evaluation path.
@@ -23,6 +23,7 @@ import numpy as np
 from repro import solvers
 from repro.core import DesignSpec
 from repro.solvers import BatchedBackend, SearchSpace
+from repro.topologies import DEFAULT_ANALYSES
 
 from conftest import write_result
 from tests.scalar_reference import ScalarBackend
@@ -96,7 +97,7 @@ def test_table9_population_throughput(topologies):
     """Scalar vs batched population evaluation: parity + >=2x throughput.
 
     The claim of the evaluation-backend redesign: submitting a whole
-    PSO/DE-style population to ``measure_many`` (stacked complex MNA over
+    PSO/DE-style population to ``measure_sweeps`` (stacked complex MNA over
     population x frequency grid, DC Newton assembly amortized across
     candidates) is at least twice as fast as the scalar reference's
     sequential per-candidate ``measure`` loop, while every metric stays
@@ -109,20 +110,21 @@ def test_table9_population_throughput(topologies):
 
     scalar, batched = ScalarBackend(), BatchedBackend()
     # Warm both paths (imports, first-touch allocations).
-    scalar.measure_many(topology, population[:2])
-    batched.measure_many(topology, population[:2])
+    scalar.measure_sweeps(topology, population[:2], (), DEFAULT_ANALYSES)
+    batched.measure_sweeps(topology, population[:2], (), DEFAULT_ANALYSES)
 
     scalar_s, batched_s = float("inf"), float("inf")
     for _ in range(THROUGHPUT_REPEATS):
         start = time.perf_counter()
-        scalar_outcomes = scalar.measure_many(topology, population)
+        scalar_sweeps = scalar.measure_sweeps(topology, population, (), DEFAULT_ANALYSES)
         scalar_s = min(scalar_s, time.perf_counter() - start)
         start = time.perf_counter()
-        batched_outcomes = batched.measure_many(topology, population)
+        batched_sweeps = batched.measure_sweeps(topology, population, (), DEFAULT_ANALYSES)
         batched_s = min(batched_s, time.perf_counter() - start)
 
     # Parity: bit-identical metrics, candidate by candidate.
-    for reference, outcome in zip(scalar_outcomes, batched_outcomes, strict=True):
+    for reference_sweep, sweep in zip(scalar_sweeps, batched_sweeps, strict=True):
+        (reference,), (outcome,) = reference_sweep.outcomes, sweep.outcomes
         assert reference.ok == outcome.ok
         if reference.ok:
             assert np.array_equal(
@@ -138,7 +140,7 @@ def test_table9_population_throughput(topologies):
         f"population: {POPULATION} candidate 5T-OTA designs, best of {THROUGHPUT_REPEATS} runs",
         f"sequential measure() loop:   {scalar_s:8.3f} s "
         f"({POPULATION / scalar_s:7.1f} candidates/s)",
-        f"batched measure_many() path: {batched_s:8.3f} s "
+        f"batched measure_sweeps() path: {batched_s:8.3f} s "
         f"({POPULATION / batched_s:7.1f} candidates/s)",
         f"population-evaluation speedup: {speedup:.1f}x",
         "metrics: bit-identical to the sequential path",

@@ -15,16 +15,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core import DesignSpec, SizingFlow, SizingModel
+from repro.core import DesignSpec, SizingModel
 from repro.core.pipeline import BENCHMARK_CONFIG, train_sizing_model
-from repro.topologies import topology_by_name
+from repro.service import SizingEngine, SizingRequest
+from repro.topologies import available_topologies
 
 DEFAULT_CACHE = Path(__file__).resolve().parent.parent / "benchmarks" / ".artifact_cache"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Size an OTA with the trained transformer+LUT flow")
-    parser.add_argument("--topology", required=True, choices=["5T-OTA", "CM-OTA", "2S-OTA"])
+    parser.add_argument("--topology", required=True, choices=available_topologies())
     parser.add_argument("--gain-db", type=float, required=True, help="minimum gain in dB")
     parser.add_argument("--bw-mhz", type=float, required=True, help="minimum 3dB bandwidth in MHz")
     parser.add_argument("--ugf-mhz", type=float, required=True, help="minimum unity-gain frequency in MHz")
@@ -40,10 +41,11 @@ def main(argv=None) -> int:
         print("loading (or training) the benchmark artifact ...", file=sys.stderr)
         model = train_sizing_model(BENCHMARK_CONFIG, cache_dir=DEFAULT_CACHE).model
 
-    topology = topology_by_name(args.topology)
-    flow = SizingFlow(topology, model)
+    engine = SizingEngine(model, cache_size=0)
+    topology = engine.topology(args.topology)
     spec = DesignSpec(args.gain_db, args.bw_mhz * 1e6, args.ugf_mhz * 1e6)
-    result = flow.size(spec, max_iterations=args.max_iterations)
+    request = SizingRequest(topology=args.topology, spec=spec, max_iterations=args.max_iterations)
+    (result,) = engine.size_results([request])
 
     print(f"success: {result.success}  iterations: {result.iterations}  "
           f"SPICE simulations: {result.spice_simulations}  time: {result.wall_time_s:.2f}s")

@@ -22,27 +22,39 @@ Subpackages
     Precomputed per-unit-width lookup tables and the gm/Id width estimator
     (Algorithm 1).
 ``topologies``
-    The 5T-OTA / CM-OTA / 2S-OTA netlist generators and the active-inductor
-    example circuit.
+    The 5T-OTA / CM-OTA / 2S-OTA netlist generators of the paper, the
+    larger folded-cascode (FC-OTA) and telescopic (TELE-OTA) OTAs, and the
+    active-inductor example circuit.
 ``datagen``
     Dataset generation (sampling, region/ICMR filters) and sequence-pair
     corpus assembly.
 ``core``
-    The end-to-end sizing flow (Stages I-IV), training pipeline, margin
+    The trained sizing model, training pipeline, sizing results, margin
     allocation and evaluation utilities.
 ``solvers``
     The unified solver API: every sizing method (transformer copilot and
     the SA/PSO/DE baselines) behind one registry-dispatched ``Solver``
-    protocol, running on a batched SPICE evaluation backend.
+    protocol, measuring through one evaluation-backend method,
+    ``EvalBackend.measure_sweeps``.
 ``service``
-    The batched request/response sizing engine, topology-registry-backed,
-    with JSON-serializable requests and the ``python -m repro`` CLI.
+    The batched request/response sizing engine (Stages I-IV of the flow),
+    topology-registry-backed, with JSON-serializable requests and the
+    ``python -m repro`` CLI.
+``serve``
+    The HTTP serving layer: micro-batching, backpressure and deadlines in
+    front of the engine (``python -m repro serve``).
+``shard``
+    Multiprocess sharded serving over spawn-based workers that share the
+    model bundle read-only.
+``checks``
+    The project's static analyzer (``python -m repro.checks``): lock,
+    fork-safety, hot-loop, wire-format, RNG and JSON rules.
 """
 
 __version__ = "1.3.0"
 
 from . import solvers
-from .core import DesignSpec, SizingFlow, SizingModel, train_sizing_model
+from .core import DesignSpec, SizingModel, train_sizing_model
 from .service import SizingEngine, SizingRequest, SizingResponse
 from .topologies import (
     CurrentMirrorOTA,
@@ -56,7 +68,6 @@ from .topologies import (
 __all__ = [
     "solvers",
     "DesignSpec",
-    "SizingFlow",
     "SizingModel",
     "train_sizing_model",
     "SizingEngine",

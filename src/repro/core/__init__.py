@@ -9,7 +9,7 @@ from .evaluate import (
     predict_over_records,
     run_sizing_study,
 )
-from .flow import IterationTrace, SizingFlow, SizingResult
+from .flow import IterationTrace, SizingResult
 from .layout import ParasiticEstimate, evaluate_with_parasitics
 from .margin import tighten_spec
 from .specs import DesignSpec
@@ -25,7 +25,6 @@ __all__ = [
     "predict_over_records",
     "run_sizing_study",
     "IterationTrace",
-    "SizingFlow",
     "SizingResult",
     "ParasiticEstimate",
     "evaluate_with_parasitics",

@@ -19,7 +19,7 @@ import numpy as np
 from ..datagen.dataset import DesignRecord
 from ..topologies import OTATopology
 from .bundle import SizingModel
-from .flow import SizingFlow, SizingResult
+from .flow import SizingResult
 from .specs import DesignSpec
 
 __all__ = [
@@ -154,19 +154,26 @@ class SizingStudy:
 
 
 def run_sizing_study(
-    flow: SizingFlow,
+    engine,
+    topology_name: str,
     specs: Sequence[DesignSpec],
     max_iterations: int = 6,
     rel_tol: float = 0.0,
 ) -> SizingStudy:
-    """Size every spec and collect Table VIII statistics.
+    """Size every spec with a :class:`~repro.service.SizingEngine` and
+    collect Table VIII statistics.
 
-    Runs through ``SizingFlow.size_many`` (the engine's batched path), so
-    every copilot round fuses all still-active specs into one greedy
-    decode; per-spec results are bit-identical to the sequential loop this
-    used to be.
+    Runs through ``engine.size_results``, so every copilot round fuses
+    all still-active specs into one greedy decode; per-spec results are
+    bit-identical to sizing each spec alone.
     """
-    return SizingStudy(
-        topology_name=flow.topology.name,
-        results=flow.size_many(specs, max_iterations=max_iterations, rel_tol=rel_tol),
-    )
+    # Local import: repro.service builds on repro.core.
+    from ..service.requests import SizingRequest
+
+    requests = [
+        SizingRequest(
+            topology=topology_name, spec=spec, max_iterations=max_iterations, rel_tol=rel_tol
+        )
+        for spec in specs
+    ]
+    return SizingStudy(topology_name=topology_name, results=engine.size_results(requests))

@@ -64,7 +64,8 @@ class MOSFET:
     tech: TechParams
     width: float
     length: float
-    model: EKVModel = field(init=False, repr=False)
+    #: Derived from ``tech``; a per-instance object, so not compared.
+    model: EKVModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.length <= 0:

@@ -187,15 +187,10 @@ def build_lut(
     length: float = 180e-9,
     step: float = 0.06,
     vmax: float = 1.2,
-    use_testbench: bool = False,
 ) -> LookupTable:
     """Characterize a device and wrap the result in a :class:`LookupTable`.
 
-    The default grid matches the paper: 0 to 1.2 V in 60 mV steps.  With
-    ``use_testbench=True`` every grid point goes through the MNA DC solver
-    (the literal Fig. 5 flow); the default evaluates the model directly,
-    which yields identical numbers (see the regression test) but is much
-    faster for the 441-point grid.
+    The default grid matches the paper: 0 to 1.2 V in 60 mV steps.
     """
     grid = np.arange(0.0, vmax + 1e-9, step)
     characterization = characterize_device(
@@ -204,6 +199,5 @@ def build_lut(
         length=length,
         vgs_grid=grid,
         vds_grid=grid,
-        use_testbench=use_testbench,
     )
     return LookupTable(characterization)

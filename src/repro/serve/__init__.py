@@ -20,7 +20,7 @@ real service in front of :class:`~repro.service.SizingEngine`:
 
 from .app import SizingServer, create_server, serve_forever_in_thread
 from .batcher import BatcherClosedError, MicroBatcher, QueueFullError, Ticket
-from .protocol import RequestError, error_response, invalid_request_response
+from .protocol import RequestError, invalid_request_response
 from .stats import ServeStats, aggregate_counter_payloads
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Ticket",
     "aggregate_counter_payloads",
     "create_server",
-    "error_response",
     "invalid_request_response",
     "serve_forever_in_thread",
 ]

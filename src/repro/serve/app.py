@@ -49,7 +49,7 @@ from ..service.engine import SizingEngine
 from ..service.requests import SizingRequest, SizingResponse
 from ..topologies import available_topologies
 from .batcher import BatcherClosedError, MicroBatcher, QueueFullError
-from .protocol import RequestError, error_response, invalid_request_response, parse_request_text
+from .protocol import RequestError, invalid_request_response, parse_request_text
 from .stats import ServeStats, aggregate_counter_payloads
 
 __all__ = ["SizingServer", "create_server"]
@@ -124,24 +124,14 @@ class _Handler(BaseHTTPRequestHandler):
         except QueueFullError as error:
             self._send_json(
                 503,
-                error_response(
-                    f"server overloaded: {error}",
-                    request_id=request.id,
-                    topology=request.topology,
-                    method=request.method,
-                ).to_json(),
+                SizingResponse.failure(f"server overloaded: {error}", request).to_json(),
                 headers={"Retry-After": str(server.retry_after_s)},
             )
             return
         except BatcherClosedError:
             self._send_json(
                 503,
-                error_response(
-                    "server shutting down",
-                    request_id=request.id,
-                    topology=request.topology,
-                    method=request.method,
-                ).to_json(),
+                SizingResponse.failure("server shutting down", request).to_json(),
                 headers={"Retry-After": str(server.retry_after_s)},
             )
             return
@@ -149,22 +139,14 @@ class _Handler(BaseHTTPRequestHandler):
         if ticket.expired:
             self._send_json(
                 504,
-                error_response(
-                    f"deadline expired in queue (deadline_ms={deadline_ms:g})",
-                    request_id=request.id,
-                    topology=request.topology,
-                    method=request.method,
+                SizingResponse.failure(
+                    f"deadline expired in queue (deadline_ms={deadline_ms:g})", request
                 ).to_json(),
             )
         elif ticket.error is not None:
             self._send_json(
                 500,
-                error_response(
-                    f"internal error: {ticket.error}",
-                    request_id=request.id,
-                    topology=request.topology,
-                    method=request.method,
-                ).to_json(),
+                SizingResponse.failure(f"internal error: {ticket.error}", request).to_json(),
             )
         else:
             assert ticket.response is not None

@@ -29,7 +29,6 @@ __all__ = [
     "parse_request_payload",
     "parse_request_text",
     "invalid_request_response",
-    "error_response",
     "BAD_REQUEST_PREFIX",
     "DEADLINE_KEY",
 ]
@@ -90,36 +89,10 @@ def parse_request_text(
     return parse_request_payload(payload, allow_deadline=allow_deadline)
 
 
-def error_response(
-    message: str,
-    request_id: str = "",
-    topology: str = "",
-    method: str = "copilot",
-) -> SizingResponse:
-    """A failure response in the standard wire schema.
-
-    Every serving failure — bad payload, full queue, expired deadline,
-    handler error — comes back in the same :class:`SizingResponse` shape
-    as a served request, so clients parse one schema for all outcomes.
-    """
-    return SizingResponse(
-        request_id=request_id,
-        topology=topology,
-        method=method,
-        success=False,
-        widths=None,
-        metrics=None,
-        iterations=0,
-        spice_simulations=0,
-        wall_time_s=0.0,
-        error=message,
-    )
-
-
 def invalid_request_response(message: str) -> SizingResponse:
     """The structured payload for a request that failed validation.
 
     Identical for a malformed JSONL line and a malformed HTTP body —
     this is the single constructor both transports use.
     """
-    return error_response(f"{BAD_REQUEST_PREFIX}: {message}")
+    return SizingResponse.failure(f"{BAD_REQUEST_PREFIX}: {message}")

@@ -12,13 +12,17 @@ serving-shaped API:
   memoizes results in an LRU cache keyed by quantized specification;
 * ``python -m repro size`` — JSONL in, JSONL out, on top of the engine.
 
-``SizingFlow`` (the original single-spec API) now delegates to the
-engine, so both paths share one implementation.
+``SizingEngine.size_results`` is the library path: the same batched
+copilot loop, returning :class:`~repro.core.SizingResult` objects with
+their iteration traces instead of wire responses.
 
 Requests may name any registered solver (``method="sa"``/``"pso"``/
 ``"de"``, see :mod:`repro.solvers`); the engine dispatches them through
 the unified solver API and returns the same response schema, so the
 copilot and the SPICE-in-the-loop baselines are served by one endpoint.
+A request resolves its corner axis and analyses once, at construction;
+the copilot rounds and the solvers hand both to
+:meth:`~repro.solvers.EvalBackend.measure_sweeps` unchanged.
 """
 
 from .cache import ResultCache, SharedResultCache

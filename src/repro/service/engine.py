@@ -14,9 +14,11 @@ SPICE simulations of a round share one stacked complex MNA factorization
 instead of running one at a time.  Throughput therefore scales with the
 batch size instead of with Python loop iterations, while per-request
 semantics — margin allocation, retry nudges, iteration accounting,
-per-candidate ``ConvergenceError`` isolation — stay identical to the
-sequential ``SizingFlow.size`` path (the parity tests pin bit-identical
-decoded texts, widths and traces).
+per-candidate ``ConvergenceError`` isolation — stay identical to serving
+each request alone (the parity tests pin bit-identical decoded texts,
+widths and traces).  Each request's corner axis and analyses are
+resolved once, in :class:`SizingRequest`, and reach the backend as they
+are.
 
 A bounded LRU cache keyed by (topology, quantized spec) absorbs repeated
 and near-duplicate requests without touching the transformer at all.
@@ -63,6 +65,15 @@ __all__ = ["SizingEngine", "EngineStats"]
 #: Retry nudge applied when an iteration produced nothing verifiable
 #: (unparseable decode, inconsistent widths, or a non-converging design).
 _NUDGE = {"gain_db": 1.01, "f3db_hz": 1.02, "ugf_hz": 1.02}
+
+#: Stage III clamps every estimated width into this range (m).
+_WIDTH_BOUNDS = (0.1e-6, 200e-6)
+
+#: Stage III rejects an inference whose Algorithm-1 width candidates
+#: disagree by more than this relative spread: wildly inconsistent
+#: predicted parameters cannot describe any physical device, so
+#: re-inferring beats verifying a garbage design.
+_MAX_CANDIDATE_SPREAD = 5.0
 
 
 def _derated_spec(spec: DesignSpec, rel_tol: float) -> DesignSpec:
@@ -162,21 +173,13 @@ class SizingEngine:
         self,
         model: SizingModel,
         cache_size: int = 256,
-        width_bounds: tuple[float, float] = (0.1e-6, 200e-6),
-        max_candidate_spread: float = 5.0,
         backend: EvalBackend | None = None,
         cache: object | None = None,
     ):
         self.model = model
-        self.width_bounds = width_bounds
         #: Stage IV evaluation strategy, shared with registry-dispatched
         #: solvers so SPICE-call accounting flows through one place.
         self.backend = backend if backend is not None else BatchedBackend()
-        #: Reject an inference whose Algorithm-1 width candidates disagree
-        #: by more than this relative spread: wildly inconsistent predicted
-        #: parameters cannot describe any physical device, so re-inferring
-        #: beats verifying a garbage design.
-        self.max_candidate_spread = max_candidate_spread
         #: ``cache=`` injects any object with the ``ResultCache`` get/put
         #: protocol — notably a :class:`SharedResultCache` so sharding
         #: workers (and single-process engines pointed at the same
@@ -217,7 +220,7 @@ class SizingEngine:
 
         Returns ``None`` when the predicted parameters are physically
         inconsistent (width candidates disagree beyond
-        :attr:`max_candidate_spread`), signalling the caller to retry
+        :data:`_MAX_CANDIDATE_SPREAD`), signalling the caller to retry
         inference instead of wasting a verification simulation.
         """
         widths: dict[str, float] = {}
@@ -238,9 +241,9 @@ class SizingEngine:
             )
             lut = self.model.lut_for(topology, group.name)
             estimate = estimate_width(device_params, lut, vdd=topology.vdd)
-            if estimate.spread() > self.max_candidate_spread:
+            if estimate.spread() > _MAX_CANDIDATE_SPREAD:
                 return None
-            low, high = self.width_bounds
+            low, high = _WIDTH_BOUNDS
             widths[group.name] = float(min(max(estimate.width, low), high))
         return widths
 
@@ -294,11 +297,7 @@ class SizingEngine:
             for (name, corners, analyses), pairs in verifiable.items():
                 topology = pairs[0][0].topology
                 widths_list = [widths for _, widths in pairs]
-                # The analyses keyword travels only on non-default
-                # pipelines, so custom backends with the pre-transient
-                # signature keep serving AC-only rounds unchanged.
-                pipeline = analyses if "tran" in analyses else None
-                sweeps = self.backend.measure_sweeps(topology, widths_list, corners, pipeline)
+                sweeps = self.backend.measure_sweeps(topology, widths_list, corners, analyses)
                 for (state, widths), sweep in zip(pairs, sweeps, strict=True):
                     self._stage_iv(state, widths, sweep)
             active = [s for s in active if s.result is None]
@@ -426,41 +425,18 @@ class SizingEngine:
         from .. import solvers
 
         self.stats.add(solver_requests=1)
-
-        def error_response(message: str) -> SizingResponse:
-            return SizingResponse(
-                request_id=request.id,
-                topology=request.topology,
-                method=request.method,
-                success=False,
-                widths=None,
-                metrics=None,
-                iterations=0,
-                spice_simulations=0,
-                wall_time_s=0.0,
-                error=message,
-            )
-
         try:
             topology = self.topology(request.topology)
-        except KeyError as error:
-            return error_response(str(error))
-        try:
             factory = solvers.solver_factory(request.method)
         except KeyError as error:
-            return error_response(str(error))
+            return SizingResponse.failure(str(error), request)
 
-        solver_kwargs = {}
-        if "tran" in request.analyses:
-            # Only non-default pipelines travel, so solvers registered
-            # before the transient extension keep working unchanged.
-            solver_kwargs["analyses"] = request.analyses
         solver = factory(
             topology,
             model=self.model,
             backend=self.backend,
             corners=request.corners,
-            **solver_kwargs,
+            analyses=request.analyses,
         )
         spec = _derated_spec(request.spec, request.rel_tol)
         rng = np.random.default_rng(zlib.crc32(request.id.encode()))
@@ -483,18 +459,13 @@ class SizingEngine:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def size_result(self, request: SizingRequest) -> SizingResult:
-        """Single-shot path returning the full :class:`SizingResult` with
-        its iteration trace.  Bypasses the result cache — this is the
-        back-compat engine of ``SizingFlow.size``."""
-        return self.size_results([request])[0]
-
     def size_results(self, requests: Sequence[SizingRequest]) -> list[SizingResult]:
         """Batched copilot path returning full :class:`SizingResult` objects
         (with iteration traces), cache-free; inference is fused across the
         whole batch exactly as in :meth:`size_batch`.  Raises for unknown
-        topologies and non-copilot methods — this is the programmatic
-        engine behind ``SizingFlow``/``run_sizing_study``, not the wire API.
+        topologies and non-copilot methods — this is the library entry
+        point (``run_sizing_study``, the copilot solver, scripts), not the
+        wire API.
         """
         states = []
         for request in requests:
@@ -553,18 +524,7 @@ class SizingEngine:
             try:
                 topology = self.topology(request.topology)
             except KeyError as error:
-                responses[index] = SizingResponse(
-                    request_id=request.id,
-                    topology=request.topology,
-                    method=request.method,
-                    success=False,
-                    widths=None,
-                    metrics=None,
-                    iterations=0,
-                    spice_simulations=0,
-                    wall_time_s=0.0,
-                    error=str(error),
-                )
+                responses[index] = SizingResponse.failure(str(error), request)
                 continue
             if self.cache is not None:
                 # Coalesce only *exact* in-batch duplicates: the flow is

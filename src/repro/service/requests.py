@@ -59,7 +59,7 @@ from typing import Any
 from ..core.specs import DesignSpec
 from ..devices import Corner, resolve_corners
 from ..spice import TRAN_METRIC_NAMES, PerformanceMetrics
-from ..topologies import DEFAULT_ANALYSES, TRAN_ANALYSES, resolve_analyses
+from ..topologies import DEFAULT_ANALYSES, analyses_for_spec
 
 __all__ = ["SizingRequest", "SizingResponse"]
 
@@ -162,10 +162,7 @@ class SizingRequest:
         # objects) to resolved, hashable Corner tuples: the cache key and
         # in-batch coalescing compare them structurally.
         object.__setattr__(self, "corners", resolve_corners(self.corners))
-        resolved_analyses = resolve_analyses(self.analyses)
-        if self.spec.requires_tran:
-            resolved_analyses = TRAN_ANALYSES
-        object.__setattr__(self, "analyses", resolved_analyses)
+        object.__setattr__(self, "analyses", analyses_for_spec(self.spec, self.analyses))
 
     @property
     def iteration_budget(self) -> int:
@@ -285,6 +282,30 @@ class SizingResponse:
     def single_simulation(self) -> bool:
         """True when the very first verification already satisfied specs."""
         return self.success and self.spice_simulations == 1
+
+    @classmethod
+    def failure(cls, message: str, request: SizingRequest | None = None) -> SizingResponse:
+        """A failed response: no design, zero counts, ``error=message``,
+        addressed to ``request`` when there is one (a payload that failed
+        validation has none).
+
+        Every failure — bad payload, unknown topology or solver, full
+        queue, expired deadline, crashed worker — comes back in the same
+        schema as a served request, so clients parse one schema for all
+        outcomes.
+        """
+        return cls(
+            request_id=request.id if request is not None else "",
+            topology=request.topology if request is not None else "",
+            method=request.method if request is not None else "copilot",
+            success=False,
+            widths=None,
+            metrics=None,
+            iterations=0,
+            spice_simulations=0,
+            wall_time_s=0.0,
+            error=message,
+        )
 
     def with_request_id(self, request_id: str, cached: bool = True) -> SizingResponse:
         """A copy re-addressed to another request (cache/duplicate hits)."""

@@ -108,21 +108,6 @@ class _WorkerHandle:
         return self.retired_stats.get(name, 0) + self.latest_stats.get(name, 0)
 
 
-def _error_response(request: SizingRequest, message: str) -> SizingResponse:
-    return SizingResponse(
-        request_id=request.id,
-        topology=request.topology,
-        method=request.method,
-        success=False,
-        widths=None,
-        metrics=None,
-        iterations=0,
-        spice_simulations=0,
-        wall_time_s=0.0,
-        error=message,
-    )
-
-
 class ShardedEngine:
     """Multiprocess drop-in for ``SizingEngine.size_batch``."""
 
@@ -365,8 +350,8 @@ class ShardedEngine:
                     responses[index] = response
             elif not job.crashed:
                 for index, request in zip(job.indices, job.requests, strict=True):
-                    responses[index] = _error_response(
-                        request, f"worker error: {job.error}"
+                    responses[index] = SizingResponse.failure(
+                        f"worker error: {job.error}", request
                     )
             elif len(job.requests) > 1:
                 # A crashed multi-request slice is retried per-request so
@@ -387,7 +372,7 @@ class ShardedEngine:
                     if job.error is None
                     else f"worker unavailable: {job.error}"
                 )
-                responses[job.indices[0]] = _error_response(job.requests[0], message)
+                responses[job.indices[0]] = SizingResponse.failure(message, job.requests[0])
         assert all(response is not None for response in responses)
         return responses  # type: ignore[return-value]
 

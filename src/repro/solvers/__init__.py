@@ -12,12 +12,14 @@ topology registry), the sizing engine (``SizingRequest.method``) and the
 CLI (``python -m repro size --method pso``).
 
 Underneath, population-based solvers submit whole generations to an
-:class:`EvalBackend`; the default :class:`BatchedBackend` vectorizes the
-per-candidate small-signal AC solves (one stacked complex MNA solve over
-population x frequency grid) and amortizes the DC Newton assembly across
-candidates, with per-candidate failure isolation -- bit-identical to the
-sequential scalar reference in ``tests/scalar_reference.py``, just faster
-(``bench_table9`` pins both claims).
+:class:`EvalBackend`, whose one method ``measure_sweeps`` takes the
+resolved corner axis and analyses; the default :class:`BatchedBackend`
+vectorizes the per-candidate small-signal AC solves (one stacked complex
+MNA solve over population x frequency grid) and amortizes the DC Newton
+assembly across candidates, with per-candidate failure isolation --
+bit-identical to the sequential scalar reference in
+``tests/scalar_reference.py``, just faster (``bench_table9`` pins both
+claims).
 
 Every solver also accepts ``corners=`` (PVT presets ``"tt"/"ss"/"ff"`` or
 :class:`~repro.devices.Corner` objects).  With corners set, objectives

@@ -20,35 +20,20 @@ from .registry import register
 
 __all__ = ["SimulatedAnnealingSolver"]
 
+#: Independent chains stepped in lockstep (one proposal batch per step).
+CHAINS = 4
+#: Geometric cooling schedule: starting temperature and per-step factor.
+INITIAL_TEMPERATURE = 1.0
+COOLING = 0.97
+#: Standard deviation of a move in the normalized log-width box.
+STEP_SCALE = 0.15
+
 
 @register
 class SimulatedAnnealingSolver(SearchSolver):
     """Multi-chain simulated annealing over the normalized width box."""
 
     name = "sa"
-
-    def __init__(
-        self,
-        topology,
-        *,
-        backend=None,
-        model=None,
-        corners=None,
-        analyses=None,
-        chains: int = 4,
-        initial_temperature: float = 1.0,
-        cooling: float = 0.97,
-        step_scale: float = 0.15,
-    ):
-        super().__init__(
-            topology, backend=backend, model=model, corners=corners, analyses=analyses
-        )
-        if chains < 1:
-            raise ValueError("chains must be >= 1")
-        self.chains = chains
-        self.initial_temperature = initial_temperature
-        self.cooling = cooling
-        self.step_scale = step_scale
 
     def solve(
         self,
@@ -61,18 +46,18 @@ class SimulatedAnnealingSolver(SearchSolver):
         objective = self._objective(spec)
         start = time.perf_counter()
 
-        chains = min(self.chains, budget) if budget else 0
+        chains = min(CHAINS, budget) if budget else 0
         iterations = 0
         if chains:
             dim = objective.space.dimension
             current = np.stack([objective.space.random_point(rng) for _ in range(chains)])
             current_values = objective.evaluate_many(current)
-            temperature = self.initial_temperature
+            temperature = INITIAL_TEMPERATURE
 
             while objective.spice_calls < budget and not objective.satisfied:
                 iterations += 1
                 k = min(chains, budget - objective.spice_calls)
-                moves = rng.normal(0.0, self.step_scale, size=(k, dim))
+                moves = rng.normal(0.0, STEP_SCALE, size=(k, dim))
                 candidates = np.clip(current[:k] + moves, 0.0, 1.0)
                 candidate_values = objective.evaluate_many(candidates)
                 delta = candidate_values - current_values[:k]
@@ -83,6 +68,6 @@ class SimulatedAnnealingSolver(SearchSolver):
                 accept = (delta <= 0.0) | metropolis
                 current[:k][accept] = candidates[accept]
                 current_values[:k][accept] = candidate_values[accept]
-                temperature *= self.cooling
+                temperature *= COOLING
 
         return self._finish(objective, start, iterations)

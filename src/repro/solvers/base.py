@@ -39,10 +39,10 @@ from ..core.specs import DesignSpec
 from ..devices import Corner, CornerLike, resolve_corners
 from ..spice import PerformanceMetrics
 from ..topologies import (
-    TRAN_ANALYSES,
     CornerSweep,
     MeasureOutcome,
     OTATopology,
+    analyses_for_spec,
     resolve_analyses,
 )
 from .backend import BatchedBackend, EvalBackend
@@ -119,9 +119,8 @@ class SearchObjective:
 
     The objective is the total relative shortfall against the
     specification (0 means every target is met) with a penalty for
-    designs that fail to simulate or violate device regions.  Candidates
-    are submitted to the evaluation backend in bulk; accounting stays
-    per SPICE call.
+    designs that fail to simulate.  Candidates are submitted to the
+    evaluation backend in bulk; accounting stays per SPICE call.
 
     With ``corners`` set, the objective is the **worst-corner aggregate**:
     each candidate's score is the maximum shortfall over its corners (a
@@ -135,27 +134,18 @@ class SearchObjective:
         topology: OTATopology,
         spec: DesignSpec,
         backend: EvalBackend | None = None,
-        check_regions: bool = False,
         corners: Sequence[CornerLike] | None = None,
         analyses: Sequence[str] | None = None,
     ):
         self.topology = topology
         self.spec = spec
         self.backend = backend if backend is not None else BatchedBackend()
-        self.check_regions = check_regions
         #: Resolved PVT corner axis; empty tuple = nominal-only (judged as
         #: the one-corner ``tt`` sweep, without per-corner results).
         self.corners: tuple[Corner, ...] = resolve_corners(corners)
-        #: Measurement pipeline: an explicit ``analyses`` request or, at
-        #: minimum, whatever the spec needs -- transient targets pull the
-        #: step-response analysis in so they can be judged at all.
-        #: ``None`` (the AC-only default) keeps the pre-transient backend
-        #: calls -- and custom backends with the narrower signature --
-        #: bit-identical.
-        resolved_analyses = resolve_analyses(analyses)
-        if spec.requires_tran:
-            resolved_analyses = TRAN_ANALYSES
-        self.analyses = resolved_analyses if "tran" in resolved_analyses else None
+        #: Resolved measurement pipeline: the requested analyses, plus
+        #: whatever the spec needs to be judged at all.
+        self.analyses: tuple[str, ...] = analyses_for_spec(spec, analyses)
         self.space = SearchSpace(topology)
         self.spice_calls = 0
         self.best_value = float("inf")
@@ -188,8 +178,6 @@ class SearchObjective:
         """One corner's score: the spec shortfall, or a penalty."""
         if not outcome.ok:
             return PENALTY
-        if self.check_regions and not self.topology.regions_ok(outcome.result.dc):
-            return PENALTY / 2.0
         return float(sum(self.spec.miss_fractions(outcome.result.metrics).values()))
 
     def _record_sweep(self, widths: dict[str, float], sweep: CornerSweep) -> float:
@@ -201,17 +189,9 @@ class SearchObjective:
         self.spice_calls += len(sweep.corners)
         values = [self._corner_value(outcome) for outcome in sweep.outcomes]
         value = max(values)
-        # Only candidates whose every corner simulated (and, when checked,
-        # stayed in-region) can become the incumbent -- a penalized
-        # corner disqualifies.
-        eligible = sweep.ok and (
-            not self.check_regions
-            or all(
-                self.topology.regions_ok(outcome.result.dc)
-                for outcome in sweep.outcomes
-            )
-        )
-        if eligible and value < self.best_value:
+        # Only candidates whose every corner simulated can become the
+        # incumbent -- a penalized corner disqualifies.
+        if sweep.ok and value < self.best_value:
             self.best_value = value
             self.best_widths = widths
             # The binding corner by CornerSweep's two-level ranking: the
@@ -251,10 +231,8 @@ class Solver(ABC):
     uniformly.  ``corners`` selects the PVT corner axis -- when set, the
     solver chases worst-corner-aggregate objectives and succeeds only when
     the design meets spec at every corner.  ``analyses`` selects the
-    measurement pipeline (a spec with transient targets pulls the
-    transient leg in regardless); callers pass it only on non-default
-    pipelines, so solvers registered before the transient extension keep
-    working unchanged.
+    measurement pipeline (``None`` is the AC-only default; a spec with
+    transient targets pulls the transient leg in regardless).
     """
 
     #: Registry name, e.g. ``"sa"``; also stamped on results.
@@ -274,8 +252,8 @@ class Solver(ABC):
         self.model = model
         #: Resolved corner axis; empty = nominal-only evaluation.
         self.corners: tuple[Corner, ...] = resolve_corners(corners)
-        #: Requested measurement pipeline (``None`` = spec-driven default).
-        self.analyses = analyses
+        #: Resolved requested pipeline; each spec may pull ``tran`` in.
+        self.analyses: tuple[str, ...] = resolve_analyses(analyses)
 
     @abstractmethod
     def solve(
@@ -301,14 +279,11 @@ class SearchSolver(Solver):
     worst-corner aggregates (see :class:`SearchObjective`).
     """
 
-    check_regions: bool = False
-
     def _objective(self, spec: DesignSpec) -> SearchObjective:
         return SearchObjective(
             self.topology,
             spec,
             backend=self.backend,
-            check_regions=self.check_regions,
             corners=self.corners,
             analyses=self.analyses,
         )

@@ -4,9 +4,10 @@ Wraps the Fig. 3 flow (transformer inference + LUT width estimation +
 one verification simulation per copilot iteration, margin allocation on
 shortfall) behind the unified :class:`~repro.solvers.Solver` protocol,
 so Table IX comparisons and the sizing service dispatch it exactly like
-the SPICE-in-the-loop baselines.  ``budget`` counts copilot iterations;
-each costs at most one verification simulation, so it is also the SPICE
-budget the comparison hinges on.
+the SPICE-in-the-loop baselines.  ``budget`` counts copilot iterations
+(``None``: the request default of six, the paper's flow cap); each costs
+at most one verification simulation, so it is also the SPICE budget the
+comparison hinges on.
 """
 
 from __future__ import annotations
@@ -64,35 +65,19 @@ class CopilotSolver(Solver):
 
     name = "copilot"
 
-    #: Copilot iterations when no budget is given (the paper's flow cap).
-    default_iterations = 6
-
-    def __init__(
-        self,
-        topology,
-        *,
-        backend=None,
-        model=None,
-        corners=None,
-        analyses=None,
-        engine=None,
-        rel_tol: float = 0.0,
-    ):
+    def __init__(self, topology, *, backend=None, model=None, corners=None, analyses=None):
         super().__init__(
             topology, backend=backend, model=model, corners=corners, analyses=analyses
         )
-        if engine is None:
-            if model is None:
-                raise ValueError("CopilotSolver needs a trained model= or an engine=")
-            from ..service.engine import SizingEngine
+        if model is None:
+            raise ValueError("CopilotSolver needs a trained model=")
+        from ..service.engine import SizingEngine
 
-            # The solver's backend becomes the engine's Stage IV strategy,
-            # so verification accounting flows through the same place as
-            # the search-based solvers'.
-            engine = SizingEngine(model, cache_size=0, backend=self.backend)
-        engine.adopt_topology(topology)
-        self.engine = engine
-        self.rel_tol = rel_tol
+        # The solver's backend becomes the engine's Stage IV strategy,
+        # so verification accounting flows through the same place as
+        # the search-based solvers'.
+        self.engine = SizingEngine(model, cache_size=0, backend=self.backend)
+        self.engine.adopt_topology(topology)
 
     def solve(
         self,
@@ -104,16 +89,14 @@ class CopilotSolver(Solver):
         from ..service.requests import SizingRequest
 
         start = time.perf_counter()
-        extra = {} if self.analyses is None else {"analyses": tuple(self.analyses)}
         request = SizingRequest(
             topology=self.topology.name,
             spec=spec,
-            max_iterations=self.default_iterations if budget is None else budget,
-            rel_tol=self.rel_tol,
+            budget=budget,
             corners=self.corners,
-            **extra,
+            analyses=self.analyses,
         )
-        result = self.engine.size_result(request)
+        (result,) = self.engine.size_results([request])
         solved = solve_result_from_sizing(self.name, spec, result)
         solved.wall_time_s = time.perf_counter() - start
         return solved

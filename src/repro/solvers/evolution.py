@@ -20,33 +20,19 @@ from .registry import register
 
 __all__ = ["DifferentialEvolutionSolver"]
 
+#: Members per generation.
+POPULATION_SIZE = 12
+#: Differential weight of the rand/1 mutation and the binomial
+#: crossover probability.
+MUTATION = 0.6
+CROSSOVER = 0.8
+
 
 @register
 class DifferentialEvolutionSolver(SearchSolver):
     """DE/rand/1/bin over the normalized width box."""
 
     name = "de"
-
-    def __init__(
-        self,
-        topology,
-        *,
-        backend=None,
-        model=None,
-        corners=None,
-        analyses=None,
-        population_size: int = 12,
-        mutation: float = 0.6,
-        crossover: float = 0.8,
-    ):
-        super().__init__(
-            topology, backend=backend, model=model, corners=corners, analyses=analyses
-        )
-        if population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        self.population_size = population_size
-        self.mutation = mutation
-        self.crossover = crossover
 
     def solve(
         self,
@@ -59,7 +45,7 @@ class DifferentialEvolutionSolver(SearchSolver):
         objective = self._objective(spec)
         start = time.perf_counter()
 
-        size = min(self.population_size, budget) if budget else 0
+        size = min(POPULATION_SIZE, budget) if budget else 0
         iterations = 0
         if size:
             dim = objective.space.dimension
@@ -76,8 +62,8 @@ class DifferentialEvolutionSolver(SearchSolver):
                         continue
                     others = [j for j in range(size) if j != i]
                     a, b, c = rng.choice(others, size=3, replace=False)
-                    mutant = population[a] + self.mutation * (population[b] - population[c])
-                    cross = rng.random(dim) < self.crossover
+                    mutant = population[a] + MUTATION * (population[b] - population[c])
+                    cross = rng.random(dim) < CROSSOVER
                     cross[rng.integers(dim)] = True
                     trials[i] = np.clip(np.where(cross, mutant, population[i]), 0.0, 1.0)
                 trial_values = objective.evaluate_many(trials)

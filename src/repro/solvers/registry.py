@@ -38,7 +38,7 @@ __all__ = [
 F = TypeVar("F", bound=Callable[..., Solver])
 
 #: name -> factory
-#: ``(topology, *, backend=None, model=None, corners=None, **options)``,
+#: ``(topology, *, backend=None, model=None, corners=None, analyses=None)``,
 #: in registration order (``corners`` selects worst-case PVT evaluation).
 _REGISTRY: dict[str, Callable[..., Solver]] = {}
 
@@ -84,8 +84,8 @@ def create(name: str, topology: OTATopology, **kwargs) -> Solver:
     """Instantiate a registered solver for ``topology``.
 
     Keyword arguments are passed to the factory (``backend=`` for the
-    search solvers, ``model=`` for the copilot, plus solver-specific
-    options).
+    search solvers, ``model=`` for the copilot, ``corners=`` and
+    ``analyses=`` for every solver).
     """
     return solver_factory(name)(topology, **kwargs)
 

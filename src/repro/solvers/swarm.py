@@ -19,35 +19,20 @@ from .registry import register
 
 __all__ = ["ParticleSwarmSolver"]
 
+#: Particles per generation.
+SWARM_SIZE = 12
+#: Velocity update: inertia damping, then the pulls toward each
+#: particle's own best (cognitive) and the swarm's best (social).
+INERTIA = 0.72
+COGNITIVE = 1.49
+SOCIAL = 1.49
+
 
 @register
 class ParticleSwarmSolver(SearchSolver):
     """Global-best PSO over the normalized width box."""
 
     name = "pso"
-
-    def __init__(
-        self,
-        topology,
-        *,
-        backend=None,
-        model=None,
-        corners=None,
-        analyses=None,
-        swarm_size: int = 12,
-        inertia: float = 0.72,
-        cognitive: float = 1.49,
-        social: float = 1.49,
-    ):
-        super().__init__(
-            topology, backend=backend, model=model, corners=corners, analyses=analyses
-        )
-        if swarm_size < 1:
-            raise ValueError("swarm_size must be >= 1")
-        self.swarm_size = swarm_size
-        self.inertia = inertia
-        self.cognitive = cognitive
-        self.social = social
 
     def solve(
         self,
@@ -60,7 +45,7 @@ class ParticleSwarmSolver(SearchSolver):
         objective = self._objective(spec)
         start = time.perf_counter()
 
-        swarm = min(self.swarm_size, budget) if budget else 0
+        swarm = min(SWARM_SIZE, budget) if budget else 0
         iterations = 0
         if swarm:
             dim = objective.space.dimension
@@ -78,9 +63,9 @@ class ParticleSwarmSolver(SearchSolver):
                 r1 = rng.random((swarm, dim))
                 r2 = rng.random((swarm, dim))
                 velocities = (
-                    self.inertia * velocities
-                    + self.cognitive * r1 * (personal_best - positions)
-                    + self.social * r2 * (global_best - positions)
+                    INERTIA * velocities
+                    + COGNITIVE * r1 * (personal_best - positions)
+                    + SOCIAL * r2 * (global_best - positions)
                 )
                 positions = np.clip(positions + velocities, 0.0, 1.0)
                 k = min(swarm, budget - objective.spice_calls)

@@ -54,9 +54,14 @@ def characterize_device(
     length: float = 180e-9,
     vgs_grid: Sequence[float] | None = None,
     vds_grid: Sequence[float] | None = None,
-    use_testbench: bool = True,
 ) -> CharacterizationResult:
     """Run the nested DC sweep of Fig. 5 and collect per-unit-width tables.
+
+    The one-transistor testbench pins the gate and drain to the grid
+    voltages with ideal sources, so its operating point *is* the grid
+    point: the model is evaluated on the whole grid at once.  The
+    point-by-point testbench solve (``tests/scalar_reference.py``) gives
+    the same tables bit for bit.
 
     Parameters
     ----------
@@ -68,11 +73,6 @@ def characterize_device(
     vgs_grid, vds_grid:
         Sweep grids in volts; default 0 to 1.2 V in 60 mV steps as in the
         paper (21 points per axis).
-    use_testbench:
-        When True (default) each grid point is obtained by solving the
-        one-transistor DC testbench through the MNA solver, exactly like a
-        SPICE characterization run.  When False the model is evaluated
-        directly (identical numbers, faster), which is useful in tests.
     """
     if vgs_grid is None:
         vgs_grid = np.arange(0.0, 1.2 + 1e-9, 0.06)
@@ -81,27 +81,12 @@ def characterize_device(
     vgs_grid = np.asarray(vgs_grid, dtype=float)
     vds_grid = np.asarray(vds_grid, dtype=float)
 
-    tables = {name: np.zeros((len(vgs_grid), len(vds_grid))) for name in CharacterizationResult.OUTPUTS}
-
-    if use_testbench:
-        for i, vgs in enumerate(vgs_grid):
-            for j, vds in enumerate(vds_grid):
-                op = _testbench_op(tech, reference_width, length, float(vgs), float(vds))
-                small = op
-                tables["id"][i, j] = small.id
-                tables["gm"][i, j] = small.gm
-                tables["gds"][i, j] = small.gds
-                tables["cds"][i, j] = small.cds
-                tables["cgs"][i, j] = small.cgs
-    else:
-        model = EKVModel(tech)
-        vgs_mesh, vds_mesh = np.meshgrid(vgs_grid, vds_grid, indexing="ij")
-        values = model.evaluate_all(vgs_mesh, vds_mesh, reference_width, length)
-        for name in CharacterizationResult.OUTPUTS:
-            tables[name] = np.asarray(values[name], dtype=float)
-
-    for name in CharacterizationResult.OUTPUTS:
-        tables[name] = tables[name] / reference_width
+    vgs_mesh, vds_mesh = np.meshgrid(vgs_grid, vds_grid, indexing="ij")
+    values = EKVModel(tech).evaluate_all(vgs_mesh, vds_mesh, reference_width, length)
+    tables = {
+        name: np.asarray(values[name], dtype=float) / reference_width
+        for name in CharacterizationResult.OUTPUTS
+    }
 
     return CharacterizationResult(
         tech=tech,
@@ -111,19 +96,6 @@ def characterize_device(
         vds_grid=vds_grid,
         tables=tables,
     )
-
-
-def _testbench_op(tech: TechParams, width: float, length: float, vgs: float, vds: float):
-    """One-point characterization: bias a single device and read its OP."""
-    circuit = Circuit(name=f"char_{tech.name}")
-    # Polarity mapping: the normalized (vgs, vds) pair maps to source-
-    # referenced circuit voltages of the proper sign for each device type.
-    pol = tech.polarity
-    circuit.add_vsource("VG", "g", "0", pol * vgs)
-    circuit.add_vsource("VD", "d", "0", pol * vds)
-    circuit.add_mosfet("DUT", "d", "g", "0", tech, width, length)
-    solution = solve_dc(circuit, initial_guess={"g": pol * vgs, "d": pol * vds})
-    return solution.op("DUT").small_signal
 
 
 @dataclass

@@ -16,6 +16,7 @@ from .base import (
     MeasureOutcome,
     MeasurementResult,
     OTATopology,
+    analyses_for_spec,
     binding_corner,
     resolve_analyses,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "build_active_inductor",
     "binding_corner",
     "resolve_analyses",
+    "analyses_for_spec",
     "DEFAULT_ANALYSES",
     "TRAN_ANALYSES",
     "CornerSweep",

@@ -57,6 +57,7 @@ __all__ = [
     "CornerSweep",
     "binding_corner",
     "resolve_analyses",
+    "analyses_for_spec",
     "DEFAULT_ANALYSES",
     "TRAN_ANALYSES",
 ]
@@ -87,6 +88,15 @@ def resolve_analyses(analyses) -> tuple[str, ...]:
             f"unknown analyses {sorted(unknown)} (known: {', '.join(TRAN_ANALYSES)})"
         )
     return TRAN_ANALYSES if "tran" in requested else DEFAULT_ANALYSES
+
+
+def analyses_for_spec(spec, analyses) -> tuple[str, ...]:
+    """The pipeline that judges ``spec``: the requested ``analyses``
+    (resolved by :func:`resolve_analyses`), with the transient leg pulled
+    in when the spec sets a transient target -- such a spec cannot be
+    judged without the measurement it depends on."""
+    resolved = resolve_analyses(analyses)
+    return TRAN_ANALYSES if spec.requires_tran else resolved
 
 
 @dataclass(frozen=True)

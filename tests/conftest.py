@@ -127,9 +127,9 @@ class CountingBackend(BatchedBackend):
     def __init__(self):
         self.calls: list[tuple[str, int]] = []
 
-    def measure_many(self, topology, widths_list, **kwargs):
+    def measure_sweeps(self, topology, widths_list, corners, analyses):
         self.calls.append((topology.name, len(widths_list)))
-        return super().measure_many(topology, widths_list, **kwargs)
+        return super().measure_sweeps(topology, widths_list, corners, analyses)
 
 
 def assert_measurements_identical(reference, result) -> None:

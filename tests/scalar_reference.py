@@ -20,6 +20,8 @@ kernels bit for bit against code that production never runs:
   ``G``/``C`` stamps and frequency sweep;
 * :func:`measure` and :class:`ScalarBackend`: one full SPICE run per
   candidate (per candidate-corner pair on the corner axis);
+* :func:`characterize_device`: the Fig. 5 LUT characterization as one
+  one-transistor DC testbench solve per grid point;
 * :func:`greedy_decode_naive`: the decoder that re-runs the whole prefix
   every step.
 
@@ -35,10 +37,11 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.devices import NOMINAL_CORNER, Corner, CornerLike, resolve_corners
+from repro.devices import NOMINAL_CORNER, Corner, CornerLike, TechParams, resolve_corners
 from repro.solvers import EvalBackend
 from repro.spice import (
     ACResult,
+    CharacterizationResult,
     Circuit,
     ConvergenceError,
     DCSolution,
@@ -602,26 +605,16 @@ def measure(
 
 class ScalarBackend(EvalBackend):
     """Sequential reference backend: one full scalar SPICE run per
-    candidate (per candidate-corner pair on the corner axis)."""
+    candidate-corner pair (an empty corner axis is the nominal ``tt``)."""
 
-    def measure_many(
+    def measure_sweeps(
         self,
         topology: OTATopology,
         widths_list: Sequence[Mapping[str, float]],
-        corners: Sequence[CornerLike] | None = None,
-        analyses: Sequence[str] | None = None,
-    ) -> list:
-        if corners is None:
-            return [
-                self._sweep_one(topology, widths, (NOMINAL_CORNER,), analyses).outcomes[0]
-                for widths in widths_list
-            ]
-        resolved = resolve_corners(corners)
-        if not resolved:
-            # Same contract as the batched path (which inherits the
-            # check from topology.measure_many): an empty corner axis
-            # would yield vacuous all-pass sweeps.
-            raise ValueError("corners must be non-empty (use corners=None for nominal)")
+        corners: Sequence[CornerLike],
+        analyses: Sequence[str],
+    ) -> list[CornerSweep]:
+        resolved = resolve_corners(corners) or (NOMINAL_CORNER,)
         return [self._sweep_one(topology, widths, resolved, analyses) for widths in widths_list]
 
     @staticmethod
@@ -629,7 +622,7 @@ class ScalarBackend(EvalBackend):
         topology: OTATopology,
         widths: Mapping[str, float],
         corners: tuple[Corner, ...],
-        analyses: Sequence[str] | None = None,
+        analyses: Sequence[str],
     ) -> CornerSweep:
         outcomes = []
         for corner in corners:
@@ -640,6 +633,49 @@ class ScalarBackend(EvalBackend):
                 outcome.error = str(error)
             outcomes.append(outcome)
         return CornerSweep(widths=dict(widths), corners=corners, outcomes=tuple(outcomes))
+
+
+# ----------------------------------------------------------------------
+# LUT characterization testbench (Fig. 5)
+# ----------------------------------------------------------------------
+def characterize_device(
+    tech: TechParams,
+    vgs_grid: np.ndarray,
+    vds_grid: np.ndarray,
+    reference_width: float = 700e-9,
+    length: float = 180e-9,
+) -> CharacterizationResult:
+    """:func:`repro.spice.characterize_device` as the literal Fig. 5 flow:
+    every ``(Vgs, Vds)`` grid point biases a one-transistor testbench,
+    solves its DC operating point and reads the device's small-signal
+    parameters per unit width."""
+    vgs_grid = np.asarray(vgs_grid, dtype=float)
+    vds_grid = np.asarray(vds_grid, dtype=float)
+    tables = {
+        name: np.zeros((len(vgs_grid), len(vds_grid)))
+        for name in CharacterizationResult.OUTPUTS
+    }
+    # Polarity mapping: the normalized (vgs, vds) pair maps to source-
+    # referenced circuit voltages of the proper sign for each device type.
+    pol = tech.polarity
+    for i, vgs in enumerate(vgs_grid):
+        for j, vds in enumerate(vds_grid):
+            circuit = Circuit(name=f"char_{tech.name}")
+            circuit.add_vsource("VG", "g", "0", pol * vgs)
+            circuit.add_vsource("VD", "d", "0", pol * vds)
+            circuit.add_mosfet("DUT", "d", "g", "0", tech, reference_width, length)
+            solution = solve_dc(circuit, initial_guess={"g": pol * vgs, "d": pol * vds})
+            small = solution.op("DUT").small_signal
+            for name in CharacterizationResult.OUTPUTS:
+                tables[name][i, j] = getattr(small, name) / reference_width
+    return CharacterizationResult(
+        tech=tech,
+        length=length,
+        reference_width=reference_width,
+        vgs_grid=vgs_grid,
+        vds_grid=vds_grid,
+        tables=tables,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -3,17 +3,19 @@
 The flow tests use an *oracle* model -- a stand-in for the transformer
 that returns the true device parameters of a nearby dataset design -- so
 Stage III (width estimation) and Stage IV (verification + copilot loop)
-are validated independently of training quality.
+are validated independently of training quality.  They size through
+``SizingEngine.size_results``, the library entry point of the flow.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import DesignSpec, SizingFlow, tighten_spec
+from repro.core import DesignSpec, tighten_spec
 from repro.core.bundle import SizingModel
 from repro.datagen import SequenceBuilder, SequenceConfig
 from repro.devices import NMOS_65NM, PMOS_65NM
 from repro.lut import build_lut
+from repro.service import SizingEngine, SizingRequest
 from repro.spice import PerformanceMetrics
 
 
@@ -159,24 +161,36 @@ def luts_module():
     }
 
 
+def _engine(topology, model):
+    engine = SizingEngine(model, cache_size=0)
+    engine.adopt_topology(topology)
+    return engine
+
+
+def _size(engine, spec, **kwargs):
+    """One spec through the engine's library path (full result and trace)."""
+    (result,) = engine.size_results([SizingRequest(topology="5T-OTA", spec=spec, **kwargs)])
+    return result
+
+
 class TestSizingFlowWithOracle:
     def test_exact_oracle_sizes_in_one_simulation(self, five_t_module, oracle_records, luts_module):
         model = _OracleModel(five_t_module, oracle_records, luts_module, noise=0.0)
-        flow = SizingFlow(five_t_module, model)
+        engine = _engine(five_t_module, model)
         record = oracle_records[0]
         # Ask for exactly what a known design achieves (with a hair of slack).
         spec = DesignSpec(record.gain_db * 0.995, record.f3db_hz * 0.98, record.ugf_hz * 0.98)
-        result = flow.size(spec)
+        result = _size(engine, spec)
         assert result.success
         assert result.spice_simulations == 1
         assert result.single_simulation
 
     def test_widths_recovered_close_to_truth(self, five_t_module, oracle_records, luts_module):
         model = _OracleModel(five_t_module, oracle_records, luts_module, noise=0.0)
-        flow = SizingFlow(five_t_module, model)
+        engine = _engine(five_t_module, model)
         record = oracle_records[1]
         parsed, _ = model.predict_params("5T-OTA", DesignSpec(record.gain_db, record.f3db_hz, record.ugf_hz))
-        widths = flow.widths_from_params(parsed.values)
+        widths = engine.widths_from_params(five_t_module, parsed.values)
         for group, width in widths.items():
             assert width == pytest.approx(record.widths[group], rel=0.1)
 
@@ -184,29 +198,29 @@ class TestSizingFlowWithOracle:
         """With parameter noise some first attempts miss; the margin loop
         must close most of them within a few iterations."""
         model = _OracleModel(five_t_module, oracle_records, luts_module, noise=0.05, seed=3)
-        flow = SizingFlow(five_t_module, model)
+        engine = _engine(five_t_module, model)
         successes = 0
         for record in oracle_records[:8]:
             spec = DesignSpec(record.gain_db * 0.98, record.f3db_hz * 0.9, record.ugf_hz * 0.9)
-            result = flow.size(spec, max_iterations=6)
+            result = _size(engine, spec, max_iterations=6)
             successes += int(result.success)
         assert successes >= 6
 
     def test_result_accounting(self, five_t_module, oracle_records, luts_module):
         model = _OracleModel(five_t_module, oracle_records, luts_module)
-        flow = SizingFlow(five_t_module, model)
+        engine = _engine(five_t_module, model)
         record = oracle_records[2]
         spec = DesignSpec(record.gain_db * 0.99, record.f3db_hz * 0.95, record.ugf_hz * 0.95)
-        result = flow.size(spec)
+        result = _size(engine, spec)
         assert result.iterations == len(result.trace)
         assert result.wall_time_s > 0
         assert result.spec == spec
 
     def test_impossible_spec_fails_gracefully(self, five_t_module, oracle_records, luts_module):
         model = _OracleModel(five_t_module, oracle_records, luts_module)
-        flow = SizingFlow(five_t_module, model)
+        engine = _engine(five_t_module, model)
         impossible = DesignSpec(gain_db=90.0, f3db_hz=1e9, ugf_hz=1e11)
-        result = flow.size(impossible, max_iterations=3)
+        result = _size(engine, impossible, max_iterations=3)
         assert not result.success
         assert result.spice_simulations <= 3
         assert result.metrics is not None  # best effort reported

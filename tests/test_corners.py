@@ -43,6 +43,7 @@ from repro.solvers import BatchedBackend, SearchObjective
 from repro.spice import ConvergenceError, PerformanceMetrics, parse_netlist, to_spice
 from repro.spice.plan import _structure_key
 from repro.topologies import (
+    DEFAULT_ANALYSES,
     CornerSweep,
     FiveTransistorOTA,
     MeasureOutcome,
@@ -285,8 +286,9 @@ class TestSupplyUnification:
 class TestCornerBackendParity:
     def test_batched_bit_identical_to_scalar(self, five_t):
         population = make_population(five_t, 4)
-        scalar = ScalarBackend().measure_many(five_t, population, corners=ALL_CORNERS)
-        batched = BatchedBackend().measure_many(five_t, population, corners=ALL_CORNERS)
+        corners = resolve_corners(ALL_CORNERS)
+        scalar = ScalarBackend().measure_sweeps(five_t, population, corners, DEFAULT_ANALYSES)
+        batched = BatchedBackend().measure_sweeps(five_t, population, corners, DEFAULT_ANALYSES)
         assert all(isinstance(sweep, CornerSweep) for sweep in batched)
         for reference, sweep in zip(scalar, batched, strict=True):
             assert_sweeps_identical(reference, sweep)
@@ -305,8 +307,9 @@ class TestCornerBackendParity:
         with pytest.raises(ConvergenceError):
             topology.measure(poisoned, corner="ss")
 
-        scalar = ScalarBackend().measure_many(topology, batch, corners=ALL_CORNERS)
-        batched = BatchedBackend().measure_many(topology, batch, corners=ALL_CORNERS)
+        corners = resolve_corners(ALL_CORNERS)
+        scalar = ScalarBackend().measure_sweeps(topology, batch, corners, DEFAULT_ANALYSES)
+        batched = BatchedBackend().measure_sweeps(topology, batch, corners, DEFAULT_ANALYSES)
         for sweeps in (scalar, batched):
             sweep = sweeps[1]
             assert not sweep.ok and sweep.n_ok == 2
@@ -321,19 +324,27 @@ class TestCornerBackendParity:
     def test_unbuildable_candidate_fails_every_corner(self, five_t):
         bad = dict(GOOD_WIDTHS["5T-OTA"])
         bad.pop("M5")
-        sweeps = BatchedBackend().measure_many(five_t, [bad], corners=ALL_CORNERS)
+        sweeps = BatchedBackend().measure_sweeps(
+            five_t, [bad], resolve_corners(ALL_CORNERS), DEFAULT_ANALYSES
+        )
         assert not sweeps[0].ok and sweeps[0].n_ok == 0
         assert all("M5" in outcome.error for outcome in sweeps[0].outcomes)
 
     def test_backends_agree_on_empty_corner_axis(self, five_t):
-        """Both backends reject corners=() identically (a vacuous sweep
-        would read as all-corners-pass for an unmeasured design)."""
-        for backend in (ScalarBackend(), BatchedBackend()):
-            with pytest.raises(ValueError, match="non-empty"):
-                backend.measure_many(five_t, [GOOD_WIDTHS["5T-OTA"]], corners=())
+        """Both backends read an empty corner axis as nominal, the
+        one-corner ``tt`` sweep -- never as a vacuous all-pass sweep."""
+        sweeps = [
+            backend.measure_sweeps(five_t, [GOOD_WIDTHS["5T-OTA"]], (), DEFAULT_ANALYSES)[0]
+            for backend in (ScalarBackend(), BatchedBackend())
+        ]
+        for sweep in sweeps:
+            assert sweep.corners == (NOMINAL_CORNER,) and sweep.ok
+        assert_sweeps_identical(*sweeps)
 
     def test_backend_measure_single_corner(self, five_t):
-        (sweep,) = BatchedBackend().measure_sweeps(five_t, [GOOD_WIDTHS["5T-OTA"]], ("ff",))
+        (sweep,) = BatchedBackend().measure_sweeps(
+            five_t, [GOOD_WIDTHS["5T-OTA"]], resolve_corners(("ff",)), DEFAULT_ANALYSES
+        )
         outcome = sweep.outcomes[0]
         reference = scalar_reference.measure(five_t, GOOD_WIDTHS["5T-OTA"], corner="ff")
         assert np.array_equal(
@@ -357,8 +368,8 @@ class _ScriptedCornerBackend(BatchedBackend):
     def __init__(self, script):
         self.script = list(script)  # one dict corner-name -> metrics per call
 
-    def measure_many(self, topology, widths_list, corners=None):
-        assert corners is not None
+    def measure_sweeps(self, topology, widths_list, corners, analyses):
+        assert corners
         resolved = resolve_corners(corners)
         sweeps = []
         for widths in widths_list:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import EKVModel, NMOS_65NM, PMOS_65NM
-from repro.lut import DeviceParams, LookupTable, build_lut, estimate_width
+from repro.lut import LUT_OUTPUTS, DeviceParams, LookupTable, build_lut, estimate_width
+
+from tests import scalar_reference
 
 L = 180e-9
 
@@ -78,11 +80,13 @@ class TestLookupTable:
         )
 
     def test_testbench_lut_matches_direct(self):
-        """The literal Fig. 5 flow (MNA testbench sweep) must agree with
-        direct model evaluation."""
-        direct = build_lut(NMOS_65NM, step=0.3, use_testbench=False)
-        bench = build_lut(NMOS_65NM, step=0.3, use_testbench=True)
-        np.testing.assert_allclose(bench.tables["id"], direct.tables["id"], rtol=1e-6, atol=1e-18)
+        """The literal Fig. 5 flow (one MNA testbench solve per grid point,
+        in the scalar reference) gives the LUT's tables bit for bit."""
+        for tech in (NMOS_65NM, PMOS_65NM):
+            lut = build_lut(tech, step=0.3)
+            bench = scalar_reference.characterize_device(tech, lut.vgs_grid, lut.vds_grid)
+            for name in LUT_OUTPUTS:
+                assert np.array_equal(bench.tables[name], lut.tables[name]), (tech.name, name)
 
 
 def params_from_model(tech, vgs, vds, width):

@@ -86,3 +86,22 @@ class TestConstruction:
         assert wider.width == 10e-6
         assert nmos.width == 5e-6
         assert wider.name == nmos.name
+
+    def test_equality_compares_fields_not_model_instances(self, nmos):
+        assert nmos.with_width(nmos.width) == nmos
+        assert nmos.with_width(2 * nmos.width) != nmos
+
+
+@pytest.mark.parametrize("corner", ["tt", "ss"])
+def test_built_circuits_equal_their_copies(corner):
+    """Each MOSFET's EKV model is a per-instance object derived from its
+    tech, so it takes no part in equality: a copied circuit equals its
+    original and a device equals its same-width copy."""
+    from repro.topologies import available_topologies, topology_by_name
+
+    for name in available_topologies():
+        topology = topology_by_name(name)
+        circuit = topology.build_circuit(topology.nominal_widths(), corner=corner)
+        assert circuit.copy() == circuit, name
+        for device in circuit.mosfets:
+            assert device.with_width(device.width) == device, (name, device.name)

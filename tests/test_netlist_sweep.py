@@ -8,6 +8,7 @@ from repro.spice import Circuit, characterize_device, dc_transfer_sweep, icmr_sw
 from repro.spice.netlist import GROUND
 from repro.topologies import topology_by_name
 
+from tests import scalar_reference
 from tests.conftest import GOOD_WIDTHS
 
 
@@ -91,28 +92,27 @@ class TestCircuitContainer:
 
 class TestCharacterization:
     def test_testbench_matches_direct_model(self):
+        """Direct model evaluation equals the per-point testbench solve of
+        the scalar reference bit for bit, for both device types."""
         grid = np.arange(0.0, 1.21, 0.3)
-        via_testbench = characterize_device(
-            NMOS_65NM, vgs_grid=grid, vds_grid=grid, use_testbench=True
-        )
-        direct = characterize_device(
-            NMOS_65NM, vgs_grid=grid, vds_grid=grid, use_testbench=False
-        )
-        for name in via_testbench.OUTPUTS:
-            np.testing.assert_allclose(
-                via_testbench.tables[name], direct.tables[name], rtol=1e-6, atol=1e-18
-            )
+        for tech in (NMOS_65NM, PMOS_65NM):
+            via_testbench = scalar_reference.characterize_device(tech, grid, grid)
+            direct = characterize_device(tech, vgs_grid=grid, vds_grid=grid)
+            for name in direct.OUTPUTS:
+                assert np.array_equal(via_testbench.tables[name], direct.tables[name]), (
+                    tech.name, name,
+                )
 
     def test_pmos_characterization_positive(self):
         grid = np.arange(0.0, 1.21, 0.4)
-        result = characterize_device(PMOS_65NM, vgs_grid=grid, vds_grid=grid, use_testbench=True)
+        result = scalar_reference.characterize_device(PMOS_65NM, grid, grid)
         assert np.all(result.tables["id"] >= -1e-18)
         assert np.all(result.tables["gm"] >= -1e-18)
 
     def test_per_unit_width_normalization(self):
         grid = np.arange(0.0, 1.21, 0.6)
-        narrow = characterize_device(NMOS_65NM, reference_width=700e-9, vgs_grid=grid, vds_grid=grid, use_testbench=False)
-        wide = characterize_device(NMOS_65NM, reference_width=7e-6, vgs_grid=grid, vds_grid=grid, use_testbench=False)
+        narrow = characterize_device(NMOS_65NM, reference_width=700e-9, vgs_grid=grid, vds_grid=grid)
+        wide = characterize_device(NMOS_65NM, reference_width=7e-6, vgs_grid=grid, vds_grid=grid)
         for name in narrow.OUTPUTS:
             np.testing.assert_allclose(narrow.tables[name], wide.tables[name], rtol=1e-10)
 

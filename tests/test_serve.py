@@ -27,7 +27,6 @@ from repro.serve import (
 from repro.serve.protocol import (
     BAD_REQUEST_PREFIX,
     RequestError,
-    error_response,
     invalid_request_response,
     parse_request_payload,
     parse_request_text,
@@ -242,8 +241,10 @@ class TestProtocol:
         assert not restored.success
         assert restored.error == f"{BAD_REQUEST_PREFIX}: missing field"
         assert restored.widths is None and restored.metrics is None
-        stamped = error_response("late", request_id="r9", topology="5T-OTA", method="pso")
+        request = SizingRequest.for_spec("5T-OTA", 25.0, 5e6, 8e7, id="r9", method="pso")
+        stamped = SizingResponse.failure("late", request)
         assert stamped.request_id == "r9" and stamped.method == "pso"
+        assert stamped.topology == "5T-OTA" and not stamped.success
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +351,7 @@ def _achievable(record, **kwargs):
 
 def _stub_responses(requests):
     return [
-        error_response("stub", request_id=r.id, topology=r.topology, method=r.method)
+        SizingResponse.failure("stub", r)
         for r in requests
     ]
 

@@ -2,26 +2,30 @@
 
 The parity tests are the contract of the service redesign: batched
 decoding (per-length sources, per-sequence EOS) must produce *bit-identical*
-decoded texts and widths to the sequential ``SizingFlow.size`` path, and
-the round-batched Stage IV (one ``measure_many`` per topology per round)
+decoded texts and widths to sizing each request alone, and the
+round-batched Stage IV (one ``measure_sweeps`` per topology per round)
 must produce bit-identical traces and accounting to the sequential
 per-candidate verification backend.
 """
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import DesignSpec, PipelineConfig, SizingFlow, train_sizing_model
+from repro.core import DesignSpec, PipelineConfig, train_sizing_model
 from repro.core.bundle import SizingModel
 from repro.datagen import SequenceBuilder, SequenceConfig
 from repro.service import ResultCache, SizingEngine, SizingRequest, SizingResponse
 from repro.service.cache import quantize_spec
-from repro.solvers import BatchedBackend
+from repro.devices import Corner
+from repro.solvers import BatchedBackend, EvalBackend
 from repro.spice import PerformanceMetrics
 from repro.topologies import (
+    DEFAULT_ANALYSES,
+    TRAN_ANALYSES,
     FiveTransistorOTA,
     available_topologies,
     register,
@@ -359,14 +363,8 @@ class TestBatchedDecodeParity:
                         max_iterations=2,
                     )
                 )
-        flows = {
-            name: SizingFlow(topology_by_name(name), tiny_artifacts.model)
-            for name in ("5T-OTA", "CM-OTA")
-        }
-        sequential = [
-            flows[r.topology].size(r.spec, max_iterations=r.max_iterations)
-            for r in requests
-        ]
+        alone = SizingEngine(tiny_artifacts.model, cache_size=0)
+        sequential = [alone.size_results([r])[0] for r in requests]
         engine = SizingEngine(tiny_artifacts.model, cache_size=0)
         responses = engine.size_batch(requests)
         assert [r.request_id for r in responses] == [r.id for r in requests]
@@ -504,7 +502,7 @@ class TestEngineServing:
         response = engine.size(impossible)
         assert not response.success
         assert response.metrics is not None  # best effort reported
-        result = engine.size_result(impossible)
+        (result,) = engine.size_results([impossible])
         shortfalls = [
             sum(impossible.spec.miss_fractions(t.metrics).values())
             for t in result.trace if t.metrics is not None
@@ -513,8 +511,8 @@ class TestEngineServing:
         assert best_reported == min(shortfalls)
 
     def test_zero_iteration_budget_fails_gracefully(self, oracle_setup):
-        """max_iterations=0 returns a failed result without inference
-        (the pre-engine SizingFlow behavior)."""
+        """max_iterations=0 returns a failed result without inference,
+        on the wire and through the library path."""
         engine, model, records = self._engine(oracle_setup, cache_size=0)
         response = engine.size(self._achievable(records[0], max_iterations=0))
         assert not response.success
@@ -522,42 +520,41 @@ class TestEngineServing:
         assert response.spice_simulations == 0
         assert model.single_calls == 0
 
-        topology, _, luts = oracle_setup
-        flow = SizingFlow(topology, model)
-        result = flow.size(DesignSpec(25.0, 3e6, 6e7), max_iterations=0)
+        (result,) = engine.size_results(
+            [SizingRequest.for_spec("5T-OTA", 25.0, 3e6, 6e7, max_iterations=0)]
+        )
         assert not result.success and result.iterations == 0
+        assert model.single_calls == 0 and model.batch_calls == 0
 
     def test_run_sizing_study_uses_batched_inference(self, oracle_setup):
         """Table VIII studies must ride the engine's fused-decode path and
-        stay identical to the sequential facade."""
+        stay identical to sizing each spec alone."""
         from repro.core import run_sizing_study
 
-        topology, records, luts = oracle_setup
-        model = BatchedOracleModel(topology, records, luts)
-        flow = SizingFlow(topology, model)
+        engine, model, records = self._engine(oracle_setup, cache_size=0)
         specs = [
             DesignSpec(r.gain_db * 0.995, r.f3db_hz * 0.98, r.ugf_hz * 0.98)
             for r in records[:4]
         ]
-        study = run_sizing_study(flow, specs)
+        study = run_sizing_study(engine, "5T-OTA", specs)
         assert study.total == len(specs)
+        assert study.topology_name == "5T-OTA"
         assert model.batch_calls >= 1  # fused decode, not a per-spec loop
 
-        reference_flow = SizingFlow(topology, BatchedOracleModel(topology, records, luts))
+        reference_engine, _, _ = self._engine(oracle_setup, cache_size=0)
         for spec, result in zip(specs, study.results, strict=True):
-            reference = reference_flow.size(spec)
+            (reference,) = reference_engine.size_results(
+                [SizingRequest(topology="5T-OTA", spec=spec)]
+            )
             assert reference.widths == result.widths
             assert reference.success == result.success
             assert reference.spice_simulations == result.spice_simulations
             assert reference.iterations == result.iterations
 
     def test_flow_delegates_to_engine(self, oracle_setup):
-        topology, records, luts = oracle_setup
-        model = BatchedOracleModel(topology, records, luts)
-        flow = SizingFlow(topology, model)
-        record = records[0]
-        spec = DesignSpec(record.gain_db * 0.995, record.f3db_hz * 0.98, record.ugf_hz * 0.98)
-        result = flow.size(spec)
+        """One spec through the library path is one engine request."""
+        engine, model, records = self._engine(oracle_setup, cache_size=0)
+        (result,) = engine.size_results([self._achievable(records[0])])
         assert result.success
         assert result.single_simulation
         # One fused one-row decode per round, like any engine request.
@@ -629,8 +626,21 @@ def mixed_oracle_setup():
     return topologies, records_by_name, luts
 
 
+class _RecordingBackend(EvalBackend):
+    """Implements only the backend's one abstract method and records what
+    every call receives: (corner axis, analyses)."""
+
+    def __init__(self):
+        self.inner = BatchedBackend()
+        self.calls: list[tuple] = []
+
+    def measure_sweeps(self, topology, widths_list, corners, analyses):
+        self.calls.append((corners, analyses))
+        return self.inner.measure_sweeps(topology, widths_list, corners, analyses)
+
+
 class TestBatchedStageIVParity:
-    """The tentpole contract: routing Stage IV through ``measure_many``
+    """The tentpole contract: routing Stage IV through ``measure_sweeps``
     changes throughput, never results."""
 
     def _engines(self, oracle_setup, topology=None):
@@ -709,6 +719,50 @@ class TestBatchedStageIVParity:
         # request kept iterating (retry-nudge semantics intact).
         assert batched[1].iterations == 2
         assert batched[1].spice_simulations < batched[1].iterations
+
+    def test_backend_receives_resolved_corners_and_analyses(self, oracle_setup):
+        """Copilot rounds and registry solvers hand the backend each
+        request's resolved corner tuple and analyses tuple as they are."""
+        topology, records, luts = oracle_setup
+        nominal, hardened = (
+            DesignSpec(r.gain_db * 0.995, r.f3db_hz * 0.98, r.ugf_hz * 0.98)
+            for r in records[:2]
+        )
+        requests = [
+            SizingRequest(topology="5T-OTA", spec=nominal, id="nominal", max_iterations=2),
+            SizingRequest(
+                topology="5T-OTA",
+                spec=replace(hardened, settling_time_s=1e-3),
+                id="pvt-tran",
+                max_iterations=2,
+                corners=("tt", "ss", "ff"),
+            ),
+            SizingRequest(topology="5T-OTA", spec=nominal, id="pso", method="pso", budget=24),
+        ]
+
+        def serve(backend):
+            engine = SizingEngine(
+                BatchedOracleModel(topology, records, luts), cache_size=0, backend=backend
+            )
+            engine.adopt_topology(topology)
+            return engine.size_batch(requests)
+
+        recording = _RecordingBackend()
+        recorded = serve(recording)
+        reference = serve(BatchedBackend())
+
+        for corners, analyses in recording.calls:
+            assert type(corners) is tuple and type(analyses) is tuple
+            assert all(isinstance(corner, Corner) for corner in corners)
+        seen = {(tuple(c.name for c in corners), analyses) for corners, analyses in recording.calls}
+        assert seen == {((), DEFAULT_ANALYSES), (("tt", "ss", "ff"), TRAN_ANALYSES)}
+
+        def wire(response):
+            payload = response.to_json()
+            del payload["wall_time_s"]
+            return payload
+
+        assert [wire(r) for r in recorded] == [wire(r) for r in reference]
 
     def test_zero_iteration_budget_skips_the_backend(self, oracle_setup):
         topology, records, luts = oracle_setup

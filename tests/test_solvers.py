@@ -1,7 +1,8 @@
 """Tests of the unified solver API and the batched evaluation backend.
 
 The parity classes are the contract of the API redesign: the bulk
-``measure_many`` path (vectorized AC, amortized DC Newton) must produce
+``measure_many``/``measure_sweeps`` path (vectorized AC, amortized DC
+Newton) must produce
 *bit-identical* measurements to the sequential scalar reference
 (``tests/scalar_reference.py``), with per-candidate failure isolation;
 and every sizing method — copilot and SPICE-in-the-loop baselines (SA /
@@ -17,7 +18,7 @@ from repro.core import DesignSpec
 from repro.core.bundle import SizingModel
 from repro.datagen import SequenceBuilder, SequenceConfig
 from repro.datagen.serialize import ParsedParams
-from repro.devices import NMOS_65NM, PMOS_65NM
+from repro.devices import NMOS_65NM, NOMINAL_CORNER, PMOS_65NM
 from repro.service import SizingEngine, SizingRequest
 from repro.solvers import (
     PENALTY,
@@ -29,7 +30,7 @@ from repro.solvers import (
     SolveResult,
 )
 from repro.spice import ConvergenceError
-from repro.topologies import FiveTransistorOTA
+from repro.topologies import DEFAULT_ANALYSES, CornerSweep, FiveTransistorOTA, MeasureOutcome
 
 from tests import scalar_reference
 from tests.scalar_reference import ScalarBackend
@@ -152,9 +153,11 @@ class TestMeasureManyParity:
 
     def test_backends_agree(self, five_t_module):
         population = make_population(five_t_module, 3, seed=2)
-        scalar = ScalarBackend().measure_many(five_t_module, population)
-        batched = BatchedBackend().measure_many(five_t_module, population)
-        for s, b in zip(scalar, batched, strict=True):
+        scalar = ScalarBackend().measure_sweeps(five_t_module, population, (), DEFAULT_ANALYSES)
+        batched = BatchedBackend().measure_sweeps(five_t_module, population, (), DEFAULT_ANALYSES)
+        for s_sweep, b_sweep in zip(scalar, batched, strict=True):
+            assert s_sweep.corners == b_sweep.corners == (NOMINAL_CORNER,)
+            (s,), (b,) = s_sweep.outcomes, b_sweep.outcomes
             assert s.ok and b.ok
             assert np.array_equal(
                 s.result.metrics.as_array(), b.result.metrics.as_array(), equal_nan=True
@@ -164,16 +167,22 @@ class TestMeasureManyParity:
 # ----------------------------------------------------------------------
 # SearchObjective history bookkeeping
 # ----------------------------------------------------------------------
+def _nominal_sweeps(outcomes):
+    """Wrap nominal outcomes as the one-corner ``tt`` sweeps a backend returns."""
+    return [
+        CornerSweep(widths=outcome.widths, corners=(NOMINAL_CORNER,), outcomes=(outcome,))
+        for outcome in outcomes
+    ]
+
+
 class _FailingBackend(EvalBackend):
     """Every candidate fails to simulate — an all-penalized generation."""
 
-    def measure_many(self, topology, widths_list):
-        from repro.topologies import MeasureOutcome
-
-        return [
+    def measure_sweeps(self, topology, widths_list, corners, analyses):
+        return _nominal_sweeps(
             MeasureOutcome(widths=dict(widths), error="synthetic failure")
             for widths in widths_list
-        ]
+        )
 
 
 class TestSearchObjectiveHistory:
@@ -213,15 +222,14 @@ class TestSearchObjectiveHistory:
         from types import SimpleNamespace
 
         from repro.spice import PerformanceMetrics
-        from repro.topologies import MeasureOutcome
 
         class _TerribleBackend(EvalBackend):
-            def measure_many(self, topology, widths_list):
+            def measure_sweeps(self, topology, widths_list, corners, analyses):
                 metrics = PerformanceMetrics(gain_db=-140.0, f3db_hz=1.0, ugf_hz=1.0)
-                return [
+                return _nominal_sweeps(
                     MeasureOutcome(widths=dict(w), result=SimpleNamespace(metrics=metrics))
                     for w in widths_list
-                ]
+                )
 
         spec = DesignSpec(10.0, 1e6, 1e8)
         objective = SearchObjective(five_t_module, spec, backend=_TerribleBackend())

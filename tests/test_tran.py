@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DesignSpec, tighten_spec
+from repro.devices import resolve_corners
 from repro.service import ResultCache, SizingEngine, SizingRequest, SizingResponse
 from repro.solvers import BatchedBackend, SearchObjective
 from repro.spice import (
@@ -243,9 +244,10 @@ class TestTranMeasureParity:
 
     def test_backends_agree_with_tran(self, five_t):
         population = make_population(five_t, 3, seed=7)
-        scalar = ScalarBackend().measure_many(five_t, population, analyses=TRAN)
-        batched = BatchedBackend().measure_many(five_t, population, analyses=TRAN)
-        for s, b in zip(scalar, batched, strict=True):
+        scalar = ScalarBackend().measure_sweeps(five_t, population, (), TRAN_ANALYSES)
+        batched = BatchedBackend().measure_sweeps(five_t, population, (), TRAN_ANALYSES)
+        for s_sweep, b_sweep in zip(scalar, batched, strict=True):
+            (s,), (b,) = s_sweep.outcomes, b_sweep.outcomes
             assert s.ok and b.ok
             assert_measurements_identical(s.result, b.result)
 
@@ -264,13 +266,9 @@ class TestTranMeasureParity:
 
     def test_corner_sweeps_with_tran_bit_identical(self, five_t):
         population = make_population(five_t, 2, seed=9)
-        corners = ("tt", "ss", "ff")
-        scalar = ScalarBackend().measure_many(
-            five_t, population, corners=corners, analyses=TRAN
-        )
-        batched = BatchedBackend().measure_many(
-            five_t, population, corners=corners, analyses=TRAN
-        )
+        corners = resolve_corners(("tt", "ss", "ff"))
+        scalar = ScalarBackend().measure_sweeps(five_t, population, corners, TRAN_ANALYSES)
+        batched = BatchedBackend().measure_sweeps(five_t, population, corners, TRAN_ANALYSES)
         for reference, sweep in zip(scalar, batched, strict=True):
             assert_sweeps_identical(reference, sweep)
         # The corner skew is physical: SS slews slower than FF.
