@@ -25,8 +25,12 @@ the CI smoke of the round-batched verification path): one multi-request
 copilot round verified through the engine's batched backend (one
 ``measure_sweeps`` per topology per round) vs the sequential per-candidate
 ``ScalarBackend`` of ``tests/scalar_reference.py``, responses pinned
-bit-identical.  It needs no trained model — a
-measured-oracle stand-in drives the round — so it stays minutes-free.
+bit-identical.  A second, tt/ss/ff round with transient targets mixes
+candidates that meet every AC target at every corner with ones that do
+not, so the transient gate runs: the two backends agree bit for bit, and
+on the candidates that all pass AC the gated round equals the ungated one
+bit for bit and is no slower.  It needs no trained model — a
+measured-oracle stand-in drives the rounds — so it stays minutes-free.
 
 ``test_table8_corner_throughput`` benchmarks the corner-aware evaluation
 refactor (also model-free, also a CI smoke): a population evaluated at
@@ -47,6 +51,7 @@ Every sequential side comes from ``tests/scalar_reference.py``, the
 scalar implementation production no longer runs.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -55,7 +60,8 @@ from repro.core import DesignSpec, run_sizing_study
 from repro.devices import resolve_corners
 from repro.service import SizingEngine, SizingRequest
 from repro.solvers import BatchedBackend, EvalBackend, SearchSpace
-from repro.topologies import DEFAULT_ANALYSES
+from repro.spice import PerformanceMetrics
+from repro.topologies import DEFAULT_ANALYSES, TRAN_ANALYSES
 
 from conftest import write_bench_json, write_result
 from tests import scalar_reference
@@ -71,6 +77,15 @@ N_BATCH_PER_TOPOLOGY = 11
 #: serving round; matches bench_table9's population scale).
 N_VERIFY_ROUND = 24
 VERIFY_REPEATS = 3
+
+#: Requests of the tt/ss/ff transient round (half of them miss an AC
+#: target at some corner), and its alternating gated/ungated repeats.
+N_PVT_ROUND = 12
+PVT_REPEATS = 5
+#: How much slower than the ungated round the gated one may measure when
+#: every candidate passes AC: timer noise only, the gate itself costs a
+#: few comparisons per candidate-corner pair.
+GATE_NOISE = 1.25
 
 #: Population and repeats of the corner-throughput comparison.
 N_CORNER_POP = 16
@@ -211,26 +226,36 @@ def test_table8_batched_inference_throughput(artifact, topologies):
 # Stage IV verification throughput (round-batched vs sequential backend)
 # ----------------------------------------------------------------------
 class _TimedBackend(EvalBackend):
-    """Wraps a backend and accounts its bulk-verification wall time."""
+    """Wraps a backend and accounts its bulk-verification wall time.
 
-    def __init__(self, inner):
+    ``gated=False`` drops the specs, so every converged candidate-corner
+    pair runs its transient (Stage IV without the transient gate)."""
+
+    def __init__(self, inner, gated=True):
         self.inner = inner
+        self.gated = gated
         self.seconds = 0.0
         self.calls = 0
         self.candidates = 0
 
-    def measure_sweeps(self, topology, widths_list, corners, analyses):
+    def measure_sweeps(self, topology, widths_list, corners, analyses, specs=None):
         start = time.perf_counter()
-        sweeps = self.inner.measure_sweeps(topology, widths_list, corners, analyses)
+        sweeps = self.inner.measure_sweeps(
+            topology, widths_list, corners, analyses, specs if self.gated else None
+        )
         self.seconds += time.perf_counter() - start
         self.calls += 1
         self.candidates += len(widths_list)
         return sweeps
 
 
-def _measured_oracle(topology, count, rng):
+def _measured_oracle(topology, count, rng, spec_of=None):
     """A model-free 'perfect transformer' stand-in: per-spec device
-    parameters measured from real random designs of the topology."""
+    parameters measured from real random designs of the topology.
+
+    ``spec_of(widths, metrics)`` derives a design's spec from its widths
+    and nominal metrics (``None`` skips the design); the default derates
+    the nominal metrics by 5%."""
     from repro.core.bundle import SizingModel
     from repro.datagen import SequenceBuilder, SequenceConfig
     from repro.datagen.serialize import ParsedParams
@@ -249,7 +274,12 @@ def _measured_oracle(topology, count, rng):
         metrics = measurement.metrics
         if not metrics.is_valid():
             continue
-        spec = DesignSpec.from_metrics(metrics, slack=0.05)
+        if spec_of is None:
+            spec = DesignSpec.from_metrics(metrics, slack=0.05)
+        else:
+            spec = spec_of(widths, metrics)
+            if spec is None:
+                continue
         params_by_spec[spec] = {
             group.name: dict(measurement.device_params[group.name])
             for group in topology.groups
@@ -279,6 +309,48 @@ def _measured_oracle(topology, count, rng):
     return _Oracle(), list(params_by_spec)
 
 
+def _pvt_tran_spec_of(topology):
+    """``spec_of`` for the tt/ss/ff transient round: alternately a spec
+    every corner meets (each metric at its worst corner, derated 5%) and
+    the design's nominal metrics, which SS cannot reach -- both with
+    transient targets."""
+    corners = resolve_corners(CORNER_AXIS)
+    meets_every_corner = itertools.cycle((True, False))
+
+    def spec_of(widths, metrics):
+        (sweep,) = topology.measure_many([widths], corners=corners, analyses=TRAN_ANALYSES)
+        if not sweep.ok:
+            return None
+        by_corner = sweep.metrics_by_corner()
+        if not next(meets_every_corner):
+            return DesignSpec.from_metrics(by_corner["tt"])
+        worst = PerformanceMetrics(
+            *(min(getattr(m, name) for m in by_corner.values())
+              for name in ("gain_db", "f3db_hz", "ugf_hz")),
+            slew_v_per_s=min(m.slew_v_per_s for m in by_corner.values()),
+            settling_time_s=max(m.settling_time_s for m in by_corner.values()),
+        )
+        return DesignSpec.from_metrics(worst, slack=0.05)
+
+    return spec_of
+
+
+def _serve_round(model, topology, requests, inner_backend, gated=True):
+    """One engine round over ``requests``; returns the responses, the timed
+    backend and the engine."""
+    backend = _TimedBackend(inner_backend, gated=gated)
+    engine = SizingEngine(model, cache_size=0, backend=backend)
+    engine.adopt_topology(topology)
+    return engine.size_batch(requests), backend, engine
+
+
+def _wire(response) -> dict:
+    """A response's wire payload without its wall time."""
+    payload = response.to_json()
+    del payload["wall_time_s"]
+    return payload
+
+
 def _oracle_luts():
     from repro.devices import NMOS_65NM, PMOS_65NM
     from repro.lut import build_lut
@@ -303,10 +375,8 @@ def test_table8_verification_throughput(topologies):
     ]
 
     def run(inner_backend):
-        backend = _TimedBackend(inner_backend)
-        engine = SizingEngine(model, cache_size=0, backend=backend)
-        engine.adopt_topology(topology)
-        return engine.size_batch(requests), backend
+        responses, backend, _ = _serve_round(model, topology, requests, inner_backend)
+        return responses, backend
 
     # Warm both paths (imports, first-touch allocations).
     run(ScalarBackend())
@@ -339,6 +409,7 @@ def test_table8_verification_throughput(topologies):
 
     verified = batched_backend.candidates
     speedup = scalar_s / batched_s
+    pvt = _pvt_tran_round(topology)
     lines = [
         "Table VIII addendum -- Stage IV verification throughput (round-batched)",
         "",
@@ -350,6 +421,16 @@ def test_table8_verification_throughput(topologies):
         f"({verified / batched_s:7.1f} verifications/s)",
         f"verification-stage speedup: {speedup:.1f}x",
         "responses: bit-identical to the sequential backend",
+        "",
+        f"tt/ss/ff transient round: {pvt['requests']} requests, "
+        f"{pvt['tran_skipped']} of {pvt['requests'] * len(CORNER_AXIS)} "
+        f"candidate-corner transients skipped by the AC gate, best of {PVT_REPEATS} runs",
+        f"ungated Stage IV: {pvt['ungated_s']:8.3f} s, gated: {pvt['gated_s']:8.3f} s "
+        f"({pvt['gated_speedup']:.2f}x)",
+        f"the {pvt['all_pass_requests']} requests whose candidates pass AC: "
+        f"ungated {pvt['all_pass_ungated_s']:8.3f} s, gated {pvt['all_pass_gated_s']:8.3f} s",
+        "responses: bit-identical to the sequential backend, and gated to "
+        "ungated when every candidate passes AC",
     ]
     write_result("table8_verification_throughput", lines)
     write_bench_json(
@@ -360,10 +441,74 @@ def test_table8_verification_throughput(topologies):
             "sequential_s": round(scalar_s, 4),
             "batched_s": round(batched_s, 4),
             "speedup": round(speedup, 2),
+            "pvt_tran_round": pvt,
         },
     )
 
     assert speedup >= 2.0
+
+
+def _pvt_tran_round(topology) -> dict:
+    """The tt/ss/ff transient round of the verification smoke.
+
+    Asserts that the scalar and batched backends apply the transient gate
+    bit-identically on a round mixing AC-passing and AC-failing
+    candidates, and that on the requests whose candidates all pass AC the
+    gated round equals the ungated one bit for bit and is no slower than
+    :data:`GATE_NOISE` allows.  Returns the round's perf snapshot.
+    """
+    model, specs = _measured_oracle(
+        topology, N_PVT_ROUND, np.random.default_rng(19), spec_of=_pvt_tran_spec_of(topology)
+    )
+    requests = [
+        SizingRequest(
+            topology=topology.name, spec=spec, id=f"pvt-{i}", max_iterations=1,
+            corners=CORNER_AXIS,
+        )
+        for i, spec in enumerate(specs)
+    ]
+
+    def timed(round_requests):
+        """Best gated and ungated Stage IV times over repeats that alternate
+        which side runs first, plus each side's last responses and engine."""
+        best = {True: float("inf"), False: float("inf")}
+        responses = {}
+        for repeat in range(PVT_REPEATS):
+            for gated in (True, False) if repeat % 2 == 0 else (False, True):
+                got, backend, engine = _serve_round(
+                    model, topology, round_requests, BatchedBackend(), gated
+                )
+                best[gated] = min(best[gated], backend.seconds)
+                responses[gated] = (got, engine)
+        return best, responses
+
+    scalar, _, _ = _serve_round(model, topology, requests, ScalarBackend())
+    mixed_s, mixed = timed(requests)
+    gated, engine = mixed[True]
+    assert [_wire(r) for r in scalar] == [_wire(r) for r in gated]
+    skipped = engine.stats.tran_skipped
+    assert 0 < skipped < len(requests) * len(CORNER_AXIS)
+    assert not any(r.metrics.has_tran for r in gated if not r.success)
+
+    # The requests whose candidates met every AC target at every corner.
+    passing = [q for q, r in zip(requests, gated, strict=True) if r.metrics.has_tran]
+    assert len(passing) >= 2
+    pass_s, pass_rounds = timed(passing)
+    (gated_pass, gated_engine), (ungated_pass, _) = pass_rounds[True], pass_rounds[False]
+    assert gated_engine.stats.tran_skipped == 0
+    assert [_wire(r) for r in gated_pass] == [_wire(r) for r in ungated_pass]
+    assert pass_s[True] <= pass_s[False] * GATE_NOISE
+
+    return {
+        "requests": len(requests),
+        "tran_skipped": skipped,
+        "ungated_s": round(mixed_s[False], 4),
+        "gated_s": round(mixed_s[True], 4),
+        "gated_speedup": round(mixed_s[False] / mixed_s[True], 2),
+        "all_pass_requests": len(passing),
+        "all_pass_ungated_s": round(pass_s[False], 4),
+        "all_pass_gated_s": round(pass_s[True], 4),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -64,6 +64,20 @@ class DesignSpec:
         }
 
     # ------------------------------------------------------------------
+    def ac_satisfied(self, metrics: PerformanceMetrics, rel_tol: float = 0.0) -> bool:
+        """True when the AC triple is resolvable and meets its targets.
+
+        The AC half of :meth:`satisfied`, and the gate Stage IV puts in
+        front of the transient: a design failing it fails the spec
+        whatever its step response, so its transient is never run.
+        """
+        return (
+            metrics.is_valid()
+            and metrics.gain_db >= self.gain_db * (1.0 - rel_tol)
+            and metrics.f3db_hz >= self.f3db_hz * (1.0 - rel_tol)
+            and metrics.ugf_hz >= self.ugf_hz * (1.0 - rel_tol)
+        )
+
     def satisfied(self, metrics: PerformanceMetrics, rel_tol: float = 0.0) -> bool:
         """True when every measured metric meets its target.
 
@@ -73,13 +87,7 @@ class DesignSpec:
         set; a set target whose metric was never measured (``None``) or is
         non-finite fails.
         """
-        if not metrics.is_valid():
-            return False
-        if not (
-            metrics.gain_db >= self.gain_db * (1.0 - rel_tol)
-            and metrics.f3db_hz >= self.f3db_hz * (1.0 - rel_tol)
-            and metrics.ugf_hz >= self.ugf_hz * (1.0 - rel_tol)
-        ):
+        if not self.ac_satisfied(metrics, rel_tol):
             return False
         for name, direction in _TRAN_FIELDS.items():
             target = getattr(self, name)

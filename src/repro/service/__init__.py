@@ -22,7 +22,8 @@ the unified solver API and returns the same response schema, so the
 copilot and the SPICE-in-the-loop baselines are served by one endpoint.
 A request resolves its corner axis and analyses once, at construction;
 the copilot rounds and the solvers hand both to
-:meth:`~repro.solvers.EvalBackend.measure_sweeps` unchanged.
+:meth:`~repro.solvers.EvalBackend.measure_sweeps` unchanged, with the
+spec each candidate is judged against (it gates the transient).
 """
 
 from .cache import ResultCache, SharedResultCache

@@ -364,6 +364,7 @@ def _run_size(args: argparse.Namespace) -> int:
             f"inference_sequences={stats.inference_sequences} "
             f"inference_seconds={stats.inference_seconds:.2f} "
             f"spice_simulations={stats.spice_simulations} "
+            f"tran_skipped={stats.tran_skipped} "
             f"solver_requests={stats.solver_requests}",
             file=sys.stderr,
         )

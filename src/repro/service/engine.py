@@ -18,7 +18,9 @@ per-candidate ``ConvergenceError`` isolation — stay identical to serving
 each request alone (the parity tests pin bit-identical decoded texts,
 widths and traces).  Each request's corner axis and analyses are
 resolved once, in :class:`SizingRequest`, and reach the backend as they
-are.
+are, together with the spec each candidate is judged against: a
+candidate that misses an AC target at some corner has already failed,
+so its transient is not run (``EngineStats.tran_skipped`` counts them).
 
 A bounded LRU cache keyed by (topology, quantized spec) absorbs repeated
 and near-duplicate requests without touching the transformer at all.
@@ -116,6 +118,10 @@ class EngineStats:
     inference_sequences: int = 0
     inference_seconds: float = 0.0
     spice_simulations: int = 0
+    #: Candidate-corner transients Stage IV skipped because the candidate
+    #: already missed an AC target at some corner (see
+    #: :meth:`~repro.solvers.EvalBackend.measure_sweeps`).
+    tran_skipped: int = 0
     solver_requests: int = 0
 
     def __post_init__(self) -> None:
@@ -143,7 +149,7 @@ class _ActiveRequest:
     """Mutable per-request state while its copilot loop is in flight."""
 
     __slots__ = (
-        "request", "topology", "original", "current", "trace", "decoded_texts",
+        "request", "topology", "original", "derated", "current", "trace", "decoded_texts",
         "spice_count", "iteration", "best", "best_shortfall", "start", "result",
         "best_corner_metrics", "best_worst_corner",
     )
@@ -152,6 +158,9 @@ class _ActiveRequest:
         self.request = request
         self.topology = topology
         self.original = request.spec
+        #: The spec Stage IV's verdict applies (``original`` within
+        #: ``rel_tol``), handed to the backend as the transient gate.
+        self.derated = _derated_spec(request.spec, request.rel_tol)
         self.current = request.spec
         self.trace: list[IterationTrace] = []
         self.decoded_texts: list[str] = []
@@ -286,7 +295,8 @@ class SizingEngine:
             # per (topology, corner axis, analyses pipeline) instead of one
             # simulation per request -- corner requests stack
             # population x corners into the same batched solves, and
-            # transient requests batch their step-response integrations.
+            # transient requests batch the step-response integrations of
+            # the candidates that meet every AC target at every corner.
             verifiable: dict[tuple, list[tuple[_ActiveRequest, dict[str, float]]]] = {}
             for name, group in by_topology.items():
                 for state, (parsed, text) in zip(group, outputs[name], strict=True):
@@ -297,7 +307,19 @@ class SizingEngine:
             for (name, corners, analyses), pairs in verifiable.items():
                 topology = pairs[0][0].topology
                 widths_list = [widths for _, widths in pairs]
-                sweeps = self.backend.measure_sweeps(topology, widths_list, corners, analyses)
+                specs = [state.derated for state, _ in pairs]
+                sweeps = self.backend.measure_sweeps(
+                    topology, widths_list, corners, analyses, specs
+                )
+                if "tran" in analyses:
+                    # A converged pair without transient metrics is one the
+                    # gate skipped.
+                    self.stats.add(tran_skipped=sum(
+                        1
+                        for sweep in sweeps
+                        for outcome in sweep.outcomes
+                        if outcome.ok and not outcome.result.metrics.has_tran
+                    ))
                 for (state, widths), sweep in zip(pairs, sweeps, strict=True):
                     self._stage_iv(state, widths, sweep)
             active = [s for s in active if s.result is None]
@@ -338,6 +360,12 @@ class SizingEngine:
         binding worst corner (largest total shortfall), so retries tighten
         toward the hardest operating condition.  A nominal request is the
         one-corner ``tt`` sweep and reports no per-corner fields.
+
+        A candidate that missed an AC target at some corner ran no
+        transient: its transient metrics are ``None``, each of its
+        transient targets counts the full 1.0 shortfall of an unmeasured
+        metric, and so both the binding corner and the best iterate rank
+        it by its AC shortfall.
         """
         requested = s.current
         text = s.decoded_texts[-1]

@@ -261,6 +261,11 @@ class SizingResponse:
     measurement, ``corner_metrics`` maps corner names to per-corner
     metrics and ``worst_corner`` names the binding corner (``None`` on
     nominal requests and when no design was measured).
+
+    Transient metrics appear only for a design that met every AC target
+    at every corner: Stage IV runs no transient for any other, so a failed
+    response whose best iterate missed an AC target carries AC metrics
+    only.
     """
 
     request_id: str

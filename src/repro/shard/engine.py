@@ -382,14 +382,11 @@ class ShardedEngine:
     @property
     def stats(self) -> EngineStats:
         """Pool-wide :class:`EngineStats`: retired + live worker counters."""
-        totals: dict[str, float] = {field.name: 0 for field in fields(EngineStats)}
-        for handle in self._handles:
-            for name in totals:
-                totals[name] += handle.stat(name)
-        for name in ("requests", "cache_hits", "coalesced", "batches",
-                     "inference_calls", "inference_sequences",
-                     "spice_simulations", "solver_requests"):
-            totals[name] = int(totals[name])
+        totals: dict[str, float] = {}
+        for field in fields(EngineStats):
+            total = sum(handle.stat(field.name) for handle in self._handles)
+            # Counters stay ints; only the timers are floats.
+            totals[field.name] = type(field.default)(total)
         return EngineStats(**totals)
 
     def health(self) -> dict[str, Any]:

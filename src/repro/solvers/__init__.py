@@ -13,7 +13,8 @@ CLI (``python -m repro size --method pso``).
 
 Underneath, population-based solvers submit whole generations to an
 :class:`EvalBackend`, whose one method ``measure_sweeps`` takes the
-resolved corner axis and analyses; the default :class:`BatchedBackend`
+resolved corner axis and analyses, and the spec that gates each
+candidate's transient; the default :class:`BatchedBackend`
 vectorizes the per-candidate small-signal AC solves (one stacked complex
 MNA solve over population x frequency grid) and amortizes the DC Newton
 assembly across candidates, with per-candidate failure isolation --

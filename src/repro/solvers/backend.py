@@ -9,7 +9,9 @@ resolved analyses tuple (:data:`~repro.topologies.DEFAULT_ANALYSES` or
 :data:`~repro.topologies.TRAN_ANALYSES`), and returns one
 :class:`~repro.topologies.CornerSweep` per width vector with
 per-(candidate, corner) failure isolation.  Solvers and Stage IV judge
-every request through these sweeps.
+every request through these sweeps, and pass the specs they judge
+against so that the transient leg runs only for candidates whose AC
+metrics already meet them.
 
 :class:`BatchedBackend`, the one production backend, routes whole
 populations through ``topology.measure_many``: the DC Newton solves
@@ -28,6 +30,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 
+from ..core.specs import DesignSpec
 from ..devices import NOMINAL_CORNER, Corner
 from ..topologies import CornerSweep, OTATopology
 
@@ -44,12 +47,22 @@ class EvalBackend(ABC):
         widths_list: Sequence[Mapping[str, float]],
         corners: tuple[Corner, ...],
         analyses: tuple[str, ...],
+        specs: Sequence[DesignSpec] | None = None,
     ) -> list[CornerSweep]:
         """Measure every candidate at every corner; one sweep per width vector.
 
         ``corners`` is a resolved corner tuple; empty means nominal, the
         one-corner ``tt`` sweep.  ``analyses`` is a resolved pipeline
         (see :func:`repro.topologies.resolve_analyses`).
+
+        ``specs``, aligned with ``widths_list``, is the spec each
+        candidate is judged against, already derated by its tolerance.
+        It gates the transient leg: only a candidate that converged at
+        every corner and meets its spec's AC targets at every corner
+        (:meth:`~repro.core.DesignSpec.ac_satisfied`) gets a transient.
+        Any other candidate fails its spec whatever its step response; it
+        keeps its AC metrics bit for bit and reports ``None`` transient
+        fields.  ``None`` runs the transient for every converged pair.
         """
 
 
@@ -62,7 +75,11 @@ class BatchedBackend(EvalBackend):
         widths_list: Sequence[Mapping[str, float]],
         corners: tuple[Corner, ...],
         analyses: tuple[str, ...],
+        specs: Sequence[DesignSpec] | None = None,
     ) -> list[CornerSweep]:
         return topology.measure_many(
-            list(widths_list), corners=corners or (NOMINAL_CORNER,), analyses=analyses
+            list(widths_list),
+            corners=corners or (NOMINAL_CORNER,),
+            analyses=analyses,
+            specs=specs,
         )

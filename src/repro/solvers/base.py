@@ -127,6 +127,11 @@ class SearchObjective:
     corner that fails to simulate scores the full penalty), so the
     objective reaches 0 only when every corner meets the specification.
     Every corner evaluation counts as one SPICE call.
+
+    ``spec`` is also the transient gate handed to the backend: a candidate
+    that misses an AC target at some corner runs no transient, and each
+    of the spec's transient targets scores it the full 1.0 that
+    ``DesignSpec.miss_fractions`` gives an unmeasured metric.
     """
 
     def __init__(
@@ -164,7 +169,8 @@ class SearchObjective:
         """Evaluate a population of normalized points; lower is better."""
         widths_list = [self.space.decode(point) for point in points]
         sweeps = self.backend.measure_sweeps(
-            self.topology, widths_list, self.corners, self.analyses
+            self.topology, widths_list, self.corners, self.analyses,
+            [self.spec] * len(widths_list),
         )
         return np.array(
             [self._record_sweep(w, s) for w, s in zip(widths_list, sweeps, strict=True)],

@@ -17,6 +17,7 @@ widths, and the representative device of each group names the group.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
@@ -129,9 +130,10 @@ class MeasurementResult:
     """Everything one 'SPICE run' of a sized design yields.
 
     ``tran`` holds the step-response waveforms when the transient
-    analysis was part of the run (``analyses`` included ``"tran"``); its
-    metrics are merged into :attr:`metrics` as the optional transient
-    fields.
+    analysis was part of the run (``analyses`` included ``"tran"`` and
+    the candidate passed the transient gate of
+    :meth:`OTATopology.measure_many`); its metrics are merged into
+    :attr:`metrics` as the optional transient fields.
     """
 
     circuit: Circuit
@@ -470,9 +472,9 @@ class OTATopology(ABC):
         resolved_analyses = resolve_analyses(analyses)
         circuit = self.build_circuit(widths, vcm=vcm, corner=corner)
         dc = solve_dc(circuit, initial_guess=self.initial_guess_for(corner))
-        ac = run_ac(dc, frequencies=frequencies)
+        metrics = extract_metrics(run_ac(dc, frequencies=frequencies), self.output_node)
         tran = run_tran(dc, **self._tran_testbench()) if "tran" in resolved_analyses else None
-        return self._package_measurement(circuit, dc, ac, tran=tran)
+        return self._package_measurement(circuit, dc, metrics, tran=tran)
 
     def _tran_testbench(self) -> dict:
         """The step-response testbench as ``run_tran(_many)`` keywords."""
@@ -484,10 +486,15 @@ class OTATopology(ABC):
         }
 
     def _package_measurement(
-        self, circuit: Circuit, dc: DCSolution, ac, tran: TranResult | None = None
+        self,
+        circuit: Circuit,
+        dc: DCSolution,
+        metrics: PerformanceMetrics,
+        tran: TranResult | None = None,
     ) -> MeasurementResult:
-        """Metrics + per-device small-signal bundle of one solved design."""
-        metrics = extract_metrics(ac, self.output_node)
+        """Metrics + per-device small-signal bundle of one solved design:
+        its AC ``metrics``, with the transient ones merged in when ``tran``
+        ran."""
         if tran is not None:
             metrics = extract_tran_metrics(
                 tran, self.output_node, base=metrics, settle_tol=self.tran_settle_tol
@@ -513,6 +520,7 @@ class OTATopology(ABC):
         frequencies: np.ndarray | None = None,
         corners: Sequence[CornerLike] | None = None,
         analyses: Sequence[str] | None = None,
+        specs: Sequence | None = None,
     ) -> list:
         """Measure a whole population of width vectors in one bulk pass.
 
@@ -540,26 +548,64 @@ class OTATopology(ABC):
         or whose transient integration diverges yields an outcome with
         ``ok=False`` instead of raising, so one bad design never aborts a
         population evaluation.
+
+        ``specs`` gates the transient leg.  The default ``None`` runs it
+        for every converged candidate-corner pair.  A sequence aligned
+        with ``widths_list`` gives the spec each candidate is judged
+        against, already derated by its tolerance; the transient then
+        runs only for candidates that converged at every corner and meet
+        their spec's AC targets (``DesignSpec.ac_satisfied``) at every
+        corner.  Any other candidate fails its spec whatever its step
+        response: it keeps its AC metrics bit for bit and reports its
+        transient fields as ``None`` (``result.tran`` is ``None``).
         """
         resolved_analyses = resolve_analyses(analyses)
         if corners is None:
             sweeps = self._measure_corner_sweeps(
-                widths_list, (NOMINAL_CORNER,), vcm, frequencies, resolved_analyses
+                widths_list, (NOMINAL_CORNER,), vcm, frequencies, resolved_analyses, specs
             )
             return [sweep.outcomes[0] for sweep in sweeps]
         resolved_corners = resolve_corners(corners)
         if not resolved_corners:
             raise ValueError("corners must be non-empty (use corners=None for nominal)")
         return self._measure_corner_sweeps(
-            widths_list, resolved_corners, vcm, frequencies, resolved_analyses
+            widths_list, resolved_corners, vcm, frequencies, resolved_analyses, specs
         )
 
-    def _tran_slots(self, solutions: list, analyses: tuple[str, ...]) -> list:
-        """Per-candidate transient slots: ``TranResult``/error entries when
-        the transient analysis is selected, ``None`` placeholders else."""
+    def _tran_slots(
+        self,
+        solved: list,
+        ac_metrics: list[PerformanceMetrics],
+        n_corners: int,
+        analyses: tuple[str, ...],
+        specs: Sequence | None,
+    ) -> list:
+        """Transient slots of the ``solved`` (candidate, corner, circuit,
+        DC) entries: ``TranResult``/error entries for the pairs the gate
+        passes, ``None`` for the others and for every pair when
+        ``analyses`` has no ``"tran"``.
+
+        Ungated (``specs=None``) every pair passes.  Gated, a candidate
+        passes when each of its ``n_corners`` corners converged and meets
+        its spec's AC targets (a (candidate, corner) pair appears at most
+        once in ``solved``).
+        """
+        trans: list = [None] * len(solved)
         if "tran" not in analyses:
-            return [None] * len(solutions)
-        return run_tran_many(solutions, **self._tran_testbench())
+            return trans
+        slots = list(range(len(solved)))
+        if specs is not None:
+            passed = Counter(
+                i
+                for (i, _, _, _), metrics in zip(solved, ac_metrics, strict=True)
+                if specs[i].ac_satisfied(metrics)
+            )
+            slots = [k for k in slots if passed[solved[k][0]] == n_corners]
+        if slots:
+            results = run_tran_many([solved[k][3] for k in slots], **self._tran_testbench())
+            for k, tran in zip(slots, results, strict=True):
+                trans[k] = tran
+        return trans
 
     def _measure_corner_sweeps(
         self,
@@ -568,17 +614,18 @@ class OTATopology(ABC):
         vcm: float | None,
         frequencies: np.ndarray | None,
         analyses: tuple[str, ...] = DEFAULT_ANALYSES,
+        specs: Sequence | None = None,
     ) -> list[CornerSweep]:
         """Bulk-evaluate population x corners; see :meth:`measure_many`.
 
         All candidate-corner pairs are built up front and handed to *one*
-        ``solve_dc_many`` / ``run_ac_many`` (/ ``run_tran_many``) pass:
-        the DC structure key is corner-agnostic, so the whole block
-        factorizes together instead of once per corner (``bench_table8``'s
-        corner-throughput mode pins the resulting >=2x over per-corner
-        sequential evaluation); the transient batch groups the same way,
-        with each candidate's corner-skewed device parameters in its
-        stamp plan.
+        ``solve_dc_many`` / ``run_ac_many`` pass: the DC structure key is
+        corner-agnostic, so the whole block factorizes together instead
+        of once per corner (``bench_table8``'s corner-throughput mode pins
+        the resulting >=2x over per-corner sequential evaluation).  The
+        pairs the transient gate passes then share one ``run_tran_many``
+        pass, grouped the same way, with each candidate's corner-skewed
+        device parameters in its stamp plan.
         """
         rows = [[MeasureOutcome(widths=dict(widths)) for _ in corners] for widths in widths_list]
         corner_guesses = [self.initial_guess_for(corner) for corner in corners]
@@ -605,12 +652,13 @@ class OTATopology(ABC):
                 solved.append((i, j, circuit, solution))
 
         ac_results = run_ac_many([dc for _, _, _, dc in solved], frequencies=frequencies)
-        trans = self._tran_slots([dc for _, _, _, dc in solved], analyses)
-        for (i, j, circuit, dc), ac, tran in zip(solved, ac_results, trans, strict=True):
+        ac_metrics = [extract_metrics(ac, self.output_node) for ac in ac_results]
+        trans = self._tran_slots(solved, ac_metrics, len(corners), analyses, specs)
+        for (i, j, circuit, dc), metrics, tran in zip(solved, ac_metrics, trans, strict=True):
             if isinstance(tran, ConvergenceError):
                 rows[i][j].error = str(tran)
             else:
-                rows[i][j].result = self._package_measurement(circuit, dc, ac, tran=tran)
+                rows[i][j].result = self._package_measurement(circuit, dc, metrics, tran=tran)
         return [
             CornerSweep(widths=dict(widths), corners=corners, outcomes=tuple(row))
             for widths, row in zip(widths_list, rows, strict=True)

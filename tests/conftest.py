@@ -127,8 +127,16 @@ class CountingBackend(BatchedBackend):
     def __init__(self):
         self.calls: list[tuple[str, int]] = []
 
-    def measure_sweeps(self, topology, widths_list, corners, analyses):
+    def measure_sweeps(self, topology, widths_list, corners, analyses, specs=None):
         self.calls.append((topology.name, len(widths_list)))
+        return super().measure_sweeps(topology, widths_list, corners, analyses, specs)
+
+
+class UngatedBackend(BatchedBackend):
+    """Stage IV without the transient gate: drops the specs, so every
+    converged candidate-corner pair runs its transient."""
+
+    def measure_sweeps(self, topology, widths_list, corners, analyses, specs=None):
         return super().measure_sweeps(topology, widths_list, corners, analyses)
 
 

@@ -47,6 +47,7 @@ from repro.spice import (
     DCSolution,
     TranResult,
     default_frequency_grid,
+    extract_metrics,
     linsolve,
 )
 from repro.spice.dc import GMIN, MAX_STEP
@@ -596,16 +597,20 @@ def measure(
     """:meth:`OTATopology.measure` on the scalar kernels above."""
     circuit = topology.build_circuit(widths, vcm=vcm, corner=corner)
     dc = solve_dc(circuit, initial_guess=topology.initial_guess_for(corner))
-    ac = run_ac(dc, frequencies=frequencies)
+    metrics = extract_metrics(run_ac(dc, frequencies=frequencies), topology.output_node)
     tran = None
     if "tran" in resolve_analyses(analyses):
         tran = run_tran(dc, **topology._tran_testbench())
-    return topology._package_measurement(circuit, dc, ac, tran=tran)
+    return topology._package_measurement(circuit, dc, metrics, tran=tran)
 
 
 class ScalarBackend(EvalBackend):
     """Sequential reference backend: one full scalar SPICE run per
-    candidate-corner pair (an empty corner axis is the nominal ``tt``)."""
+    candidate-corner pair (an empty corner axis is the nominal ``tt``).
+
+    The transient gate is the batched path's: with ``specs`` given, a
+    candidate's transients run only once every corner has converged and
+    met its spec's AC targets (``DesignSpec.ac_satisfied``)."""
 
     def measure_sweeps(
         self,
@@ -613,9 +618,15 @@ class ScalarBackend(EvalBackend):
         widths_list: Sequence[Mapping[str, float]],
         corners: Sequence[CornerLike],
         analyses: Sequence[str],
+        specs: Sequence | None = None,
     ) -> list[CornerSweep]:
         resolved = resolve_corners(corners) or (NOMINAL_CORNER,)
-        return [self._sweep_one(topology, widths, resolved, analyses) for widths in widths_list]
+        if specs is None:
+            specs = [None] * len(widths_list)
+        return [
+            self._sweep_one(topology, widths, resolved, analyses, spec)
+            for widths, spec in zip(widths_list, specs, strict=True)
+        ]
 
     @staticmethod
     def _sweep_one(
@@ -623,15 +634,32 @@ class ScalarBackend(EvalBackend):
         widths: Mapping[str, float],
         corners: tuple[Corner, ...],
         analyses: Sequence[str],
+        spec,
     ) -> CornerSweep:
         outcomes = []
         for corner in corners:
             outcome = MeasureOutcome(widths=dict(widths))
             try:
-                outcome.result = measure(topology, widths, corner=corner, analyses=analyses)
+                outcome.result = measure(topology, widths, corner=corner)
             except (ConvergenceError, KeyError, ValueError) as error:
                 outcome.error = str(error)
             outcomes.append(outcome)
+        gate_passed = spec is None or all(
+            outcome.ok and spec.ac_satisfied(outcome.result.metrics) for outcome in outcomes
+        )
+        if "tran" in resolve_analyses(analyses) and gate_passed:
+            for outcome in outcomes:
+                if not outcome.ok:
+                    continue
+                result = outcome.result
+                try:
+                    tran = run_tran(result.dc, **topology._tran_testbench())
+                except ConvergenceError as error:
+                    outcome.result, outcome.error = None, str(error)
+                    continue
+                outcome.result = topology._package_measurement(
+                    result.circuit, result.dc, result.metrics, tran=tran
+                )
         return CornerSweep(widths=dict(widths), corners=corners, outcomes=tuple(outcomes))
 
 

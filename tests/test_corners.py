@@ -368,7 +368,7 @@ class _ScriptedCornerBackend(BatchedBackend):
     def __init__(self, script):
         self.script = list(script)  # one dict corner-name -> metrics per call
 
-    def measure_sweeps(self, topology, widths_list, corners, analyses):
+    def measure_sweeps(self, topology, widths_list, corners, analyses, specs=None):
         assert corners
         resolved = resolve_corners(corners)
         sweeps = []

@@ -628,15 +628,15 @@ def mixed_oracle_setup():
 
 class _RecordingBackend(EvalBackend):
     """Implements only the backend's one abstract method and records what
-    every call receives: (corner axis, analyses)."""
+    every call receives: (corner axis, analyses, specs)."""
 
     def __init__(self):
         self.inner = BatchedBackend()
         self.calls: list[tuple] = []
 
-    def measure_sweeps(self, topology, widths_list, corners, analyses):
-        self.calls.append((corners, analyses))
-        return self.inner.measure_sweeps(topology, widths_list, corners, analyses)
+    def measure_sweeps(self, topology, widths_list, corners, analyses, specs=None):
+        self.calls.append((corners, analyses, specs))
+        return self.inner.measure_sweeps(topology, widths_list, corners, analyses, specs)
 
 
 class TestBatchedStageIVParity:
@@ -722,7 +722,8 @@ class TestBatchedStageIVParity:
 
     def test_backend_receives_resolved_corners_and_analyses(self, oracle_setup):
         """Copilot rounds and registry solvers hand the backend each
-        request's resolved corner tuple and analyses tuple as they are."""
+        request's resolved corner tuple and analyses tuple as they are,
+        and each candidate's spec."""
         topology, records, luts = oracle_setup
         nominal, hardened = (
             DesignSpec(r.gain_db * 0.995, r.f3db_hz * 0.98, r.ugf_hz * 0.98)
@@ -751,11 +752,16 @@ class TestBatchedStageIVParity:
         recorded = serve(recording)
         reference = serve(BatchedBackend())
 
-        for corners, analyses in recording.calls:
+        for corners, analyses, _ in recording.calls:
             assert type(corners) is tuple and type(analyses) is tuple
             assert all(isinstance(corner, Corner) for corner in corners)
-        seen = {(tuple(c.name for c in corners), analyses) for corners, analyses in recording.calls}
+        seen = {
+            (tuple(c.name for c in corners), analyses) for corners, analyses, _ in recording.calls
+        }
         assert seen == {((), DEFAULT_ANALYSES), (("tt", "ss", "ff"), TRAN_ANALYSES)}
+        # ...and every candidate comes with the spec it is judged against.
+        judged = {spec for _, _, specs in recording.calls for spec in specs}
+        assert judged == {nominal, requests[1].spec}
 
         def wire(response):
             payload = response.to_json()

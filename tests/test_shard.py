@@ -32,6 +32,7 @@ import os
 import signal
 import sys
 import time
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -378,6 +379,10 @@ class TestShardedEngine:
         stats = pool.stats
         assert stats.requests >= 7  # 4 parity + 3 warm (replays hit too)
         assert stats.cache_hits >= 3
+        # Every engine counter aggregates (tran_skipped included), counters
+        # as ints and timers as floats.
+        for field in fields(stats):
+            assert type(getattr(stats, field.name)) is type(field.default), field.name
         health = pool.health()
         assert health["status"] == "ok"
         assert [worker["state"] for worker in health["workers"]] == ["healthy"] * 2

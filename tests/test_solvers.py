@@ -178,7 +178,7 @@ def _nominal_sweeps(outcomes):
 class _FailingBackend(EvalBackend):
     """Every candidate fails to simulate — an all-penalized generation."""
 
-    def measure_sweeps(self, topology, widths_list, corners, analyses):
+    def measure_sweeps(self, topology, widths_list, corners, analyses, specs=None):
         return _nominal_sweeps(
             MeasureOutcome(widths=dict(widths), error="synthetic failure")
             for widths in widths_list
@@ -224,7 +224,7 @@ class TestSearchObjectiveHistory:
         from repro.spice import PerformanceMetrics
 
         class _TerribleBackend(EvalBackend):
-            def measure_sweeps(self, topology, widths_list, corners, analyses):
+            def measure_sweeps(self, topology, widths_list, corners, analyses, specs=None):
                 metrics = PerformanceMetrics(gain_db=-140.0, f3db_hz=1.0, ugf_hz=1.0)
                 return _nominal_sweeps(
                     MeasureOutcome(widths=dict(w), result=SimpleNamespace(metrics=metrics))

@@ -10,21 +10,26 @@ Layer by layer, the contract of the transient extension:
 * golden traces pin every topology's known-good step response, so future
   solver/stamp refactors diff against known-good waveforms;
 * specs/requests/cache/engine/CLI carry the transient targets, while the
-  default AC-only path stays bit-identical to the pre-transient flow.
+  default AC-only path stays bit-identical to the pre-transient flow;
+* Stage IV and the solvers' objective run a candidate's transient only
+  when it meets every AC target at every corner, and that gate changes
+  no verdict (pinned against the ungated measurement).
 """
 
 import json
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.topologies.base as topology_base
 from repro.core import DesignSpec, tighten_spec
-from repro.devices import resolve_corners
+from repro.devices import NMOS_65NM, PMOS_65NM, resolve_corners
 from repro.service import ResultCache, SizingEngine, SizingRequest, SizingResponse
-from repro.solvers import BatchedBackend, SearchObjective
+from repro.solvers import BatchedBackend, SearchObjective, SearchSpace
 from repro.spice import (
     Circuit,
     ConvergenceError,
@@ -37,6 +42,7 @@ from repro.spice import (
 from repro.topologies import (
     DEFAULT_ANALYSES,
     TRAN_ANALYSES,
+    FiveTransistorOTA,
     available_topologies,
     resolve_analyses,
     topology_by_name,
@@ -45,7 +51,9 @@ from repro.topologies import (
 from tests import scalar_reference
 from tests.conftest import (
     GOOD_WIDTHS,
+    BatchedOracleModel,
     PoisonedFiveT,
+    UngatedBackend,
     assert_measurements_identical,
     assert_sweeps_identical,
     make_population,
@@ -55,6 +63,11 @@ from tests.scalar_reference import ScalarBackend
 GOLDEN_PATH = Path(__file__).parent / "golden" / "tran_traces.json"
 
 TRAN = ("dc", "ac", "tran")
+
+#: The PVT corner axis of the transient-gate tests.
+PVT = ("tt", "ss", "ff")
+
+AC_NAMES = ("gain_db", "f3db_hz", "ugf_hz")
 
 
 def _rc_circuit(resistance: float, capacitance: float) -> Circuit:
@@ -297,6 +310,116 @@ class TestTranMeasureParity:
         with pytest.raises(ValueError, match="unknown analyses"):
             resolve_analyses(("dc", "noise"))
 
+# ----------------------------------------------------------------------
+# The transient gate: a candidate's step response runs only when it meets
+# its spec's AC targets at every corner
+# ----------------------------------------------------------------------
+class _DivergingTranFiveT(FiveTransistorOTA):
+    """5T-OTA whose step response never converges (one Newton iteration
+    per time step); its DC and AC are the plain 5T-OTA's."""
+
+    def _tran_testbench(self) -> dict:
+        return {**super()._tran_testbench(), "max_newton_iterations": 1}
+
+
+class TestTransientGate:
+    """``measure_many(specs=...)`` at tt/ss/ff against ungated measurement."""
+
+    REL_TOL = 0.02
+    #: One role per candidate: meets the AC floor at every corner, misses
+    #: the gain floor at its worst corner only, or misses it there by less
+    #: than ``REL_TOL``.
+    ROLES = ("pass", "pass", "pass", "miss", "miss", "within_tol")
+
+    @pytest.fixture(scope="class")
+    def gate_case(self, five_t):
+        from repro.service.engine import _derated_spec
+
+        population = make_population(five_t, len(self.ROLES), seed=3)
+        corners = resolve_corners(PVT)
+        ungated = five_t.measure_many(population, corners=corners, analyses=TRAN)
+        originals = []
+        for role, sweep in zip(self.ROLES, ungated, strict=True):
+            assert sweep.ok
+            by_corner = sweep.metrics_by_corner().values()
+            gains = sorted(metrics.gain_db for metrics in by_corner)
+            gain = {
+                "pass": gains[0] * 0.99,
+                "miss": (gains[0] + gains[1]) / 2,
+                "within_tol": gains[0] * (1 + self.REL_TOL / 2),
+            }[role]
+            f3db, ugf = (min(getattr(m, name) for m in by_corner) * 0.99 for name in AC_NAMES[1:])
+            originals.append(DesignSpec(gain, f3db, ugf, settling_time_s=1e-6))
+        specs = [_derated_spec(spec, self.REL_TOL) for spec in originals]
+        return population, corners, ungated, originals, specs
+
+    def test_gate_passes_candidates_meeting_ac_everywhere(self, gate_case):
+        _, _, ungated, originals, specs = gate_case
+        for role, original, spec, sweep in zip(self.ROLES, originals, specs, ungated, strict=True):
+            by_corner = sweep.metrics_by_corner().values()
+            assert all(spec.ac_satisfied(m) for m in by_corner) == (role != "miss")
+            # The derated spec is the verdict's own judgement under rel_tol.
+            for metrics in by_corner:
+                assert spec.ac_satisfied(metrics) == original.ac_satisfied(metrics, self.REL_TOL)
+            if role == "within_tol":
+                assert not all(original.ac_satisfied(m) for m in by_corner)
+
+    def test_gated_pairs_skip_only_the_transient(self, five_t, gate_case, monkeypatch):
+        population, corners, ungated, _, specs = gate_case
+        sent = []
+
+        def recording(solutions, **kwargs):
+            sent.extend(solutions)
+            return run_tran_many(solutions, **kwargs)
+
+        monkeypatch.setattr(topology_base, "run_tran_many", recording)
+        gated = five_t.measure_many(population, corners=corners, analyses=TRAN, specs=specs)
+        for role, reference, sweep in zip(self.ROLES, ungated, gated, strict=True):
+            if role != "miss":
+                assert_sweeps_identical(reference, sweep)
+                continue
+            assert sweep.ok
+            for ref, outcome in zip(reference.outcomes, sweep.outcomes, strict=True):
+                assert outcome.result.tran is None and not outcome.result.metrics.has_tran
+                assert np.array_equal(
+                    ref.result.metrics.as_array(), outcome.result.metrics.as_array()
+                )
+                assert ref.result.dc.node_voltages == outcome.result.dc.node_voltages
+                assert ref.result.device_params == outcome.result.device_params
+        # Only the passing candidates' operating points reached the kernel.
+        expected = [
+            outcome.result.dc
+            for role, sweep in zip(self.ROLES, gated, strict=True)
+            if role != "miss"
+            for outcome in sweep.outcomes
+        ]
+        assert sorted(map(id, sent)) == sorted(map(id, expected))
+
+    def test_scalar_reference_applies_the_same_gate(self, five_t, gate_case):
+        population, corners, _, _, specs = gate_case
+        scalar = ScalarBackend().measure_sweeps(five_t, population, corners, TRAN_ANALYSES, specs)
+        batched = BatchedBackend().measure_sweeps(five_t, population, corners, TRAN_ANALYSES, specs)
+        for reference, sweep in zip(scalar, batched, strict=True):
+            assert_sweeps_identical(reference, sweep)
+        assert [sweep.outcomes[0].result.metrics.has_tran for sweep in scalar] == [
+            role != "miss" for role in self.ROLES
+        ]
+
+    def test_ac_failing_candidate_with_diverging_transient_stays_ok(self, gate_case):
+        """Without the gate an AC-failing candidate whose transient
+        diverges fails its sweep; with it, the sweep is ok and AC-only.  A
+        candidate that passes AC still runs its transient and fails."""
+        population, corners, _, _, specs = gate_case
+        topology = _DivergingTranFiveT()
+        miss = self.ROLES.index("miss")
+        batch, batch_specs = [population[0], population[miss]], [specs[0], specs[miss]]
+        ungated = topology.measure_many(batch, corners=corners, analyses=TRAN)
+        assert not ungated[0].ok and not ungated[1].ok
+        gated = topology.measure_many(batch, corners=corners, analyses=TRAN, specs=batch_specs)
+        assert not gated[0].ok
+        assert gated[1].ok
+        assert not any(outcome.result.metrics.has_tran for outcome in gated[1].outcomes)
+
 
 # ----------------------------------------------------------------------
 # Golden traces: known-good waveforms per topology at the nominal corner
@@ -469,6 +592,15 @@ class TestTransientSpec:
         tight_slew = DesignSpec(**base, slew_v_per_s=5.4e5)
         assert not tight_slew.satisfied(self.METRICS)
         assert tight_slew.satisfied(self.METRICS, rel_tol=0.1)
+
+    def test_ac_satisfied_is_the_ac_half_of_satisfied(self):
+        spec = DesignSpec(25.0, 5e6, 8e7, settling_time_s=1e-7)  # METRICS settle slower
+        assert spec.ac_satisfied(self.METRICS) and not spec.satisfied(self.METRICS)
+        assert spec.ac_satisfied(PerformanceMetrics(25.0, 5e6, 8e7))  # transient unmeasured
+        short = replace(self.METRICS, gain_db=24.9)
+        assert not spec.ac_satisfied(short) and not spec.satisfied(short)
+        assert spec.ac_satisfied(short, rel_tol=0.01)
+        assert not spec.ac_satisfied(replace(self.METRICS, ugf_hz=float("nan")))
 
     def test_validation_and_scaling(self):
         with pytest.raises(ValueError, match="positive"):
@@ -773,3 +905,163 @@ class TestTransientServing:
         point = np.full(objective.space.dimension, 0.5)
         value = float(objective.evaluate_many(point[None, :])[0])
         assert value > 0.0  # AC passes, the settling cap binds
+
+
+class TestTransientGateServing:
+    """The transient gate in a measured-oracle copilot round at tt/ss/ff
+    with transient targets, and in the solvers' objective."""
+
+    @pytest.fixture(scope="class")
+    def pvt_oracle(self, five_t, nmos_lut, pmos_lut):
+        population = make_population(five_t, 8, seed=3)
+        sweeps = five_t.measure_many(population, corners=PVT, analyses=TRAN)
+        records = []
+        for k, (widths, sweep) in enumerate(zip(population, sweeps, strict=True)):
+            assert sweep.ok
+            by_corner = sweep.metrics_by_corner()
+            if k % 2 == 0:
+                # Each metric at its worst corner, derated 5%: met everywhere.
+                worst = PerformanceMetrics(
+                    *(min(getattr(m, name) for m in by_corner.values()) for name in AC_NAMES),
+                    slew_v_per_s=min(m.slew_v_per_s for m in by_corner.values()),
+                    settling_time_s=max(m.settling_time_s for m in by_corner.values()),
+                )
+                spec = DesignSpec.from_metrics(worst, slack=0.05)
+            else:
+                # The nominal metrics at every corner: SS cannot reach them.
+                spec = DesignSpec.from_metrics(by_corner["tt"])
+            # The oracle decodes a spec to the device parameters of the
+            # record nearest to it: this design's, until a retry tightens it.
+            nominal = five_t.measure(widths)
+            records.append(SimpleNamespace(
+                gain_db=spec.gain_db, f3db_hz=spec.f3db_hz, ugf_hz=spec.ugf_hz,
+                spec=spec, device_params=nominal.device_params,
+            ))
+        model = BatchedOracleModel(
+            five_t, records, {NMOS_65NM.name: nmos_lut, PMOS_65NM.name: pmos_lut}
+        )
+        requests = [
+            SizingRequest(
+                topology=five_t.name, spec=record.spec, id=f"pvt-{i}", max_iterations=2,
+                corners=PVT,
+            )
+            for i, record in enumerate(records)
+        ]
+        return model, requests
+
+    @staticmethod
+    def _serve(model, requests, topology, backend=None):
+        engine = SizingEngine(model, cache_size=0, backend=backend)
+        engine.adopt_topology(topology)
+        return engine, engine.size_batch(requests)
+
+    def test_gated_round_keeps_every_verdict(self, five_t, pvt_oracle):
+        model, requests = pvt_oracle
+        _, gated = self._serve(model, requests, five_t)
+        _, ungated = self._serve(model, requests, five_t, UngatedBackend())
+        assert {response.success for response in gated} == {True, False}
+
+        def wire(response):
+            payload = response.to_json()
+            del payload["wall_time_s"]
+            return payload
+
+        for got, reference in zip(gated, ungated, strict=True):
+            for name in ("success", "iterations", "widths", "decoded_texts", "spice_simulations"):
+                assert getattr(got, name) == getattr(reference, name)
+            if got.success:
+                assert wire(got) == wire(reference)
+                continue
+            # A failed response reports the AC metrics of its best iterate
+            # and no transient field.
+            assert reference.metrics.has_tran and not got.metrics.has_tran
+            assert set(got.corner_metrics) == set(reference.corner_metrics)
+            for name, metrics in got.corner_metrics.items():
+                assert not metrics.has_tran
+                assert np.array_equal(
+                    metrics.as_array(), reference.corner_metrics[name].as_array()
+                )
+
+    def test_tran_skipped_counts_the_skipped_transients(self, five_t, pvt_oracle, monkeypatch):
+        model, requests = pvt_oracle
+        items = []
+
+        def counting(solutions, **kwargs):
+            items.append(len(solutions))
+            return run_tran_many(solutions, **kwargs)
+
+        monkeypatch.setattr(topology_base, "run_tran_many", counting)
+        gated_engine, gated = self._serve(model, requests, five_t)
+        gated_items = sum(items)
+        items.clear()
+        ungated_engine, _ = self._serve(model, requests, five_t, UngatedBackend())
+        ungated_items = sum(items)
+
+        skipped = gated_engine.stats.tran_skipped
+        assert skipped == gated_engine.stats.as_dict()["tran_skipped"]
+        # Every round of a failed request missed an AC target somewhere.
+        assert skipped == len(PVT) * sum(r.iterations for r in gated if not r.success)
+        assert gated_items > 0 and gated_items + skipped == ungated_items
+        assert ungated_engine.stats.tran_skipped == 0
+
+    def test_ac_failing_round_with_diverging_transient_is_verified(self, pvt_oracle):
+        """Without the gate, an AC-failing candidate whose transient
+        diverges fails its sweep, so its round verifies nothing and is
+        nudged; with the gate its AC verdict counts."""
+        model, requests = pvt_oracle
+        request = replace(requests[1], max_iterations=1)
+        topology = _DivergingTranFiveT()
+        (gated,) = self._serve(model, [request], topology)[1]
+        (ungated,) = self._serve(model, [request], topology, UngatedBackend())[1]
+        assert not gated.success and not ungated.success
+        assert ungated.spice_simulations == 0 and ungated.metrics is None
+        assert gated.spice_simulations == len(PVT)
+        assert gated.metrics is not None and not gated.metrics.has_tran
+
+    @staticmethod
+    def _points(topology, count=10, seed=5):
+        space = SearchSpace(topology)
+        rng = np.random.default_rng(seed)
+        return [space.random_point(rng) for _ in range(count)]
+
+    def test_search_objective_unchanged_on_ac_only_spec(self, five_t):
+        spec = DesignSpec(23.0, 1e6, 1.5e7)
+        points = self._points(five_t)
+        gated = SearchObjective(five_t, spec, corners=PVT, analyses=TRAN)
+        ungated = SearchObjective(
+            five_t, spec, backend=UngatedBackend(), corners=PVT, analyses=TRAN
+        )
+        values = gated.evaluate_many(points)
+        assert np.array_equal(values, ungated.evaluate_many(points))
+        assert 0.0 in values and values.max() > 0.0  # the population mixes both
+        assert gated.history == ungated.history
+        assert gated.best_value == ungated.best_value
+        assert gated.best_widths == ungated.best_widths
+        assert gated.best_worst_corner == ungated.best_worst_corner
+        assert gated.best_metrics == ungated.best_metrics  # it met AC: transient ran
+        assert gated.best_corner_metrics == ungated.best_corner_metrics
+
+    def test_gated_candidate_scores_ac_shortfall_plus_one_per_transient_target(self, five_t):
+        spec = DesignSpec(23.0, 1e6, 1.5e7, slew_v_per_s=1e5, settling_time_s=1e-6)
+        points = self._points(five_t)
+        gated = SearchObjective(five_t, spec, corners=PVT)
+        values = gated.evaluate_many(points)
+        reference = SearchObjective(five_t, spec, backend=UngatedBackend(), corners=PVT)
+        ungated_values = reference.evaluate_many(points)
+        sweeps = BatchedBackend().measure_sweeps(
+            five_t, [gated.space.decode(p) for p in points], resolve_corners(PVT), TRAN_ANALYSES
+        )
+        gated_count = 0
+        for value, ungated_value, sweep in zip(values, ungated_values, sweeps, strict=True):
+            by_corner = sweep.metrics_by_corner().values()
+            if all(spec.ac_satisfied(metrics) for metrics in by_corner):
+                assert value == ungated_value
+                continue
+            gated_count += 1
+            ac_only = [PerformanceMetrics(m.gain_db, m.f3db_hz, m.ugf_hz) for m in by_corner]
+            assert value == max(sum(spec.miss_fractions(m).values()) for m in ac_only)
+            ac_shortfall = max(
+                sum(spec.miss_fractions(m)[name] for name in AC_NAMES) for m in ac_only
+            )
+            assert value == pytest.approx(ac_shortfall + 2.0)
+        assert 0 < gated_count < len(points)
