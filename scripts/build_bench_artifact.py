@@ -6,7 +6,8 @@ same artifact on first use -- but doing it ahead of time keeps the first
 
 ``--bench-smoke`` runs the model-free smoke benches instead (the
 round-batched verification, stacked-corner, transient and
-serve-throughput modes) -- no training, minutes-free -- so the per-PR
+serve-throughput modes, and the decode step loop on the committed
+perfbench bundle) -- no training, minutes-free -- so the per-PR
 ``BENCH_*.json`` perf snapshots can be regenerated in one command:
 
     PYTHONPATH=src python scripts/build_bench_artifact.py --bench-smoke
@@ -24,9 +25,10 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 SMOKE_ARGS = [
     str(BENCH_DIR / "bench_table8_runtime.py"),
     str(BENCH_DIR / "bench_serve_throughput.py"),
+    str(BENCH_DIR / "bench_decode.py"),
     "-k",
     "verification_throughput or corner_throughput or tran_throughput "
-    "or serve_throughput",
+    "or serve_throughput or decode_step_loop",
     "-q",
 ]
 

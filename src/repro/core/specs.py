@@ -109,8 +109,12 @@ class DesignSpec:
         Keys are exactly the targets this spec sets: always the AC triple,
         plus one entry per set transient target -- so specs without
         transient targets keep the pre-transient dict shape.  Maximum
-        targets (settling, overshoot) contribute their relative *excess*;
-        an unmeasured or non-finite metric contributes 1.0.
+        targets (settling, overshoot) contribute their relative *excess*,
+        capped at the 1.0 an unmeasured or non-finite metric contributes.
+        The cap ranks AC shortfall first: a design that meets every AC
+        target scores at most 1.0 per transient target, and one that misses
+        an AC target (so Stage IV skipped its transient) scores 1.0 per
+        transient target plus its AC shortfall.
         """
         def shortfall(target: float, value: float | None) -> float:
             if value is None or not (value == value):  # None or NaN
@@ -120,7 +124,7 @@ class DesignSpec:
         def excess(target: float, value: float | None) -> float:
             if value is None or not (value == value):
                 return 1.0
-            return max(0.0, (value - target) / target)
+            return min(1.0, max(0.0, (value - target) / target))
 
         misses = {
             "gain_db": shortfall(self.gain_db, metrics.gain_db),

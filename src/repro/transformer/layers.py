@@ -193,12 +193,22 @@ class LayerNorm(Module):
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # The ufuncs that ``x.mean(axis=-1)`` and ``x.var(axis=-1)`` run
+        # (sum, divide by the count; subtract the mean, square, sum,
+        # divide), called directly and centring ``x`` once for both the
+        # variance and the output: bit-identical to the two-pass formula.
+        count = np.intp(x.shape[-1])
+        mean = np.add.reduce(x, axis=-1, keepdims=True)
+        np.true_divide(mean, count, out=mean, casting="unsafe")
+        centered = x - mean
+        var = np.add.reduce(np.square(centered), axis=-1, keepdims=True)
+        np.true_divide(var, count, out=var, casting="unsafe")
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalized = (x - mean) * inv_std
+        normalized = np.multiply(centered, inv_std, out=centered)
         self._cache = (normalized, inv_std)
-        return normalized * self.gamma + self.beta
+        out = normalized * self.gamma
+        out += self.beta
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         assert self._cache is not None, "backward before forward"

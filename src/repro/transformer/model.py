@@ -98,11 +98,15 @@ class Transformer(Module):
     # Forward / backward
     # ------------------------------------------------------------------
     def encode(self, src_ids: np.ndarray, src_pad: np.ndarray, training: bool) -> np.ndarray:
-        """Run the encoder stack; returns the memory ``(B, T_src, d)``."""
+        """Run the encoder stack; returns the memory ``(B, T_src, d)``.
+
+        Without padding there is no mask: adding an all-zero one would
+        only cost a pass over every score tensor.
+        """
         _, t_src = src_ids.shape
         if t_src > self.config.max_len:
             raise ValueError(f"source length {t_src} exceeds max_len {self.config.max_len}")
-        mask = padding_mask(src_pad)
+        mask = padding_mask(src_pad) if src_pad.any() else None
         x = self.src_embed.forward(src_ids) * self._scale + self.positional[:t_src]
         x = self.embed_dropout_src.forward(x, training)
         for block in self.encoder_blocks:
@@ -194,7 +198,13 @@ class Transformer(Module):
         decoder in ``tests/scalar_reference.py``) but O(T^2) instead of
         O(T^3).
         Sources must be right-padded; the memory comes from
-        :meth:`encode_by_length`.  Returns one id list per batch row
+        :meth:`encode_by_length`.  A row that emits EOS leaves the batch:
+        it is compacted out of every cache, so each step runs only the
+        rows still decoding.  A step with two or more rows gives each row
+        the logits, bit for bit, of the reference step loop that keeps
+        finished rows (``greedy_decode_stepwise`` in the same module); a
+        step with one row left runs matrix-vector products, as a
+        batch-of-one decode does.  Returns one id list per batch row
         (without BOS, truncated at EOS).
         """
         limit = min(max_len or self.config.max_len, self.config.max_len)
@@ -203,73 +213,34 @@ class Transformer(Module):
         # Padded keys are zero rows of ``memory``; the mask's -1e30 gives
         # them exactly zero cross-attention weight.
         cross_bias = padding_mask(src_pad[:, : memory.shape[1]]).astype(memory.dtype)
+        layers = [_DecodeLayer(block, memory, cross_bias, limit) for block in self.decoder_blocks]
+        table, positional, scale = self.tgt_embed.table, self.positional, self._scale
+        w_out, b_out = self.out_proj.weight, self.out_proj.bias
 
-        # Precompute cross-attention keys/values once per decoder block, and
-        # preallocate the self-attention KV buffers: appending via
-        # concatenate would copy the whole O(T) cache every step (O(T^2)
-        # traffic that batching cannot amortize).
-        n_heads = self.config.n_heads
-        head_dim = self.config.d_model // n_heads
-        caches: list[dict] = []
-        for block in self.decoder_blocks:
-            cross = block.cross_attn
-            caches.append(
-                {
-                    "cross_k": cross._split_heads(cross.w_k.forward(memory)),
-                    "cross_v": cross._split_heads(cross.w_v.forward(memory)),
-                    "self_k": np.empty((batch, n_heads, limit, head_dim), dtype=memory.dtype),
-                    "self_v": np.empty((batch, n_heads, limit, head_dim), dtype=memory.dtype),
-                }
-            )
-
-        generated = np.full((batch, 1), bos_id, dtype=np.int64)
-        finished = np.zeros(batch, dtype=bool)
+        tokens = np.empty((batch, limit), dtype=np.int64)
+        tokens[:, 0] = bos_id
+        ends = np.full(batch, limit)  # each row's EOS column, or limit
+        rows = np.arange(batch)  # the batch rows still decoding
+        last = tokens[:, 0]
         for step in range(limit - 1):
-            last = generated[:, -1:]
-            y = self.tgt_embed.forward(last) * self._scale + self.positional[step : step + 1]
-            for block, cache in zip(self.decoder_blocks, caches, strict=True):
-                self_attn = block.self_attn
-                q = self_attn._split_heads(self_attn.w_q.forward(y))
-                cache["self_k"][:, :, step : step + 1] = self_attn._split_heads(
-                    self_attn.w_k.forward(y)
-                )
-                cache["self_v"][:, :, step : step + 1] = self_attn._split_heads(
-                    self_attn.w_v.forward(y)
-                )
-                weights = self_attn.attention_weights(q, cache["self_k"][:, :, : step + 1], None)
-                context = weights @ cache["self_v"][:, :, : step + 1]
-                attended = self_attn.w_o.forward(self_attn._merge_heads(context))
-                x = block.norm1.forward(y + attended)
-
-                cross = block.cross_attn
-                q2 = cross._split_heads(cross.w_q.forward(x))
-                weights = cross.attention_weights(q2, cache["cross_k"], cross_bias)
-                context2 = weights @ cache["cross_v"]
-                crossed = cross.w_o.forward(cross._merge_heads(context2))
-                x = block.norm2.forward(x + crossed)
-
-                fed = block.ffn.forward(x, training=False)
-                y = block.norm3.forward(x + fed)
-
-            logits = self.out_proj.forward(y)
-            next_ids = np.argmax(logits[:, 0, :], axis=-1)
-            next_ids = np.where(finished, eos_id, next_ids)
-            generated = np.concatenate([generated, next_ids[:, None]], axis=1)
-            finished |= next_ids == eos_id
-            if finished.all():
-                break
-
-        return self._strip_generated(generated, eos_id)
-
-    @staticmethod
-    def _strip_generated(generated: np.ndarray, eos_id: int) -> list[list[int]]:
-        outputs: list[list[int]] = []
-        for row in generated:
-            ids = list(row[1:])
-            if eos_id in ids:
-                ids = ids[: ids.index(eos_id)]
-            outputs.append([int(i) for i in ids])
-        return outputs
+            y = table[last] * scale + positional[step]
+            for layer in layers:
+                y = layer.step(y, step)
+            logits = y @ w_out
+            logits += b_out
+            next_ids = np.argmax(logits, axis=-1)
+            tokens[rows, step + 1] = next_ids
+            done = next_ids == eos_id
+            last = next_ids
+            if done.any():
+                ends[rows[done]] = step + 1
+                kept = np.flatnonzero(~done)
+                if kept.size == 0:
+                    break
+                rows, last = rows[kept], next_ids[kept]
+                for layer in layers:
+                    layer.keep(kept, step + 1)
+        return [tokens[row, 1:end].tolist() for row, end in enumerate(ends)]
 
     # ------------------------------------------------------------------
     # Persistence
@@ -302,3 +273,114 @@ class Transformer(Module):
         }
         model.load_state_dict(state)
         return model
+
+
+#: Positions a decode's self-attention caches hold at first; they double
+#: when full.  NumPy asks for transparent huge pages on arrays of 4 MB and
+#: more, so caches sized for ``max_len`` positions up front would be
+#: mostly resident once their first positions are written.
+_CACHE_POSITIONS = 64
+
+
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``Linear.forward`` on a 2-D input, without its backward cache."""
+    out = x @ weight
+    out += bias
+    return out
+
+
+class _DecodeLayer:
+    """One decoder block's bound weights and caches for a greedy decode.
+
+    :meth:`step` is :meth:`DecoderBlock.forward` on one new token per row
+    in inference mode, op for op: each ``Linear`` is its one 2-D GEMM plus
+    bias, both attentions go through
+    :meth:`MultiHeadAttention.attention_weights`, and the block's own
+    ``LayerNorm`` modules normalize.  The rows are the batch rows still
+    decoding; :meth:`keep` drops finished ones from every cache.
+    """
+
+    def __init__(
+        self, block: DecoderBlock, memory: np.ndarray, cross_bias: np.ndarray, limit: int
+    ):
+        self_attn, cross, ffn = block.self_attn, block.cross_attn, block.ffn
+        self.heads, self.head_dim = self_attn.n_heads, self_attn.d_head
+        self.self_weights = self_attn.attention_weights
+        self.cross_weights = cross.attention_weights
+        self.q, self.k, self.v, self.o, self.cross_q, self.cross_o, self.ff1, self.ff2 = (
+            (linear.weight, linear.bias)
+            for linear in (
+                self_attn.w_q, self_attn.w_k, self_attn.w_v, self_attn.w_o,
+                cross.w_q, cross.w_o, ffn.linear1, ffn.linear2,
+            )
+        )
+        self.norm1, self.norm2, self.norm3 = block.norm1, block.norm2, block.norm3
+
+        # Cross-attention keys and values, once per call.  Keys keep the
+        # key projection's (B, T, D) layout and are split into heads as a
+        # view at each step: a head-contiguous copy rounds the q.k products
+        # differently.  Values are stored head-contiguous, (B, H, T,
+        # d_head), which the p.v products read faster and round identically.
+        self.split_heads = cross._split_heads
+        memory2d = memory.reshape(-1, memory.shape[-1])
+        self.cross_k = _affine(memory2d, cross.w_k.weight, cross.w_k.bias).reshape(memory.shape)
+        self.cross_v = np.ascontiguousarray(
+            self.split_heads(
+                _affine(memory2d, cross.w_v.weight, cross.w_v.bias).reshape(memory.shape)
+            )
+        )
+        self.cross_bias = cross_bias
+        # Self-attention caches, written in place: appending via
+        # concatenate would copy the whole O(T) cache every step.
+        self.limit = limit
+        shape = (memory.shape[0], self.heads, min(limit, _CACHE_POSITIONS), self.head_dim)
+        self.self_k = np.empty(shape, dtype=memory.dtype)
+        self.self_v = np.empty(shape, dtype=memory.dtype)
+
+    def step(self, y: np.ndarray, step: int) -> np.ndarray:
+        """The block's output for the token at position ``step``: ``y`` is
+        ``(rows, D)`` and each row attends over its first ``step + 1``
+        positions."""
+        rows, heads, head_dim = y.shape[0], self.heads, self.head_dim
+        if step == self.self_k.shape[2]:
+            self._grow(step)
+        q = _affine(y, *self.q).reshape(rows, heads, 1, head_dim)
+        self.self_k[:, :, step] = _affine(y, *self.k).reshape(rows, heads, head_dim)
+        self.self_v[:, :, step] = _affine(y, *self.v).reshape(rows, heads, head_dim)
+        weights = self.self_weights(q, self.self_k[:, :, : step + 1], None)
+        context = (weights @ self.self_v[:, :, : step + 1]).reshape(rows, -1)
+        x = self.norm1.forward(y + _affine(context, *self.o))
+
+        q = _affine(x, *self.cross_q).reshape(rows, heads, 1, head_dim)
+        weights = self.cross_weights(q, self.split_heads(self.cross_k), self.cross_bias)
+        context = (weights @ self.cross_v).reshape(rows, -1)
+        x = self.norm2.forward(x + _affine(context, *self.cross_o))
+
+        hidden = _affine(x, *self.ff1)
+        np.maximum(hidden, 0.0, out=hidden)
+        return self.norm3.forward(x + _affine(hidden, *self.ff2))
+
+    def _grow(self, filled: int) -> None:
+        """Double the self-attention caches' positions, up to ``limit``."""
+        rows, heads, positions, head_dim = self.self_k.shape
+        shape = (rows, heads, min(2 * positions, self.limit), head_dim)
+        grown_k = np.empty(shape, dtype=self.self_k.dtype)
+        grown_v = np.empty(shape, dtype=self.self_v.dtype)
+        grown_k[:, :, :filled] = self.self_k[:, :, :filled]
+        grown_v[:, :, :filled] = self.self_v[:, :, :filled]
+        self.self_k, self.self_v = grown_k, grown_v
+
+    def keep(self, kept: np.ndarray, filled: int) -> None:
+        """Keep only the rows ``kept`` (ascending) of every cache.
+
+        The self-attention caches move their first ``filled`` positions
+        to the front rows of the same buffers, so no new cache memory is
+        touched.
+        """
+        rows = kept.size
+        self.self_k[:rows, :, :filled] = self.self_k[kept, :, :filled]
+        self.self_v[:rows, :, :filled] = self.self_v[kept, :, :filled]
+        self.self_k, self.self_v = self.self_k[:rows], self.self_v[:rows]
+        self.cross_k = self.cross_k[kept]
+        self.cross_v = self.cross_v[kept]
+        self.cross_bias = self.cross_bias[kept]

@@ -22,7 +22,9 @@ kernels bit for bit against code that production never runs:
   candidate (per candidate-corner pair on the corner axis);
 * :func:`characterize_device`: the Fig. 5 LUT characterization as one
   one-transistor DC testbench solve per grid point;
-* :func:`greedy_decode_naive`: the decoder that re-runs the whole prefix
+* :func:`greedy_decode_stepwise`: the KV-cached decode step loop that
+  keeps every row in the batch until the last one emits EOS, and
+  :func:`greedy_decode_naive`: the decoder that re-runs the whole prefix
   every step.
 
 The module shares no assembly code with the kernels it checks: it
@@ -709,6 +711,79 @@ def characterize_device(
 # ----------------------------------------------------------------------
 # Decoder
 # ----------------------------------------------------------------------
+def greedy_decode_stepwise(
+    model,
+    src_ids: np.ndarray,
+    src_pad: np.ndarray,
+    bos_id: int,
+    eos_id: int,
+    max_len: int | None = None,
+) -> list[list[int]]:
+    """KV-cached greedy decoder that steps every row until all are done.
+
+    Finished rows keep running and are fed EOS; each step goes through
+    the modules' own ``forward`` methods, and the encoder memory comes
+    from :meth:`Transformer.encode_by_length`, as in the production
+    decode.
+    """
+    limit = min(max_len or model.config.max_len, model.config.max_len)
+    batch = src_ids.shape[0]
+    memory = model.encode_by_length(src_ids, src_pad)
+    cross_bias = padding_mask(src_pad[:, : memory.shape[1]]).astype(memory.dtype)
+
+    n_heads = model.config.n_heads
+    head_dim = model.config.d_model // n_heads
+    caches: list[dict] = []
+    for block in model.decoder_blocks:
+        cross = block.cross_attn
+        caches.append(
+            {
+                "cross_k": cross._split_heads(cross.w_k.forward(memory)),
+                "cross_v": cross._split_heads(cross.w_v.forward(memory)),
+                "self_k": np.empty((batch, n_heads, limit, head_dim), dtype=memory.dtype),
+                "self_v": np.empty((batch, n_heads, limit, head_dim), dtype=memory.dtype),
+            }
+        )
+
+    generated = np.full((batch, 1), bos_id, dtype=np.int64)
+    finished = np.zeros(batch, dtype=bool)
+    for step in range(limit - 1):
+        last = generated[:, -1:]
+        y = model.tgt_embed.forward(last) * model._scale + model.positional[step : step + 1]
+        for block, cache in zip(model.decoder_blocks, caches, strict=True):
+            self_attn = block.self_attn
+            q = self_attn._split_heads(self_attn.w_q.forward(y))
+            cache["self_k"][:, :, step : step + 1] = self_attn._split_heads(
+                self_attn.w_k.forward(y)
+            )
+            cache["self_v"][:, :, step : step + 1] = self_attn._split_heads(
+                self_attn.w_v.forward(y)
+            )
+            weights = self_attn.attention_weights(q, cache["self_k"][:, :, : step + 1], None)
+            context = weights @ cache["self_v"][:, :, : step + 1]
+            attended = self_attn.w_o.forward(self_attn._merge_heads(context))
+            x = block.norm1.forward(y + attended)
+
+            cross = block.cross_attn
+            q2 = cross._split_heads(cross.w_q.forward(x))
+            weights = cross.attention_weights(q2, cache["cross_k"], cross_bias)
+            context2 = weights @ cache["cross_v"]
+            crossed = cross.w_o.forward(cross._merge_heads(context2))
+            x = block.norm2.forward(x + crossed)
+
+            fed = block.ffn.forward(x, training=False)
+            y = block.norm3.forward(x + fed)
+
+        logits = model.out_proj.forward(y)
+        next_ids = np.argmax(logits[:, 0, :], axis=-1)
+        next_ids = np.where(finished, eos_id, next_ids)
+        generated = np.concatenate([generated, next_ids[:, None]], axis=1)
+        finished |= next_ids == eos_id
+        if finished.all():
+            break
+    return strip_generated(generated, eos_id)
+
+
 def greedy_decode_naive(
     model,
     src_ids: np.ndarray,
@@ -739,4 +814,15 @@ def greedy_decode_naive(
         finished |= next_ids == eos_id
         if finished.all():
             break
-    return model._strip_generated(generated, eos_id)
+    return strip_generated(generated, eos_id)
+
+
+def strip_generated(generated: np.ndarray, eos_id: int) -> list[list[int]]:
+    """Each row of ``generated`` without its BOS column, cut at its first EOS."""
+    outputs: list[list[int]] = []
+    for row in generated:
+        ids = list(row[1:])
+        if eos_id in ids:
+            ids = ids[: ids.index(eos_id)]
+        outputs.append([int(i) for i in ids])
+    return outputs

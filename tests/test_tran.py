@@ -44,6 +44,7 @@ from repro.topologies import (
     TRAN_ANALYSES,
     FiveTransistorOTA,
     available_topologies,
+    binding_corner,
     resolve_analyses,
     topology_by_name,
 )
@@ -583,6 +584,22 @@ class TestTransientSpec:
         assert misses["slew_v_per_s"] == pytest.approx(0.5)  # 5e5 vs 1e6 floor
         assert misses["settling_time_s"] == pytest.approx(0.5)  # 1.5e-7 vs 1e-7 cap
         assert misses["overshoot_frac"] == pytest.approx(1.0)  # 0.05 vs 0.025 cap
+
+    def test_transient_excess_is_capped_so_ac_shortfall_ranks_first(self):
+        """A design meeting every AC target but settling 5x over its cap
+        ranks ahead of one missing gain by 4% whose transient was gated."""
+        spec = DesignSpec(25.0, 3e6, 6e7, settling_time_s=1e-7)
+        slow = PerformanceMetrics(25.5, 3.2e6, 6.5e7, settling_time_s=5e-7)
+        gated = PerformanceMetrics(24.0, 3.2e6, 6.5e7)  # AC miss: transient not run
+        assert spec.ac_satisfied(slow) and not spec.ac_satisfied(gated)
+        assert spec.miss_fractions(slow)["settling_time_s"] == 1.0  # excess 4.0, capped
+        slow_score = sum(spec.miss_fractions(slow).values())
+        gated_score = sum(spec.miss_fractions(gated).values())
+        assert slow_score == 1.0
+        assert gated_score == pytest.approx(1.04)
+        assert slow_score < gated_score
+        corner, _ = binding_corner(spec, {"tt": slow, "ss": gated})
+        assert corner == "ss"
 
     def test_rel_tol_loosens_in_the_right_direction(self):
         base = dict(gain_db=20.0, f3db_hz=4e6, ugf_hz=7e7)

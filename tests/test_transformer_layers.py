@@ -21,6 +21,7 @@ from repro.transformer import (
     softmax,
 )
 from repro.transformer.functional import softmax_, softmax_backward
+from repro.transformer.layers import get_default_dtype, set_default_dtype
 
 
 def numeric_grad(fn, array, eps=1e-6):
@@ -177,6 +178,34 @@ class TestLayerNorm:
         np.testing.assert_allclose(dx, numeric_grad(loss, x), rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(layer.grads["gamma"], numeric_grad(loss, layer.gamma), rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(layer.grads["beta"], numeric_grad(loss, layer.beta), rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_two_pass_formula_bit_for_bit(self, dtype):
+        """Centring once gives the bits of ``x.mean``/``x.var`` and
+        ``(x - mean) * inv_std``, in the output and in the backward cache."""
+        previous = get_default_dtype()
+        set_default_dtype(dtype)
+        try:
+            rng = np.random.default_rng(4)
+            for shape in [(1, 64), (28, 64), (3, 7, 64), (40, 1, 192), (300, 33)]:
+                layer = LayerNorm(shape[-1])
+                layer.gamma[...] = rng.normal(1.0, 0.3, size=shape[-1])
+                layer.beta[...] = rng.normal(0.0, 0.3, size=shape[-1])
+                x = rng.normal(1.5, 4.0, size=shape).astype(dtype)
+                out = layer.forward(x)
+
+                mean = x.mean(axis=-1, keepdims=True)
+                var = x.var(axis=-1, keepdims=True)
+                inv_std = 1.0 / np.sqrt(var + layer.eps)
+                normalized = (x - mean) * inv_std
+                expected = normalized * layer.gamma + layer.beta
+                assert out.dtype == expected.dtype == np.dtype(dtype)
+                assert out.tobytes() == expected.tobytes()
+                cached_normalized, cached_inv_std = layer._cache
+                assert cached_normalized.tobytes() == normalized.tobytes()
+                assert cached_inv_std.tobytes() == inv_std.tobytes()
+        finally:
+            set_default_dtype(previous)
 
 
 class TestDropout:

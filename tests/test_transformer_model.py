@@ -1,8 +1,12 @@
 """Tests of the full transformer model, loss, optimizer and trainer."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.bundle import SizingModel
 from repro.nlp import Vocabulary
 from repro.transformer import (
     Adam,
@@ -14,9 +18,10 @@ from repro.transformer import (
     WeightedCrossEntropy,
     make_batches,
     numeric_token_weights,
+    padding_mask,
 )
 
-from tests.scalar_reference import greedy_decode_naive
+from tests.scalar_reference import greedy_decode_naive, greedy_decode_stepwise
 
 
 def tiny_config(**overrides):
@@ -201,6 +206,72 @@ class TestDecoding:
         assert not memory[0, 3:].any()
         together = model.greedy_decode(src, src_pad, 1, 2)
         assert together[0] == model.greedy_decode(short, no_pad, 1, 2)[0]
+
+    def test_mask_free_encode_matches_masked_encode(self, float32_model):
+        """Unpadded sources are encoded without a mask, bit for bit as the
+        encoder blocks run with the sources' all-zero padding mask."""
+        model = float32_model
+        src = np.random.default_rng(8).integers(4, 14, size=(3, 11))
+        no_pad = np.zeros_like(src, dtype=bool)
+        x = model.src_embed.forward(src) * model._scale + model.positional[:11]
+        for block in model.encoder_blocks:
+            x = block.forward(x, padding_mask(no_pad), training=False)
+        assert model.encode(src, no_pad, training=False).tobytes() == x.tobytes()
+
+    # Sources on which the untrained float32 model, given max_len 100,
+    # emits token 2 at steps 68, 5, 6 and 10 of four rows and never in the
+    # other four, which run all 99 steps (so the caches grow past their
+    # first 64 positions before a row leaves); it first emits token 6 at
+    # steps 2, 1, 20, 1, 3, 1, 2 and 2, so with EOS 6 the third row decodes
+    # alone for its last 17 steps.
+    RAGGED_SOURCES = [
+        (4, 5, 6, 5, 12, 12, 9, 4, 4, 7),
+        (10, 8, 6, 5, 10, 11),
+        (5, 8, 7),
+        (9, 8, 8, 10, 9, 5, 11, 11, 13, 11),
+        (7, 10, 10, 10, 12),
+        (13, 4, 4, 13, 13),
+        (5, 7, 4, 12, 10),
+        (6, 8, 5, 11, 8, 4, 6, 11),
+    ]
+
+    @pytest.mark.parametrize(
+        "eos_id, lengths",
+        [(2, [68, 5, 99, 6, 99, 99, 99, 10]), (6, [2, 1, 20, 1, 3, 1, 2, 2])],
+    )
+    def test_rows_leaving_at_eos_match_references(self, eos_id, lengths):
+        """A row that emits EOS leaves the batch; the rows still decoding
+        get the ids of the stepwise decode that keeps every row to the end,
+        and of the naive full-prefix decode."""
+        config = tiny_config(
+            vocab_size=14, max_len=100, dtype="float32", n_encoder_layers=2, n_decoder_layers=2
+        )
+        model = Transformer(config)  # the float32_model fixture's weights
+        src, src_pad = right_padded(self.RAGGED_SOURCES, 10)
+        fast = model.greedy_decode(src, src_pad, 1, eos_id)
+        assert [len(ids) for ids in fast] == lengths  # 99: cut off at max_len
+        assert fast == greedy_decode_stepwise(model, src, src_pad, 1, eos_id)
+        assert fast == greedy_decode_naive(model, src, src_pad, 1, eos_id)
+
+    def test_benchmark_bundle_mixed_batch_matches_references(self):
+        """The committed benchmark bundle (read-only) on a mixed 5T/CM/2S
+        batch of pool specs: the decode's ids equal both references'."""
+        root = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+        bundle = SizingModel.load(root / "bundle")
+        pool = json.loads((root / "pool.json").read_text())["designs"]
+        sources = []
+        for topology in ("5T-OTA", "CM-OTA", "2S-OTA"):
+            builder = bundle.builder(topology)
+            for entry in pool[topology][:2]:
+                text = builder.encoder_text(entry["gain_db"], entry["f3db_hz"], entry["ugf_hz"])
+                sources.append(bundle.vocab.encode(bundle.bpe.encode(text)))
+        src, src_pad = right_padded(sources, max(len(ids) for ids in sources))
+        src[src_pad] = bundle.vocab.pad_id
+        model, bos, eos = bundle.transformer, bundle.vocab.bos_id, bundle.vocab.eos_id
+        fast = model.greedy_decode(src, src_pad, bos, eos)
+        assert fast == greedy_decode_stepwise(model, src, src_pad, bos, eos)
+        assert fast == greedy_decode_naive(model, src, src_pad, bos, eos)
+        assert len({len(ids) for ids in fast}) > 1  # rows leave at different steps
 
     def test_decode_rejects_non_suffix_padding(self, tiny_model):
         src = np.random.default_rng(9).integers(4, 12, size=(2, 5))
