@@ -3,8 +3,8 @@
 The sharding tentpole's claim: the engine's remaining wall-clock is
 pure-Python work serialized by one GIL (inference bookkeeping, netlist
 assembly, the copilot loop around the vectorized solves), so a pool of
-worker *processes* — each running the same ``SizingEngine`` over the
-mmap-shared model — should scale a mixed-topology workload with cores
+worker *processes* — each running the same ``SizingEngine`` over its
+own copy of the model — should scale a mixed-topology workload with cores
 while answering bit-identically.  This bench measures exactly that
 (model-free, CI smoke):
 
@@ -180,9 +180,7 @@ def test_shard_throughput(topologies):
 
     # ------------------------------------------------------------------
     # After: the same workload across WORKERS spawn processes.
-    pool = ShardedEngine(
-        partial(_oracle_engine, params_by_topology), workers=WORKERS, shard_by="spec"
-    )
+    pool = ShardedEngine(partial(_oracle_engine, params_by_topology), workers=WORKERS)
     try:
         pool.size_batch(requests)  # warm every worker's slice
         sharded_s = float("inf")

@@ -44,8 +44,9 @@ Subpackages
     The HTTP serving layer: micro-batching, backpressure and deadlines in
     front of the engine (``python -m repro serve``).
 ``shard``
-    Multiprocess sharded serving over spawn-based workers that share the
-    model bundle read-only.
+    Multiprocess sharded serving over spawn-based workers that each load
+    the saved model bundle, keep their own result LRU and run a share of
+    the host's BLAS threads (``python -m repro serve --workers N``).
 ``checks``
     The project's static analyzer (``python -m repro.checks``): lock,
     fork-safety, hot-loop, wire-format, RNG and JSON rules.

@@ -1,8 +1,9 @@
 """Rule ``fork-safety``: objects destined for a worker pool stay portable.
 
-The ROADMAP's multiprocess sharding tentpole will send the model bundle
-and the gm/Id LUTs across process boundaries (pickled, or fork-inherited
-and then diverging).  The classic failure is an innocuous-looking
+A shard-worker factory carries whatever it holds across the spawn
+boundary (pickled; under ``fork`` it would be inherited and then
+diverge), and the model bundle and the gm/Id LUTs are what a factory
+may hold.  The classic failure is an innocuous-looking
 attribute smuggled in three modules away: a ``threading.Lock`` inside a
 helper the bundle holds, a bound method cached on ``self``, an open
 file, a generator — all either unpicklable or silently wrong after
@@ -69,7 +70,7 @@ FORBIDDEN_TYPES = {
     "socketserver.ThreadingTCPServer": "a listening TCP server (socket)",
     "socketserver.UDPServer": "a bound UDP server (socket)",
     # sqlite connections are documented as non-portable across processes;
-    # SharedResultCache opens one per operation instead of caching one.
+    # a process-shared object that needs one opens it per operation.
     "sqlite3.connect": "an sqlite3 connection",
     "sqlite3.Connection": "an sqlite3 connection",
     # multiprocessing primitives wrap OS pipes and locks whose duplication

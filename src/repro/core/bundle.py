@@ -4,6 +4,7 @@ Everything the inference path needs, packaged for persistence: after the
 one-time training phase the bundle is saved to a directory and reloaded for
 sizing sessions, mirroring the paper's deployment model (all SPICE cost in
 training; inference uses only the transformer and the precomputed LUTs).
+A sharded server's workers each reload the bundle from that directory.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ __all__ = ["SizingModel"]
 class SizingModel:  # checks: process-shared
     """Trained artifacts of Stages I-III.
 
-    Marked ``process-shared``: the ROADMAP's multiprocess sharding will
-    hand this bundle to worker processes, so the fork-safety rule keeps
-    it (transitively) free of locks, threads, files, and bound callables.
+    Marked ``process-shared``: a shard-worker factory may carry a model
+    across the spawn boundary (a ``partial`` over one pickles it whole),
+    so the fork-safety rule keeps it (transitively) free of locks,
+    threads, files, and bound callables.  The production pool pickles
+    only the bundle path; each worker calls :meth:`load` itself.
     """
 
     transformer: Transformer
@@ -159,29 +162,6 @@ class SizingModel:  # checks: process-shared
         (path / "bundle.json").write_text(json.dumps(meta, allow_nan=False))
         for tech_name, lut in self.luts.items():
             lut.save(path / f"lut_{tech_name}.npz")
-
-    def export_shared_artifact(self, directory: str | Path):
-        """Export a mmap-friendly artifact (see :mod:`repro.shard.artifact`).
-
-        Unlike :meth:`save`'s ``.npz`` bundles (zip archives, which
-        ``np.load`` cannot memory-map), the shared artifact is a single
-        raw buffer that N sharding workers map read-only at ~1x total
-        model memory.
-        """
-        from ..shard.artifact import export_artifact
-
-        return export_artifact(self, directory)
-
-    @classmethod
-    def load_shared(cls, directory: str | Path) -> SizingModel:
-        """Load a model whose arrays are read-only mmap views.
-
-        Counterpart of :meth:`export_shared_artifact`; see
-        :func:`repro.shard.artifact.load_shared_model`.
-        """
-        from ..shard.artifact import load_shared_model
-
-        return load_shared_model(directory)
 
     @classmethod
     def load(cls, directory: str | Path) -> SizingModel:

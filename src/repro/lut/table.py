@@ -36,9 +36,10 @@ ArrayLike = float | np.ndarray
 class LookupTable:  # checks: process-shared
     """Spline-interpolated per-unit-width device tables for one device type.
 
-    Marked ``process-shared``: the gm/Id tables ship to sharding workers
-    alongside :class:`~repro.core.bundle.SizingModel`, so the fork-safety
-    rule keeps them plain data (grids, tables, splines).
+    Marked ``process-shared``: the gm/Id tables travel with
+    :class:`~repro.core.bundle.SizingModel` wherever a shard-worker
+    factory carries one, so the fork-safety rule keeps them plain data
+    (grids, tables, splines).
     """
 
     def __init__(self, characterization: CharacterizationResult):
@@ -156,13 +157,10 @@ class LookupTable:  # checks: process-shared
         vds_grid: np.ndarray,
         tables: dict[str, np.ndarray],
     ) -> LookupTable:
-        """Build a table directly from grid arrays.
+        """Build a table directly from grid arrays (what :meth:`load` reads).
 
-        The arrays are adopted as-is (``np.asarray`` in ``__init__`` is a
-        no-copy view for ndarray subclasses), so memory-mapped read-only
-        views from a shared artifact stay mmap-backed — the basis of the
-        sharded engine's N-workers-for-1x-model-memory property.  Only
-        the spline coefficients are computed (and owned) privately.
+        The arrays are adopted as-is; only the spline coefficients are
+        computed.
         """
         tech = _TECH_BY_NAME.get(tech_name)
         if tech is None:

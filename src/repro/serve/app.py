@@ -23,10 +23,14 @@ Endpoints:
 ``GET /stats``
     Engine counters (:meth:`EngineStats.as_dict`), result-cache counters,
     and server-level counters: queue depth/capacity, batch-size
-    histogram, flush reasons, p50/p95/p99 latency.
+    histogram, flush reasons, p50/p95/p99 latency.  Behind a sharded
+    pool the engine counters are pool-wide, ``cache`` is ``null`` and a
+    ``workers`` block lists each worker's counters, its own LRU and its
+    ``blas_threads``.
 
 ``GET /healthz``
-    Liveness: ``{"status": "ok"}`` (``"draining"`` during shutdown).
+    Liveness: ``{"status": "ok"}`` (``"draining"`` during shutdown;
+    ``"degraded"`` while a shard worker is down or restarting).
 
 ``GET /topologies``
     The registry, same list as ``python -m repro topologies``.
@@ -191,8 +195,8 @@ class SizingServer(ThreadingHTTPServer):
         self.log = log
         self.serve_stats = ServeStats()
         # The batcher's planning logic is engine-free: it only sees this
-        # opaque handler, so swapping in a sharded/multiprocess handler
-        # later does not touch the queueing or deadline machinery.
+        # opaque handler, so a sharded pool's ``size_batch`` runs behind
+        # the same queueing and deadline machinery.
         self.batcher: MicroBatcher[SizingRequest, SizingResponse] = MicroBatcher(
             handler if handler is not None else engine.size_batch,
             max_batch_size=max_batch_size,
@@ -222,8 +226,9 @@ class SizingServer(ThreadingHTTPServer):
 
         For a sharded engine the ``engine`` block is already the
         pool-wide aggregate (summed worker counters); ``workers`` adds
-        the per-worker breakdown — batch counts, restart counts, live
-        cache view — plus a ``total`` row merged with
+        the per-worker breakdown — batch and restart counts, the
+        worker's own LRU counters, its ``blas_threads`` — plus a
+        ``total`` row merged with
         :func:`~repro.serve.stats.aggregate_counter_payloads`.
         """
         cache = self.engine.cache

@@ -23,9 +23,10 @@ overloaded server sheds exactly the work whose answer nobody is waiting
 for anymore (the HTTP layer maps this to 504).
 
 The batcher holds *no engine state* — the handler is an opaque callable
-and requests are opaque payloads.  That keeps the planning logic (when
-to flush, what to shed) reusable when the engine moves behind a
-multiprocess shard pool: only the handler changes.
+and requests are opaque payloads.  The same planning logic (when to
+flush, what to shed) therefore fronts the single-process engine and the
+multiprocess shard pool alike; for the pool, ``concurrent_batches``
+keeps one batch in flight per worker.
 """
 
 from __future__ import annotations

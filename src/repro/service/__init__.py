@@ -26,14 +26,13 @@ the copilot rounds and the solvers hand both to
 spec each candidate is judged against (it gates the transient).
 """
 
-from .cache import ResultCache, SharedResultCache
+from .cache import ResultCache
 from .engine import EngineStats, SizingEngine
 from .requests import SizingRequest, SizingResponse
 
 __all__ = [
     "EngineStats",
     "ResultCache",
-    "SharedResultCache",
     "SizingEngine",
     "SizingRequest",
     "SizingResponse",

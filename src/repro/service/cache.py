@@ -17,24 +17,18 @@ worker threads and its ``/stats`` reader can share one engine.
 
 from __future__ import annotations
 
-import json
 import math
-import pickle
-import sqlite3
 import threading
 from collections import OrderedDict
-from contextlib import closing
 from dataclasses import replace
 from collections.abc import Hashable
-from pathlib import Path
 from typing import Any
 
 from ..core.specs import DesignSpec
-from ..devices import Corner
 from ..topologies import binding_corner
 from .requests import SizingRequest, SizingResponse
 
-__all__ = ["ResultCache", "SharedResultCache", "quantize_spec", "transferable_response"]
+__all__ = ["ResultCache", "quantize_spec"]
 
 
 def quantize_spec(value: float, sig_digits: int = 3) -> float:
@@ -52,47 +46,6 @@ def quantize_spec(value: float, sig_digits: int = 3) -> float:
             "cache keys require finite targets"
         )
     return float(f"{value:.{sig_digits}g}")
-
-
-def transferable_response(
-    request: SizingRequest, cached_spec: DesignSpec, response: SizingResponse
-) -> SizingResponse | None:
-    """The cached response if its verdict carries over to ``request``.
-
-    Shared by :class:`ResultCache` and :class:`SharedResultCache` so the
-    two stores apply the identical transfer rule: exact-spec match
-    replays outright (the flow is deterministic), and a near-duplicate
-    only transfers when the cached design's *measured* metrics satisfy
-    the new request's exact targets — at every corner, with the binding
-    corner re-ranked against the new targets.
-    """
-    if cached_spec == request.spec:
-        # Identical request: the flow is deterministic, outcome included.
-        return response
-    if response.success and response.metrics is not None:
-        # Near-duplicate: the cached design measurably meets the new
-        # exact targets too, so success transfers.  Corner-aware
-        # responses must re-validate *every* corner — the headline
-        # ``metrics`` is only the binding worst corner by total
-        # shortfall, which does not dominate per metric.
-        if response.corner_metrics:
-            if all(
-                request.spec.satisfied(metrics, rel_tol=request.rel_tol)
-                for metrics in response.corner_metrics.values()
-            ):
-                # The binding corner is spec-dependent: re-rank the
-                # per-corner measurements against the *new* request's
-                # exact targets so worst_corner/headline metrics are
-                # right for this request, not the cached one.
-                worst_name, worst_metrics = binding_corner(
-                    request.spec, response.corner_metrics
-                )
-                return replace(
-                    response, worst_corner=worst_name, metrics=worst_metrics
-                )
-        elif request.spec.satisfied(response.metrics, rel_tol=request.rel_tol):
-            return response
-    return None
 
 
 class ResultCache:
@@ -154,12 +107,37 @@ class ResultCache:
             return self._transferable(request) is not None
 
     def _transferable(self, request: SizingRequest) -> SizingResponse | None:
-        """The cached response if its verdict carries over to ``request``."""
+        """The cached response if its verdict carries over to ``request``.
+
+        An exact-spec match replays outright (the flow is deterministic),
+        and a near-duplicate only transfers when the cached design's
+        *measured* metrics satisfy the new request's exact targets -- at
+        every corner, with the binding corner re-ranked against the new
+        targets.
+        """
         entry = self._entries.get(self.key(request))
         if entry is None:
             return None
         cached_spec, response = entry
-        return transferable_response(request, cached_spec, response)
+        if cached_spec == request.spec:
+            return response
+        if not response.success or response.metrics is None:
+            return None
+        if not response.corner_metrics:
+            satisfied = request.spec.satisfied(response.metrics, rel_tol=request.rel_tol)
+            return response if satisfied else None
+        # The headline ``metrics`` is only the binding worst corner by
+        # total shortfall, which does not dominate per metric, so every
+        # corner is re-validated.
+        if not all(
+            request.spec.satisfied(metrics, rel_tol=request.rel_tol)
+            for metrics in response.corner_metrics.values()
+        ):
+            return None
+        # The binding corner is spec-dependent: re-rank the per-corner
+        # measurements against this request's exact targets.
+        worst_name, worst_metrics = binding_corner(request.spec, response.corner_metrics)
+        return replace(response, worst_corner=worst_name, metrics=worst_metrics)
 
     def get(self, request: SizingRequest) -> SizingResponse | None:
         """The cached response re-addressed to ``request``, or ``None``."""
@@ -195,192 +173,3 @@ class ResultCache:
                 "size": len(self._entries),
                 "maxsize": self.maxsize,
             }
-
-
-def _json_safe_key(key: Hashable) -> Any:
-    """Recursively convert a cache key tuple into JSON-dumpable values."""
-    if isinstance(key, tuple):
-        return [_json_safe_key(part) for part in key]
-    if isinstance(key, Corner):
-        return key.to_json()
-    return key
-
-
-class SharedResultCache:  # checks: process-shared
-    """Disk-backed LRU result cache shared by concurrent processes.
-
-    The same quantized key and transfer rule as :class:`ResultCache`,
-    stored in a sqlite database so every sharding worker (and the parent,
-    and future server restarts) sees one cache: a spec sized via worker A
-    hits when re-requested via worker B.  Responses are pickled whole, so
-    a cross-process hit is bit-identical to the original response.
-
-    Marked ``process-shared``: the instance is plain data (a path and a
-    size bound).  Every operation opens its own short-lived connection —
-    holding a connection (or a lock) on the instance would either break
-    pickling into spawn workers or silently share a non-fork-safe handle,
-    exactly what the fork-safety rule polices.  Concurrency is delegated
-    to sqlite (WAL + busy timeout + ``BEGIN IMMEDIATE`` transactions).
-
-    When two workers race on the same key the store is last-writer-wins:
-    both compute (the benign double-compute window — the key was absent
-    when both probed), both ``put``, and the second ``INSERT OR
-    REPLACE`` overwrites the first with an equivalent entry.  Hit/miss
-    counters live in the database too, so accounting stays exact across
-    the whole pool rather than per process.
-    """
-
-    def __init__(self, directory: str | Path, maxsize: int = 4096):
-        if maxsize < 1:
-            raise ValueError("maxsize must be positive; use no cache instead of size 0")
-        path = Path(directory)
-        path.mkdir(parents=True, exist_ok=True)
-        self.directory = str(path)
-        self.path = str(path / "cache.sqlite")
-        self.maxsize = maxsize
-        with closing(self._connect()) as conn:
-            conn.executescript(
-                """
-                CREATE TABLE IF NOT EXISTS entries (
-                    key TEXT PRIMARY KEY,
-                    spec BLOB NOT NULL,
-                    response BLOB NOT NULL,
-                    seq INTEGER NOT NULL
-                );
-                CREATE INDEX IF NOT EXISTS entries_seq ON entries(seq);
-                CREATE TABLE IF NOT EXISTS counters (
-                    name TEXT PRIMARY KEY,
-                    value INTEGER NOT NULL
-                );
-                INSERT OR IGNORE INTO counters(name, value) VALUES
-                    ('hits', 0), ('misses', 0), ('clock', 0);
-                """
-            )
-            conn.commit()
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def text_key(request: SizingRequest) -> str:
-        """Canonical JSON form of :meth:`ResultCache.key` (sqlite-friendly)."""
-        return json.dumps(
-            _json_safe_key(ResultCache.key(request)),
-            allow_nan=False,
-            sort_keys=True,
-        )
-
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=10.0, isolation_level=None)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
-
-    @staticmethod
-    def _bump(conn: sqlite3.Connection, name: str, delta: int) -> int:
-        row = conn.execute(
-            "UPDATE counters SET value = value + ? WHERE name = ? RETURNING value",
-            (delta, name),
-        ).fetchone()
-        return int(row[0])
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with closing(self._connect()) as conn:
-            row = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
-            return int(row[0])
-
-    def __contains__(self, request: SizingRequest) -> bool:
-        with closing(self._connect()) as conn:
-            row = conn.execute(
-                "SELECT spec, response FROM entries WHERE key = ?",
-                (self.text_key(request),),
-            ).fetchone()
-        if row is None:
-            return False
-        return (
-            transferable_response(request, pickle.loads(row[0]), pickle.loads(row[1]))
-            is not None
-        )
-
-    def get(self, request: SizingRequest) -> SizingResponse | None:
-        """The cached response re-addressed to ``request``, or ``None``."""
-        key = self.text_key(request)
-        with closing(self._connect()) as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = conn.execute(
-                    "SELECT spec, response FROM entries WHERE key = ?", (key,)
-                ).fetchone()
-                response = None
-                if row is not None:
-                    response = transferable_response(
-                        request, pickle.loads(row[0]), pickle.loads(row[1])
-                    )
-                if response is None:
-                    self._bump(conn, "misses", 1)
-                else:
-                    seq = self._bump(conn, "clock", 1)
-                    conn.execute(
-                        "UPDATE entries SET seq = ? WHERE key = ?", (seq, key)
-                    )
-                    self._bump(conn, "hits", 1)
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-        if response is None:
-            return None
-        return response.with_request_id(request.id, cached=True)
-
-    def put(self, request: SizingRequest, response: SizingResponse) -> None:
-        key = self.text_key(request)
-        spec_blob = pickle.dumps(request.spec, protocol=pickle.HIGHEST_PROTOCOL)
-        response_blob = pickle.dumps(response, protocol=pickle.HIGHEST_PROTOCOL)
-        with closing(self._connect()) as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                seq = self._bump(conn, "clock", 1)
-                conn.execute(
-                    "INSERT OR REPLACE INTO entries(key, spec, response, seq) "
-                    "VALUES (?, ?, ?, ?)",
-                    (key, spec_blob, response_blob, seq),
-                )
-                conn.execute(
-                    "DELETE FROM entries WHERE key IN ("
-                    "  SELECT key FROM entries ORDER BY seq ASC"
-                    "  LIMIT max(0, (SELECT COUNT(*) FROM entries) - ?)"
-                    ")",
-                    (self.maxsize,),
-                )
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-
-    def clear(self) -> None:
-        with closing(self._connect()) as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                conn.execute("DELETE FROM entries")
-                conn.execute("UPDATE counters SET value = 0")
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-
-    def as_dict(self) -> dict[str, Any]:
-        """Pool-wide counters snapshot for the serving layer's ``/stats``."""
-        with closing(self._connect()) as conn:
-            counters = dict(
-                conn.execute(
-                    "SELECT name, value FROM counters WHERE name IN ('hits', 'misses')"
-                ).fetchall()
-            )
-            size = int(conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0])
-        return {
-            "hits": int(counters.get("hits", 0)),
-            "misses": int(counters.get("misses", 0)),
-            "size": size,
-            "maxsize": self.maxsize,
-            "shared": True,
-            "path": self.path,
-        }

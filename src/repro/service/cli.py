@@ -35,12 +35,11 @@ Subcommands:
             --max-batch-size 16 --max-wait-ms 20 --queue-depth 256
 
     ``--workers N`` shards the engine across N spawn-based worker
-    processes sharing one memory-mapped model artifact; ``--cache-dir``
-    makes the result cache cross-process so any worker's result is a
-    hit everywhere (see :mod:`repro.shard`)::
+    processes, each loading the bundle and keeping its own result LRU;
+    a request is routed by its quantized spec, so a repeat reaches the
+    worker that cached it (see :mod:`repro.shard`)::
 
-        python -m repro serve --bundle path/to/bundle --workers 4 \
-            --cache-dir /tmp/sizing-cache
+        python -m repro serve --bundle path/to/bundle --workers 2
 
     Ctrl-C / SIGTERM shut down gracefully: the queue drains and every
     accepted request still gets its response.
@@ -55,6 +54,10 @@ Subcommands:
 
 ``solvers``
     List the sizing methods currently in the solver registry.
+
+``checks``
+    Run the project's static analyzer; every argument after ``checks``
+    goes to ``python -m repro.checks`` unchanged.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from pathlib import Path
 from collections.abc import Iterator, Sequence
 from typing import IO
 
+from ..core.bundle import SizingModel
 from ..solvers import available_solvers
 from ..topologies import available_topologies
 from .engine import SizingEngine
@@ -102,10 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="requests per engine batch (default 64)")
     size.add_argument("--cache-size", type=int, default=256,
                       help="LRU result-cache entries, 0 disables (default 256)")
-    size.add_argument("--cache-dir", type=Path, default=None,
-                      help="use a disk-backed cross-process result cache in this "
-                           "directory instead of the in-memory LRU (shared with "
-                           "'serve --cache-dir' and across runs)")
     size.add_argument("--method", default=None, metavar="SOLVER",
                       help="dispatch every request to this registered solver "
                            "(overrides the per-request 'method' field; "
@@ -159,20 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="LRU result-cache entries, 0 disables (default 256)")
     serve.add_argument("--workers", type=int, default=0, metavar="N",
                        help="shard size_batch across N spawn-based worker "
-                            "processes (0 = single-process, the default); the "
-                            "model is shared zero-copy via a memory-mapped "
-                            "artifact exported next to the bundle")
-    serve.add_argument("--cache-dir", type=Path, default=None,
-                       help="disk-backed cross-process result cache directory: "
-                            "a spec sized by any worker (or a previous run) is "
-                            "a cache hit everywhere; without it each worker "
-                            "keeps a private in-memory LRU")
-    serve.add_argument("--shard-by", choices=("spec", "topology", "round-robin"),
-                       default="spec",
-                       help="request routing across workers: 'spec' (default) "
-                            "hashes the quantized cache key for worker "
-                            "affinity, 'topology' pins each topology to one "
-                            "worker, 'round-robin' spreads uniformly")
+                            "processes (0 = single-process, the default); each "
+                            "worker loads the bundle, keeps its own "
+                            "--cache-size LRU and runs cores/N BLAS threads")
     serve.add_argument("--retry-after", type=int, default=1, metavar="SECONDS",
                        help="Retry-After hint on 503 responses (default 1)")
     serve.add_argument("--quiet", action="store_true",
@@ -193,35 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore the knobs above and train the benchmark-suite configuration")
     train.add_argument("--quiet", action="store_true", help="suppress progress logging")
 
-    checks = sub.add_parser(
+    # Parsed by repro.checks.cli itself (see main); listed here for --help.
+    sub.add_parser(
         "checks",
-        help="run the repo-specific two-pass static analyzer (repro.checks)",
-        description=(
-            "Project-wide static analysis over the package sources: lock "
-            "discipline and lock ordering on thread-shared classes, "
-            "fork-safety of process-shared objects, hot-loop vectorization "
-            "discipline, wire-format/cache-key drift, RNG determinism, JSON "
-            "non-finite safety. Exit 0 when no error-severity finding "
-            "is reported, 1 otherwise. Equivalent to "
-            "`python -m repro.checks`."
-        ),
+        help="run the repo-specific two-pass static analyzer "
+             "(same arguments as `python -m repro.checks`)",
     )
-    checks.add_argument("paths", nargs="*", type=Path,
-                        help="files or directories to check "
-                             "(default: the installed repro package)")
-    checks.add_argument("--format", choices=("text", "json"), default="text",
-                        help="stdout report format (default text)")
-    checks.add_argument("--output", type=Path, default=None, metavar="FILE",
-                        help="also write the JSON report to FILE")
-    checks.add_argument("--changed-only", nargs="?", const="HEAD", default=None,
-                        metavar="REF",
-                        help="report findings only for files changed vs REF "
-                             "(default HEAD); the full tree is still parsed")
-    checks.add_argument("--strict", action="store_true",
-                        help="fail on warning-severity findings too")
-    checks.add_argument("--list-rules", action="store_true",
-                        help="list rule ids and exit")
-
     sub.add_parser("topologies", help="list registered topologies")
     sub.add_parser("solvers", help="list registered sizing methods")
     return parser
@@ -250,18 +216,16 @@ def _batched_lines(stream: IO[str], batch_size: int) -> Iterator[list[str]]:
         yield batch
 
 
-def _load_bundle(bundle: Path):
-    """The saved model, or ``None`` (with a stderr message) when absent."""
-    from ..core.bundle import SizingModel
-
-    if not (bundle / "bundle.json").exists():
-        print(
-            f"error: no model bundle at {bundle} "
-            "(expected a directory saved by 'python -m repro train --out ...')",
-            file=sys.stderr,
-        )
-        return None
-    return SizingModel.load(bundle)
+def _bundle_exists(bundle: Path) -> bool:
+    """Whether ``bundle`` holds a saved model (stderr message when not)."""
+    if (bundle / "bundle.json").exists():
+        return True
+    print(
+        f"error: no model bundle at {bundle} "
+        "(expected a directory saved by 'python -m repro train --out ...')",
+        file=sys.stderr,
+    )
+    return False
 
 
 def _run_size(args: argparse.Namespace) -> int:
@@ -299,12 +263,9 @@ def _run_size(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"error: bad --analyses: {error}", file=sys.stderr)
             return 2
-    model = _load_bundle(args.bundle)
-    if model is None:
+    if not _bundle_exists(args.bundle):
         return 2
-    engine = SizingEngine(
-        model, cache_size=args.cache_size, cache=_shared_cache(args.cache_dir)
-    )
+    engine = SizingEngine(SizingModel.load(args.bundle), cache_size=args.cache_size)
 
     overrides = {}
     if args.method is not None:
@@ -374,36 +335,17 @@ def _run_size(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # serve
 # ----------------------------------------------------------------------
-def _shared_cache(cache_dir: Path | None):
-    """A :class:`SharedResultCache` for ``--cache-dir``, or ``None``."""
-    if cache_dir is None:
-        return None
-    from .cache import SharedResultCache
+def _build_serve_engine(args: argparse.Namespace):
+    """The serving engine: a sharded pool when ``--workers N`` is given.
 
-    return SharedResultCache(cache_dir)
-
-
-def _build_serve_engine(args: argparse.Namespace, model):
-    """The serving engine: sharded pool when ``--workers N`` is given.
-
-    Sharding exports the bundle once as a mmap-friendly artifact (under
-    ``<bundle>/shared_artifact``) so the N spawn workers map one shared
-    copy of the weights and LUT grids instead of loading N private ones.
+    Pool workers load the bundle themselves, so the parent never does.
     """
     if args.workers <= 0:
-        return SizingEngine(
-            model, cache_size=args.cache_size, cache=_shared_cache(args.cache_dir)
-        )
+        return SizingEngine(SizingModel.load(args.bundle), cache_size=args.cache_size)
     from ..shard import ShardedEngine
 
-    artifact_dir = args.bundle / "shared_artifact"
-    model.export_shared_artifact(artifact_dir)
-    return ShardedEngine.from_artifact(
-        artifact_dir,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        cache_size=args.cache_size,
-        shard_by=args.shard_by,
+    return ShardedEngine.from_bundle(
+        args.bundle, workers=args.workers, cache_size=args.cache_size
     )
 
 
@@ -412,13 +354,12 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     from ..serve import create_server
 
-    model = _load_bundle(args.bundle)
-    if model is None:
+    if not _bundle_exists(args.bundle):
         return 2
     try:
-        engine = _build_serve_engine(args, model)
+        engine = _build_serve_engine(args)
     except (OSError, ValueError, RuntimeError) as error:
-        print(f"error: cannot start worker pool: {error}", file=sys.stderr)
+        print(f"error: cannot start engine: {error}", file=sys.stderr)
         return 2
     log = None if args.quiet else (lambda message: print(message, file=sys.stderr))
     try:
@@ -505,6 +446,11 @@ def _run_train(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["checks"]:
+        from ..checks.cli import main as checks_main
+
+        return checks_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command == "size":
         return _run_size(args)
@@ -512,21 +458,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_serve(args)
     if args.command == "train":
         return _run_train(args)
-    if args.command == "checks":
-        from ..checks.cli import run as run_checks_cli
-        from ..checks.registry import DEFAULT_RULES
-
-        if args.list_rules:
-            for rule in DEFAULT_RULES:
-                print(f"{rule.id}: {rule.summary}")
-            return 0
-        return run_checks_cli(
-            args.paths,
-            fmt=args.format,
-            output=args.output,
-            changed_only=args.changed_only,
-            strict=args.strict,
-        )
     if args.command == "topologies":
         for name in available_topologies():
             print(name)

@@ -183,21 +183,12 @@ class SizingEngine:
         model: SizingModel,
         cache_size: int = 256,
         backend: EvalBackend | None = None,
-        cache: object | None = None,
     ):
         self.model = model
         #: Stage IV evaluation strategy, shared with registry-dispatched
         #: solvers so SPICE-call accounting flows through one place.
         self.backend = backend if backend is not None else BatchedBackend()
-        #: ``cache=`` injects any object with the ``ResultCache`` get/put
-        #: protocol — notably a :class:`SharedResultCache` so sharding
-        #: workers (and single-process engines pointed at the same
-        #: ``--cache-dir``) share one cross-process store.  Default: a
-        #: private in-memory LRU, or none when ``cache_size`` is 0.
-        if cache is not None:
-            self.cache = cache
-        else:
-            self.cache = ResultCache(cache_size) if cache_size else None
+        self.cache = ResultCache(cache_size) if cache_size else None
         self.stats = EngineStats()
         self._topologies: dict[str, OTATopology] = {}
         # Lazy topology construction may race under concurrent callers;

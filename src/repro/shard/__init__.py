@@ -1,33 +1,28 @@
-"""Multiprocess sharded serving: worker pool + zero-copy shared artifacts.
+"""Multiprocess sharded serving: a spawn worker pool behind ``size_batch``.
 
 The single-process engine saturates one core — the stacked kernels are
 numpy-bound but parsing, BPE and the serving loop are pure Python under
 one GIL.  This package shards ``size_batch`` across spawn-based worker
-processes while keeping the heavy read-only state shared:
+processes:
 
-* :mod:`repro.shard.artifact` — the model bundle serialized as one raw
-  buffer + manifest, memory-mapped read-only by every worker (N workers
-  ≈ 1x model memory, near-instant load);
 * :mod:`repro.shard.worker` — the worker process entry point and the
-  picklable engine factory;
+  picklable engine factory, :func:`engine_from_bundle`, which loads the
+  saved model bundle into a :class:`~repro.service.SizingEngine` with
+  its own in-memory result LRU;
 * :class:`ShardedEngine` — same ``size_batch`` contract as
-  :class:`~repro.service.SizingEngine`, plus worker health, automatic
-  restart, and pool-wide stats aggregation.
+  :class:`~repro.service.SizingEngine`, plus spec-hash routing (a
+  repeated spec returns to the worker that cached it), a per-worker
+  BLAS thread cap, worker health, automatic restart, and pool-wide
+  stats aggregation.
 
-Pairs with :class:`~repro.service.SharedResultCache` so a spec sized by
-one worker is a cache hit on every other.  ``python -m repro serve
---workers N --cache-dir ...`` wires it behind the micro-batcher.
+``python -m repro serve --workers N`` wires it behind the micro-batcher.
 """
 
-from .artifact import SharedArtifact, export_artifact, load_shared_model
 from .engine import ShardedEngine
-from .worker import engine_from_artifact, worker_main
+from .worker import engine_from_bundle, worker_main
 
 __all__ = [
-    "SharedArtifact",
     "ShardedEngine",
-    "engine_from_artifact",
-    "export_artifact",
-    "load_shared_model",
+    "engine_from_bundle",
     "worker_main",
 ]

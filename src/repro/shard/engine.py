@@ -5,7 +5,8 @@
 per request, errors as responses rather than exceptions — but executes
 request groups on N worker processes, so netlist parsing, BPE
 encode/decode and the serving loop's pure-Python work escape the single
-GIL that bounded PR 2–6's speedups.
+GIL.  :meth:`ShardedEngine.from_bundle` is the production pool: every
+worker loads the saved bundle and keeps its own in-memory result LRU.
 
 Design points:
 
@@ -13,7 +14,7 @@ Design points:
   ``fork``: a forked worker would inherit the parent's HTTP listener
   socket, batcher queue and half-held locks (the fork-safety rule and a
   runtime test pin this).
-* **One IO thread per worker, no locks.**  All pipe traffic for worker
+* **One IO thread per worker.**  All pipe traffic for worker
   *i* happens on its dedicated IO thread, which consumes jobs from a
   per-worker inbox queue.  Blocking ``recv`` therefore never happens
   under a lock (the project-wide ``lock-order`` rule rejects that), and
@@ -26,17 +27,24 @@ Design points:
   slice is retried per-request on a healthy worker; a request that
   crashes a worker twice comes back as an error *response*, never an
   exception, and never poisons its batch neighbors.
-* **Sharding.**  ``shard_by="spec"`` (default) routes by the quantized
-  cache key, giving repeated specs worker affinity; ``"topology"`` keeps
-  a topology's lazy per-topology state on one worker;
-  ``"round-robin"`` spreads uniformly (used by tests to force
-  cross-worker cache hits through the shared store).
+* **Spec routing.**  A request goes to the worker picked by a hash of
+  its quantized :meth:`~repro.service.ResultCache.key`, so repeats and
+  near-duplicates land on the worker whose own LRU cached them, and
+  in-batch duplicates reach one engine, which coalesces them.
+* **One BLAS thread budget.**  Each worker starts with
+  ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+  set to the usable cores divided by the pool size (at least 1), unless
+  the operator set them: N workers at the BLAS default would each start
+  one thread per core and oversubscribe the host.  The variables are
+  in the environment the worker is spawned with, because the child
+  imports numpy while it unpickles its target, and the parent's own
+  environment is restored after each start.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
+import os
 import queue
 import threading
 import time
@@ -47,17 +55,31 @@ from pathlib import Path
 from collections.abc import Callable, Sequence
 from typing import Any
 
-from ..service.cache import SharedResultCache
+from ..service.cache import ResultCache
 from ..service.engine import EngineStats, SizingEngine
 from ..service.requests import SizingRequest, SizingResponse
-from .worker import engine_from_artifact, worker_main
+from .worker import engine_from_bundle, worker_main
 
 __all__ = ["ShardedEngine"]
 
-_SHARD_MODES = ("spec", "topology", "round-robin")
-
 #: Sentinel closing a worker's inbox.
 _STOP = object()
+
+#: Thread-count variables of the BLAS builds numpy ships with or links.
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: ``os.environ`` is process-wide and IO threads (of every pool in the
+#: process) start workers concurrently, so each set-start-restore holds
+#: this lock.  ``process.start()`` returns once the child is launched;
+#: the wait for its ``ready`` message happens after the lock is released.
+_ENV_LOCK = threading.Lock()
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        return os.cpu_count() or 1
 
 
 class _Job:
@@ -87,6 +109,7 @@ class _WorkerHandle:
     __slots__ = (
         "index", "process", "conn", "inbox", "thread", "state", "pid",
         "restarts", "init_error", "latest_stats", "retired_stats", "latest_cache",
+        "blas_threads",
     )
 
     def __init__(self, index: int):
@@ -103,6 +126,7 @@ class _WorkerHandle:
         self.latest_stats: dict[str, float] = {}
         self.retired_stats: dict[str, float] = {}
         self.latest_cache: dict[str, Any] | None = None
+        self.blas_threads: int | None = None
 
     def stat(self, name: str) -> float:
         return self.retired_stats.get(name, 0) + self.latest_stats.get(name, 0)
@@ -115,29 +139,24 @@ class ShardedEngine:
     #: crash of an *idle* worker is noticed and restarted.
     _POLL_S = 0.2
 
+    #: The pool has no cache of its own: each worker keeps its LRU, and
+    #: :meth:`workers_payload` reports them.
+    cache = None
+
     def __init__(
         self,
         engine_factory: Callable[[], SizingEngine],
         workers: int = 2,
         *,
-        shard_by: str = "spec",
-        cache: SharedResultCache | None = None,
         max_restarts: int = 3,
         startup_timeout_s: float = 120.0,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if shard_by not in _SHARD_MODES:
-            raise ValueError(f"shard_by must be one of {_SHARD_MODES}, got {shard_by!r}")
         self._engine_factory = engine_factory
-        self.shard_by = shard_by
-        #: Parent-side handle on the cross-process result cache, used for
-        #: ``/stats`` reads only — the *workers'* engines do the get/put,
-        #: so hit/miss accounting is not double-counted here.
-        self.cache = cache
         self.max_restarts = max_restarts
         self._ctx = multiprocessing.get_context("spawn")
-        self._rr = itertools.count()
+        self._blas_threads = max(1, _usable_cores() // workers)
         self._closing = False
         self._handles = [_WorkerHandle(index) for index in range(workers)]
         for handle in self._handles:
@@ -152,30 +171,17 @@ class ShardedEngine:
         self._wait_for_startup(startup_timeout_s)
 
     @classmethod
-    def from_artifact(
+    def from_bundle(
         cls,
-        artifact_dir: str | Path,
+        bundle_dir: str | Path,
         workers: int = 2,
         *,
-        cache_dir: str | Path | None = None,
         cache_size: int = 256,
-        shared_cache_maxsize: int = 4096,
         **kwargs: Any,
     ) -> ShardedEngine:
-        """Pool over :func:`~repro.shard.worker.engine_from_artifact` workers."""
-        factory = partial(
-            engine_from_artifact,
-            str(artifact_dir),
-            cache_dir=None if cache_dir is None else str(cache_dir),
-            cache_size=cache_size,
-            shared_cache_maxsize=shared_cache_maxsize,
-        )
-        cache = (
-            SharedResultCache(cache_dir, maxsize=shared_cache_maxsize)
-            if cache_dir is not None
-            else None
-        )
-        return cls(factory, workers, cache=cache, **kwargs)
+        """Pool whose workers each load the saved bundle at ``bundle_dir``."""
+        factory = partial(engine_from_bundle, str(bundle_dir), cache_size=cache_size)
+        return cls(factory, workers, **kwargs)
 
     # ------------------------------------------------------------------
     # Worker lifecycle (IO threads only)
@@ -188,7 +194,15 @@ class ShardedEngine:
             name=f"repro-shard-worker-{handle.index}",
             daemon=True,
         )
-        process.start()
+        with _ENV_LOCK:
+            added = [name for name in _BLAS_ENV if name not in os.environ]
+            for name in added:
+                os.environ[name] = str(self._blas_threads)
+            try:
+                process.start()
+            finally:
+                for name in added:
+                    del os.environ[name]
         child_conn.close()
         try:
             message = parent_conn.recv()
@@ -198,6 +212,7 @@ class ShardedEngine:
             handle.process = process
             handle.conn = parent_conn
             handle.pid = message[1]
+            handle.blas_threads = message[2]
             handle.state = "healthy"
             return
         handle.init_error = (
@@ -300,12 +315,8 @@ class ShardedEngine:
         n = len(self._handles)
         if n == 1:
             return 0
-        if self.shard_by == "round-robin":
-            return next(self._rr) % n
-        if self.shard_by == "topology":
-            return zlib.crc32(request.topology.encode()) % n
         try:
-            text = SharedResultCache.text_key(request)
+            text = repr(ResultCache.key(request))
         except ValueError:
             # Non-finite spec values cannot form a cache key; the worker
             # engine will reject the request — any shard can do that.
@@ -419,6 +430,7 @@ class ShardedEngine:
                 "requests": int(handle.stat("requests")),
                 "cache_hits": int(handle.stat("cache_hits")),
                 "cache": handle.latest_cache,
+                "blas_threads": handle.blas_threads,
             }
             for handle in self._handles
         ]

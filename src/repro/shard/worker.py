@@ -5,13 +5,15 @@ no ``ThreadingHTTPServer`` socket, no ``MicroBatcher`` queue, no lock in
 a half-held state — crosses the boundary except the pickled
 ``engine_factory`` argument (fork-safety test pins this).  The factory
 must therefore be a picklable callable (a module-level function or a
-``functools.partial`` over one); :func:`engine_from_artifact` is the
-production factory, building a :class:`~repro.service.SizingEngine` over
-the mmap-shared model artifact and the cross-process result cache.
+``functools.partial`` over one); :func:`engine_from_bundle` is the
+production factory, loading the saved bundle into a
+:class:`~repro.service.SizingEngine` with its own in-memory LRU.
 
 Protocol over the duplex pipe (parent → worker / worker → parent):
 
-* ``("ready", pid)`` — sent once after the engine is built.
+* ``("ready", pid, blas_threads)`` — sent once after the engine is
+  built; ``blas_threads`` is the ``OPENBLAS_NUM_THREADS`` the worker was
+  started with (``None`` when unset or not an integer).
 * ``("init-error", message, traceback)`` — the factory raised; the
   worker exits and the parent marks it failed.
 * ``("size", job_id, requests)`` → ``("result", job_id, responses,
@@ -22,7 +24,6 @@ Protocol over the duplex pipe (parent → worker / worker → parent):
 * ``("size", ...)`` → ``("job-error", job_id, message, traceback)`` —
   the batch raised (a bug, not a bad request: per-request problems come
   back as error *responses*).
-* ``("ping", token)`` → ``("pong", token, pid)`` — liveness probe.
 * ``("stop",)`` — clean exit.
 """
 
@@ -34,39 +35,24 @@ import traceback
 from collections.abc import Callable
 from typing import Any
 
+from ..core.bundle import SizingModel
 from ..service.engine import SizingEngine
 
-__all__ = ["engine_from_artifact", "worker_main"]
+__all__ = ["engine_from_bundle", "worker_main"]
 
 
-def engine_from_artifact(
-    artifact_dir: str,
-    cache_dir: str | None = None,
-    cache_size: int = 256,
-    shared_cache_maxsize: int = 4096,
-) -> SizingEngine:
-    """Build a worker engine over the shared artifact (picklable factory).
-
-    The model's weight arrays and LUT grids come back as read-only mmap
-    views (:func:`repro.shard.artifact.load_shared_model`), so every
-    worker shares one physical copy; with ``cache_dir`` the engine uses
-    the cross-process :class:`~repro.service.SharedResultCache` instead
-    of a private LRU.
-    """
-    from ..service.cache import SharedResultCache
-    from .artifact import load_shared_model
-
-    model = load_shared_model(artifact_dir)
-    cache = (
-        SharedResultCache(cache_dir, maxsize=shared_cache_maxsize)
-        if cache_dir
-        else None
-    )
-    return SizingEngine(model, cache_size=cache_size, cache=cache)
+def engine_from_bundle(bundle_dir: str, cache_size: int = 256) -> SizingEngine:
+    """Build a worker engine from a saved bundle (picklable factory)."""
+    return SizingEngine(SizingModel.load(bundle_dir), cache_size=cache_size)
 
 
 def _describe(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
+
+
+def _blas_threads() -> int | None:
+    value = os.environ.get("OPENBLAS_NUM_THREADS", "")
+    return int(value) if value.isdigit() else None
 
 
 def worker_main(conn: Any, engine_factory: Callable[[], SizingEngine]) -> None:
@@ -83,7 +69,7 @@ def worker_main(conn: Any, engine_factory: Callable[[], SizingEngine]) -> None:
         finally:
             conn.close()
         return
-    conn.send(("ready", os.getpid()))
+    conn.send(("ready", os.getpid(), _blas_threads()))
     while True:
         try:
             message = conn.recv()
@@ -92,9 +78,6 @@ def worker_main(conn: Any, engine_factory: Callable[[], SizingEngine]) -> None:
         kind = message[0]
         if kind == "stop":
             break
-        if kind == "ping":
-            conn.send(("pong", message[1], os.getpid()))
-            continue
         if kind != "size":
             conn.send(("job-error", None, f"unknown message kind {kind!r}", ""))
             continue

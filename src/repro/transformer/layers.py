@@ -100,37 +100,6 @@ class Module:
                 )
             value[...] = state[name]
 
-    def adopt_parameters(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        """Rebind parameters to the arrays in ``state`` without copying.
-
-        :meth:`load_state_dict` copies into the preallocated arrays, which
-        is right for checkpoint restore but defeats zero-copy sharing: a
-        memory-mapped (read-only) array handed to it is immediately
-        duplicated into private pages.  This method instead *replaces*
-        each parameter — in ``self.params`` and in any instance attribute
-        aliasing it (``Linear.weight``, ``Embedding.table``, ...) — with
-        the given array, so mmap-backed views stay mmap-backed and N
-        worker processes share one physical copy.  Gradient buffers are
-        left untouched (they stay private and writable).
-        """
-        missing = [
-            name for name, _ in self.named_parameters(prefix) if name not in state
-        ]
-        if missing:
-            raise KeyError(f"state is missing parameters: {sorted(missing)[:5]} ...")
-        for name, old in list(self.params.items()):
-            new = state[prefix + name]
-            if new.shape != old.shape:
-                raise ValueError(
-                    f"shape mismatch for {prefix + name}: {new.shape} vs {old.shape}"
-                )
-            self.params[name] = new
-            for attr, value in self.__dict__.items():
-                if value is old:
-                    setattr(self, attr, new)
-        for child_name, child in self._children.items():
-            child.adopt_parameters(state, prefix + child_name + ".")
-
 
 class Linear(Module):
     """Affine map ``y = x @ W + b`` over the trailing dimension."""

@@ -157,6 +157,24 @@ class TestFramework:
         for rule in DEFAULT_RULES:
             assert rule.id in out
 
+    def test_repro_checks_subcommand_forwards_to_checks_cli(self, tmp_path, capsys):
+        from repro.service.cli import main as repro_main
+
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text("import json\njson.dumps({})\n")
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        for args in (
+            ["--list-rules"],
+            [str(clean)],
+            [str(dirty), "--output", str(tmp_path / "report.json")],
+        ):
+            direct = checks_main(args)
+            direct_out = capsys.readouterr().out
+            forwarded = repro_main(["checks", *args])
+            assert (forwarded, capsys.readouterr().out) == (direct, direct_out)
+        assert direct == 1
+
 
 # ----------------------------------------------------------------------
 # lock-discipline (the PR 6 EngineStats/ResultCache retrofit)
