@@ -17,7 +17,7 @@ iteration counts of the remainder.
 ``test_table8_batched_inference_throughput`` additionally reports the
 before/after number of the service redesign: inference-stage throughput
 of ``SizingEngine.size_batch`` over a mixed-topology batch vs sizing one
-request at a time (``SizingEngine.size_results`` per request), with
+request at a time (a one-request ``size_batch`` per request), with
 decoded texts pinned bit-identical between the two.
 
 ``test_table8_verification_throughput`` is the Stage IV counterpart (and
@@ -152,13 +152,13 @@ def test_table8_runtime_analysis(benchmark, artifact, topologies):
 
     record = artifact.val_records["5T-OTA"][0]
     request = SizingRequest.for_spec("5T-OTA", record.gain_db, record.f3db_hz, record.ugf_hz)
-    benchmark.pedantic(lambda: engine.size_results([request]), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: engine.size_batch([request]), rounds=1, iterations=1)
 
 
 def test_table8_batched_inference_throughput(artifact, topologies):
     """Before/after of the service redesign: one request at a time
-    (``SizingEngine.size_results`` per request) vs ``SizingEngine.size_batch``
-    over a mixed-topology batch.
+    (a one-request ``SizingEngine.size_batch`` per request) vs one
+    ``size_batch`` over a mixed-topology batch.
 
     Both paths run the identical copilot loop (the parity assertion pins
     bit-identical decoded texts per iteration), so the comparison isolates
@@ -182,7 +182,7 @@ def test_table8_batched_inference_throughput(artifact, topologies):
     alone = SizingEngine(artifact.model, cache_size=0)
     for topology in topologies.values():
         alone.adopt_topology(topology)
-    sequential_results = [alone.size_results([request])[0] for request in requests]
+    sequential_responses = [alone.size_batch([request])[0] for request in requests]
     sequential_inference_s = alone.stats.inference_seconds
 
     # ------------------------------------------------------------------
@@ -197,11 +197,10 @@ def test_table8_batched_inference_throughput(artifact, topologies):
     # (relies on per-row reduction-order stability of numpy's BLAS across
     # batch shapes; see the note on TestBatchedDecodeParity in
     # tests/test_service.py).
-    for result, response in zip(sequential_results, responses, strict=True):
-        sequential_texts = [t.decoded_text for t in result.trace]
-        assert sequential_texts == list(response.decoded_texts)
-        assert result.widths == response.widths
-        assert result.success == response.success
+    for sequential, response in zip(sequential_responses, responses, strict=True):
+        assert sequential.decoded_texts == response.decoded_texts
+        assert sequential.widths == response.widths
+        assert sequential.success == response.success
 
     sequences = engine.stats.inference_sequences
     speedup = sequential_inference_s / batched_inference_s

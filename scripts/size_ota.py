@@ -45,25 +45,28 @@ def main(argv=None) -> int:
     topology = engine.topology(args.topology)
     spec = DesignSpec(args.gain_db, args.bw_mhz * 1e6, args.ugf_mhz * 1e6)
     request = SizingRequest(topology=args.topology, spec=spec, max_iterations=args.max_iterations)
-    (result,) = engine.size_results([request])
+    (response,) = engine.size_batch([request])
+    if response.error is not None:
+        print(f"error: {response.error}", file=sys.stderr)
+        return 2
 
-    print(f"success: {result.success}  iterations: {result.iterations}  "
-          f"SPICE simulations: {result.spice_simulations}  time: {result.wall_time_s:.2f}s")
-    if result.widths:
-        for group, width in result.widths.items():
+    print(f"success: {response.success}  iterations: {response.iterations}  "
+          f"SPICE simulations: {response.spice_simulations}  time: {response.wall_time_s:.2f}s")
+    if response.widths:
+        for group, width in response.widths.items():
             devices = ",".join(topology.group(group).devices)
             print(f"  W({devices}) = {width * 1e6:.3f} um")
-    if result.metrics:
-        m = result.metrics
+    if response.metrics:
+        m = response.metrics
         print(f"achieved: gain={m.gain_db:.2f} dB  BW={m.f3db_hz / 1e6:.3f} MHz  "
               f"UGF={m.ugf_hz / 1e6:.1f} MHz")
-    if args.spice_out is not None and result.widths:
+    if args.spice_out is not None and response.widths:
         from repro.spice import to_spice
 
-        deck = to_spice(topology.build(result.widths), title=f"sized {args.topology}")
+        deck = to_spice(topology.build(response.widths), title=f"sized {args.topology}")
         args.spice_out.write_text(deck)
         print(f"wrote SPICE deck to {args.spice_out}")
-    return 0 if result.success else 1
+    return 0 if response.success else 1
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ Subpackages
     Dataset generation (sampling, region/ICMR filters) and sequence-pair
     corpus assembly.
 ``core``
-    The trained sizing model, training pipeline, sizing results, margin
-    allocation and evaluation utilities.
+    The trained sizing model, training pipeline, margin allocation and
+    evaluation utilities.
 ``solvers``
     The unified solver API: every sizing method (transformer copilot and
     the SA/PSO/DE baselines) behind one registry-dispatched ``Solver``
@@ -38,8 +38,9 @@ Subpackages
     ``EvalBackend.measure_sweeps``.
 ``service``
     The batched request/response sizing engine (Stages I-IV of the flow),
-    topology-registry-backed, with JSON-serializable requests and the
-    ``python -m repro`` CLI.
+    topology-registry-backed, with JSON-serializable requests, one
+    response per request (carrying its copilot iteration trace
+    in-process) and the ``python -m repro`` CLI.
 ``serve``
     The HTTP serving layer: micro-batching, backpressure and deadlines in
     front of the engine (``python -m repro serve``).

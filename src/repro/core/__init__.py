@@ -1,4 +1,5 @@
-"""The paper's primary contribution: the end-to-end sizing flow."""
+"""The trained sizing model, its training pipeline and evaluation; the
+flow that uses it (Stages I-IV) runs in :class:`repro.service.SizingEngine`."""
 
 from .bundle import SizingModel
 from .pipeline import PipelineArtifacts, PipelineConfig, train_sizing_model
@@ -9,7 +10,6 @@ from .evaluate import (
     predict_over_records,
     run_sizing_study,
 )
-from .flow import IterationTrace, SizingResult
 from .layout import ParasiticEstimate, evaluate_with_parasitics
 from .margin import tighten_spec
 from .specs import DesignSpec
@@ -24,8 +24,6 @@ __all__ = [
     "correlation_table",
     "predict_over_records",
     "run_sizing_study",
-    "IterationTrace",
-    "SizingResult",
     "ParasiticEstimate",
     "evaluate_with_parasitics",
     "tighten_spec",

@@ -65,9 +65,13 @@ class SizingModel:  # checks: process-shared
         )
 
     def builder(self, topology_name: str) -> SequenceBuilder:
+        """The sequence builder of a topology this model was trained on
+        (``KeyError`` for any other: the model never saw its sequences)."""
         if topology_name not in self.builders:
-            topology = topology_by_name(topology_name)
-            self.builders[topology_name] = SequenceBuilder(topology, self.sequence_config)
+            raise KeyError(
+                f"topology {topology_name!r} is not in this model bundle "
+                f"(trained: {', '.join(sorted(self.builders))})"
+            )
         return self.builders[topology_name]
 
     def lut_for(self, topology: OTATopology, group_name: str) -> LookupTable:

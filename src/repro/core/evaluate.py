@@ -6,21 +6,26 @@ Regenerates the paper's evaluation quantities:
   between transformer-predicted device parameters and the validation
   (simulation-based) values, per device group and parameter;
 * Tables III/V/VII -- target-vs-optimized metrics via the full flow;
-* Table VIII -- success-rate and runtime statistics of a sizing study.
+* Table VIII -- success-rate and runtime statistics of a sizing study,
+  read from the :class:`~repro.service.SizingResponse` objects the
+  engine answers with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..datagen.dataset import DesignRecord
 from ..topologies import OTATopology
 from .bundle import SizingModel
-from .flow import SizingResult
 from .specs import DesignSpec
+
+if TYPE_CHECKING:  # repro.service builds on repro.core
+    from ..service import SizingResponse
 
 __all__ = [
     "PredictionSet",
@@ -114,7 +119,7 @@ class SizingStudy:
     """Aggregate outcome of sizing many specs (Table VIII row)."""
 
     topology_name: str
-    results: list[SizingResult] = field(default_factory=list)
+    results: list[SizingResponse] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -163,9 +168,10 @@ def run_sizing_study(
     """Size every spec with a :class:`~repro.service.SizingEngine` and
     collect Table VIII statistics.
 
-    Runs through ``engine.size_results``, so every copilot round fuses
-    all still-active specs into one greedy decode; per-spec results are
-    bit-identical to sizing each spec alone.
+    Runs through ``engine.size_batch``, so every copilot round fuses
+    all still-active specs into one greedy decode; per-spec responses are
+    bit-identical to sizing each spec alone.  An engine with a result
+    cache answers a repeated spec from it.
     """
     # Local import: repro.service builds on repro.core.
     from ..service.requests import SizingRequest
@@ -176,4 +182,4 @@ def run_sizing_study(
         )
         for spec in specs
     ]
-    return SizingStudy(topology_name=topology_name, results=engine.size_results(requests))
+    return SizingStudy(topology_name=topology_name, results=engine.size_batch(requests))

@@ -5,16 +5,17 @@ one transformer decode plus LUT lookups.  This package turns that into a
 serving-shaped API:
 
 * :class:`SizingRequest` / :class:`SizingResponse` — serializable units
-  of work with stable JSON schemas and per-request ids;
+  of work with stable JSON schemas and per-request ids; a copilot
+  response also carries its rounds' :class:`IterationTrace` entries
+  in-process (``SizingResponse.trace``, never on the wire);
 * :class:`SizingEngine` — owns one trained :class:`~repro.core.SizingModel`,
   groups requests by topology, runs *batched* greedy decoding, applies
   Stage III width estimation and Stage IV verification per request, and
   memoizes results in an LRU cache keyed by quantized specification;
 * ``python -m repro size`` — JSONL in, JSONL out, on top of the engine.
 
-``SizingEngine.size_results`` is the library path: the same batched
-copilot loop, returning :class:`~repro.core.SizingResult` objects with
-their iteration traces instead of wire responses.
+``SizingEngine.size_batch`` is the one path for library callers too
+(``run_sizing_study``, the copilot solver, scripts).
 
 Requests may name any registered solver (``method="sa"``/``"pso"``/
 ``"de"``, see :mod:`repro.solvers`); the engine dispatches them through
@@ -28,10 +29,11 @@ spec each candidate is judged against (it gates the transient).
 
 from .cache import ResultCache
 from .engine import EngineStats, SizingEngine
-from .requests import SizingRequest, SizingResponse
+from .requests import IterationTrace, SizingRequest, SizingResponse
 
 __all__ = [
     "EngineStats",
+    "IterationTrace",
     "ResultCache",
     "SizingEngine",
     "SizingRequest",

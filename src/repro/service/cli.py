@@ -317,16 +317,11 @@ def _run_size(args: argparse.Namespace) -> int:
             sink.close()
 
     if args.stats:
-        stats = engine.stats
         print(
-            f"requests={stats.requests} cache_hits={stats.cache_hits} "
-            f"coalesced={stats.coalesced} "
-            f"batches={stats.batches} inference_calls={stats.inference_calls} "
-            f"inference_sequences={stats.inference_sequences} "
-            f"inference_seconds={stats.inference_seconds:.2f} "
-            f"spice_simulations={stats.spice_simulations} "
-            f"tran_skipped={stats.tran_skipped} "
-            f"solver_requests={stats.solver_requests}",
+            " ".join(
+                f"{name}={value:.2f}" if isinstance(value, float) else f"{name}={value}"
+                for name, value in engine.stats.as_dict().items()
+            ),
             file=sys.stderr,
         )
     return 1 if failures else 0
@@ -400,11 +395,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         print("shutting down: draining the request queue...", file=sys.stderr)
     finally:
         signal.signal(signal.SIGTERM, previous)
-        # Stop accepting, flush every queued request (their handler
-        # threads write the responses), then close the listener and the
-        # worker pool.
-        server.batcher.close()
-        server.server_close()
+        # Flush every queued request (their handler threads write the
+        # responses), close the listener, then the worker pool.
+        server.shutdown_gracefully()
         if hasattr(engine, "close"):
             engine.close()
     print("serve: shutdown complete", file=sys.stderr)

@@ -1,7 +1,8 @@
 """The batched sizing engine (Stages I-IV over many requests at once).
 
 One :class:`SizingEngine` owns one trained :class:`~repro.core.SizingModel`
-and serves any number of topologies through the registry.  The request
+and serves any number of topologies through the registry; a copilot
+request must name one the model was trained on.  The request
 loop is *round based*: every copilot iteration, all still-active requests
 are grouped by topology (serialization and parsing are per-topology) and
 translated in one greedy decode whose batch spans the whole round — one
@@ -21,6 +22,9 @@ resolved once, in :class:`SizingRequest`, and reach the backend as they
 are, together with the spec each candidate is judged against: a
 candidate that misses an AC target at some corner has already failed,
 so its transient is not run (``EngineStats.tran_skipped`` counts them).
+A request's loop ends by building its one :class:`SizingResponse`,
+which also carries the rounds' :class:`IterationTrace` entries
+in-process (``trace``, never on the wire).
 
 A bounded LRU cache keyed by (topology, quantized spec) absorbs repeated
 and near-duplicate requests without touching the transformer at all.
@@ -51,7 +55,6 @@ from typing import Any
 import numpy as np
 
 from ..core.bundle import SizingModel
-from ..core.flow import IterationTrace, SizingResult
 from ..core.margin import tighten_spec
 from ..core.specs import DesignSpec
 from ..datagen.serialize import ParsedParams
@@ -60,7 +63,7 @@ from ..solvers.backend import BatchedBackend, EvalBackend
 from ..spice import TRAN_METRIC_DIRECTIONS, PerformanceMetrics
 from ..topologies import CornerSweep, OTATopology, topology_by_name
 from .cache import ResultCache
-from .requests import SizingRequest, SizingResponse
+from .requests import IterationTrace, SizingRequest, SizingResponse
 
 __all__ = ["SizingEngine", "EngineStats"]
 
@@ -150,8 +153,7 @@ class _ActiveRequest:
 
     __slots__ = (
         "request", "topology", "original", "derated", "current", "trace", "decoded_texts",
-        "spice_count", "iteration", "best", "best_shortfall", "start", "result",
-        "best_corner_metrics", "best_worst_corner",
+        "spice_count", "iteration", "best", "best_shortfall", "start", "response",
     )
 
     def __init__(self, request: SizingRequest, topology: OTATopology):
@@ -166,13 +168,32 @@ class _ActiveRequest:
         self.decoded_texts: list[str] = []
         self.spice_count = 0
         self.iteration = 0
-        self.best: tuple[dict[str, float], PerformanceMetrics] | None = None
+        #: The iterate with the smallest total spec shortfall: (widths, worst-corner
+        #: metrics, per-corner metrics, worst corner); the last two ``None`` if nominal.
+        self.best: tuple | None = None
         self.best_shortfall = float("inf")
-        #: Per-corner measurements of the best iterate (corner requests).
-        self.best_corner_metrics: dict[str, PerformanceMetrics] | None = None
-        self.best_worst_corner: str | None = None
         self.start = time.perf_counter()
-        self.result: SizingResult | None = None
+        self.response: SizingResponse | None = None
+
+    def finish(self, success: bool, iterate: tuple | None) -> None:
+        """End the copilot loop with the request's one response, reporting
+        ``iterate`` (laid out like :attr:`best`; ``None``: nothing measured)."""
+        widths, metrics, corner_metrics, worst_corner = iterate or (None, None, None, None)
+        self.response = SizingResponse(
+            request_id=self.request.id,
+            topology=self.request.topology,
+            method=self.request.method,
+            success=success,
+            widths=widths,
+            metrics=metrics,
+            iterations=self.iteration,
+            spice_simulations=self.spice_count,
+            wall_time_s=time.perf_counter() - self.start,
+            decoded_texts=tuple(self.decoded_texts),
+            corner_metrics=corner_metrics,
+            worst_corner=worst_corner,
+            trace=tuple(self.trace),
+        )
 
 
 class SizingEngine:
@@ -269,11 +290,11 @@ class SizingEngine:
     # The copilot loop, round based
     # ------------------------------------------------------------------
     def _run(self, states: list[_ActiveRequest]) -> None:
-        # A zero-iteration budget finishes immediately as a failed result
+        # A zero-iteration budget finishes immediately as a failed response
         # (the pre-engine flow's behavior for max_iterations=0).
         for state in states:
             self._finish_if_exhausted(state)
-        active = [s for s in states if s.result is None]
+        active = [s for s in states if s.response is None]
         while active:
             by_topology: dict[str, list[_ActiveRequest]] = {}
             for state in active:
@@ -313,7 +334,7 @@ class SizingEngine:
                     ))
                 for (state, widths), sweep in zip(pairs, sweeps, strict=True):
                     self._stage_iv(state, widths, sweep)
-            active = [s for s in active if s.result is None]
+            active = [s for s in active if s.response is None]
 
     def _stage_iii(
         self, s: _ActiveRequest, parsed: ParsedParams, text: str
@@ -389,46 +410,20 @@ class SizingEngine:
 
         # Track the iterate with the smallest total spec shortfall, so a
         # failing run reports its closest attempt rather than its latest.
+        iterate = (widths, worst_metrics, corner_metrics, worst_name)
         shortfall = sum(s.original.miss_fractions(worst_metrics).values())
         if shortfall < s.best_shortfall:
-            s.best_shortfall = shortfall
-            s.best = (widths, worst_metrics)
-            s.best_corner_metrics = corner_metrics
-            s.best_worst_corner = worst_name
+            s.best_shortfall, s.best = shortfall, iterate
 
         if satisfied:
-            s.result = SizingResult(
-                success=True,
-                spec=s.original,
-                widths=widths,
-                metrics=worst_metrics,
-                iterations=s.iteration,
-                spice_simulations=s.spice_count,
-                wall_time_s=time.perf_counter() - s.start,
-                trace=s.trace,
-                corner_metrics=corner_metrics,
-                worst_corner=worst_name,
-            )
-            return
+            return s.finish(True, iterate)
 
         s.current = tighten_spec(requested, s.original, worst_metrics)
         self._finish_if_exhausted(s)
 
     def _finish_if_exhausted(self, s: _ActiveRequest) -> None:
-        if s.result is None and s.iteration >= s.request.iteration_budget:
-            widths, metrics = s.best if s.best is not None else (None, None)
-            s.result = SizingResult(
-                success=False,
-                spec=s.original,
-                widths=widths,
-                metrics=metrics,
-                iterations=len(s.trace),
-                spice_simulations=s.spice_count,
-                wall_time_s=time.perf_counter() - s.start,
-                trace=s.trace,
-                corner_metrics=s.best_corner_metrics,
-                worst_corner=s.best_worst_corner,
-            )
+        if s.response is None and s.iteration >= s.request.iteration_budget:
+            s.finish(False, s.best)
 
     # ------------------------------------------------------------------
     # Non-copilot methods: dispatch through the solver registry
@@ -478,30 +473,6 @@ class SizingEngine:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def size_results(self, requests: Sequence[SizingRequest]) -> list[SizingResult]:
-        """Batched copilot path returning full :class:`SizingResult` objects
-        (with iteration traces), cache-free; inference is fused across the
-        whole batch exactly as in :meth:`size_batch`.  Raises for unknown
-        topologies and non-copilot methods — this is the library entry
-        point (``run_sizing_study``, the copilot solver, scripts), not the
-        wire API.
-        """
-        states = []
-        for request in requests:
-            if request.method != "copilot":
-                raise ValueError(
-                    f"size_results serves the copilot flow only, got method={request.method!r} "
-                    "(use size_batch for registry-dispatched solvers)"
-                )
-            self.stats.add(requests=1)
-            states.append(_ActiveRequest(request, self.topology(request.topology)))
-        self._run(states)
-        results = []
-        for state in states:
-            assert state.result is not None
-            results.append(state.result)
-        return results
-
     def size(self, request: SizingRequest) -> SizingResponse:
         """Serve one request (cache-aware single-shot path)."""
         return self.size_batch([request])[0]
@@ -515,7 +486,8 @@ class SizingEngine:
         computation (cache enabled only; near-duplicates run their own
         Stage IV but still share the batched decode).  An unknown
         topology or solver method yields an error response instead of
-        raising, so one bad request cannot poison a batch.
+        raising, so one bad request cannot poison a batch; so does a
+        copilot request for a topology the model was not trained on.
 
         Requests naming a non-copilot ``method`` are dispatched to the
         solver registry (see :meth:`_solve_with_method`); the copilot
@@ -542,6 +514,7 @@ class SizingEngine:
                     continue
             try:
                 topology = self.topology(request.topology)
+                self.model.builder(request.topology)  # trained on it? (before fusing)
             except KeyError as error:
                 responses[index] = SizingResponse.failure(str(error), request)
                 continue
@@ -565,22 +538,8 @@ class SizingEngine:
         self._run(list(states.values()))
 
         for index, state in states.items():
-            result = state.result
-            assert result is not None
-            response = SizingResponse(
-                request_id=state.request.id,
-                topology=state.request.topology,
-                method=state.request.method,
-                success=result.success,
-                widths=result.widths,
-                metrics=result.metrics,
-                iterations=result.iterations,
-                spice_simulations=result.spice_simulations,
-                wall_time_s=result.wall_time_s,
-                decoded_texts=tuple(state.decoded_texts),
-                corner_metrics=result.corner_metrics,
-                worst_corner=result.worst_corner,
-            )
+            response = state.response
+            assert response is not None
             responses[index] = response
             if self.cache is not None:
                 self.cache.put(state.request, response)

@@ -61,7 +61,7 @@ from ..devices import Corner, resolve_corners
 from ..spice import TRAN_METRIC_NAMES, PerformanceMetrics
 from ..topologies import DEFAULT_ANALYSES, analyses_for_spec
 
-__all__ = ["SizingRequest", "SizingResponse"]
+__all__ = ["IterationTrace", "SizingRequest", "SizingResponse"]
 
 
 def _metrics_json(metrics: PerformanceMetrics | None) -> dict[str, Any] | None:
@@ -253,6 +253,18 @@ class SizingRequest:
         return cls.from_json(json.loads(line))
 
 
+@dataclass
+class IterationTrace:
+    """Diagnostics of one copilot iteration."""
+
+    requested_spec: DesignSpec
+    decoded_text: str
+    parsed_ok: bool
+    widths: dict[str, float] | None
+    metrics: PerformanceMetrics | None
+    satisfied: bool
+
+
 @dataclass(frozen=True)
 class SizingResponse:
     """Outcome of one :class:`SizingRequest`.
@@ -266,6 +278,10 @@ class SizingResponse:
     at every corner: Stage IV runs no transient for any other, so a failed
     response whose best iterate missed an AC target carries AC metrics
     only.
+
+    ``trace`` holds one :class:`IterationTrace` per copilot round.  It is
+    in-process only: it never reaches the wire, equality ignores it, and
+    a cache hit carries the trace of the request that computed it.
     """
 
     request_id: str
@@ -282,6 +298,7 @@ class SizingResponse:
     method: str = "copilot"
     corner_metrics: dict[str, PerformanceMetrics] | None = None
     worst_corner: str | None = None
+    trace: tuple[IterationTrace, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def single_simulation(self) -> bool:

@@ -26,7 +26,9 @@ Design points:
   (stats roll into a retired accumulator), and respawns it.  The failed
   slice is retried per-request on a healthy worker; a request that
   crashes a worker twice comes back as an error *response*, never an
-  exception, and never poisons its batch neighbors.
+  exception, and never poisons its batch neighbors.  A worker whose
+  process cannot be started at all is marked ``failed`` the same way,
+  and its slices retry on a healthy worker.
 * **Spec routing.**  A request goes to the worker picked by a hash of
   its quantized :meth:`~repro.service.ResultCache.key`, so repeats and
   near-duplicates land on the worker whose own LRU cached them, and
@@ -187,22 +189,31 @@ class ShardedEngine:
     # Worker lifecycle (IO threads only)
     # ------------------------------------------------------------------
     def _start_worker(self, handle: _WorkerHandle) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(child_conn, self._engine_factory),
-            name=f"repro-shard-worker-{handle.index}",
-            daemon=True,
-        )
-        with _ENV_LOCK:
-            added = [name for name in _BLAS_ENV if name not in os.environ]
-            for name in added:
-                os.environ[name] = str(self._blas_threads)
-            try:
-                process.start()
-            finally:
+        conns = ()
+        try:
+            conns = parent_conn, child_conn = self._ctx.Pipe()
+            process = self._ctx.Process(
+                target=worker_main,
+                args=(child_conn, self._engine_factory),
+                name=f"repro-shard-worker-{handle.index}",
+                daemon=True,
+            )
+            with _ENV_LOCK:
+                added = [name for name in _BLAS_ENV if name not in os.environ]
                 for name in added:
-                    del os.environ[name]
+                    os.environ[name] = str(self._blas_threads)
+                try:
+                    process.start()
+                finally:
+                    for name in added:
+                        del os.environ[name]
+        except Exception as error:  # noqa: BLE001 — the IO thread must survive
+            # No pipe or process: fail the worker so its jobs retry on a healthy one.
+            for conn in conns:
+                conn.close()
+            handle.init_error = f"worker process did not start: {type(error).__name__}: {error}"
+            handle.state = "failed"
+            return
         child_conn.close()
         try:
             message = parent_conn.recv()

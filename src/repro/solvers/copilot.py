@@ -7,7 +7,8 @@ so Table IX comparisons and the sizing service dispatch it exactly like
 the SPICE-in-the-loop baselines.  ``budget`` counts copilot iterations
 (``None``: the request default of six, the paper's flow cap); each costs
 at most one verification simulation, so it is also the SPICE budget the
-comparison hinges on.
+comparison hinges on.  A solve is a one-request ``SizingEngine.size_batch``;
+a topology the model was not trained on raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,39 +24,39 @@ from .registry import register
 __all__ = ["CopilotSolver", "solve_result_from_sizing"]
 
 
-def solve_result_from_sizing(name: str, spec: DesignSpec, result) -> SolveResult:
-    """Convert a :class:`~repro.core.SizingResult` into a :class:`SolveResult`.
+def solve_result_from_sizing(name: str, spec: DesignSpec, response) -> SolveResult:
+    """Convert a copilot :class:`~repro.service.SizingResponse` to a :class:`SolveResult`.
 
     ``history`` keeps the unified semantics -- best-so-far spec shortfall
-    after each SPICE call -- reconstructed from the iteration trace
+    after each SPICE call -- reconstructed from ``response.trace``
     (iterations whose design failed to simulate consumed no SPICE call
     and therefore contribute no entry).
     """
     history: list[float] = []
     best = float("inf")
-    for trace in result.trace:
+    for trace in response.trace:
         if trace.metrics is None:
             continue
         shortfall = float(sum(spec.miss_fractions(trace.metrics).values()))
         best = min(best, shortfall)
         history.append(best)
     best_value = (
-        float(sum(spec.miss_fractions(result.metrics).values()))
-        if result.metrics is not None
+        float(sum(spec.miss_fractions(response.metrics).values()))
+        if response.metrics is not None
         else float("inf")
     )
     return SolveResult(
         solver=name,
-        success=result.success,
-        spice_calls=result.spice_simulations,
-        wall_time_s=result.wall_time_s,
+        success=response.success,
+        spice_calls=response.spice_simulations,
+        wall_time_s=response.wall_time_s,
         best_value=best_value,
-        best_widths=result.widths,
-        best_metrics=result.metrics,
+        best_widths=response.widths,
+        best_metrics=response.metrics,
         history=history,
-        iterations=result.iterations,
-        corner_metrics=result.corner_metrics,
-        worst_corner=result.worst_corner,
+        iterations=response.iterations,
+        corner_metrics=response.corner_metrics,
+        worst_corner=response.worst_corner,
     )
 
 
@@ -96,7 +97,9 @@ class CopilotSolver(Solver):
             corners=self.corners,
             analyses=self.analyses,
         )
-        (result,) = self.engine.size_results([request])
-        solved = solve_result_from_sizing(self.name, spec, result)
+        (response,) = self.engine.size_batch([request])
+        if response.error is not None:
+            raise ValueError(response.error)
+        solved = solve_result_from_sizing(self.name, spec, response)
         solved.wall_time_s = time.perf_counter() - start
         return solved

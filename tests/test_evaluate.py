@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import DesignSpec, correlation_table
+from repro.core import correlation_table
 from repro.core.evaluate import PredictionSet, SizingStudy
-from repro.core.flow import SizingResult
+from repro.service import SizingResponse
 from repro.spice import PerformanceMetrics
 
 
@@ -45,9 +45,10 @@ class TestCorrelationTable:
 
 
 def _result(success, sims, time_s, iterations):
-    return SizingResult(
+    return SizingResponse(
+        request_id="r",
+        topology="5T-OTA",
         success=success,
-        spec=DesignSpec(20.0, 1e7, 1e8),
         widths=None,
         metrics=PerformanceMetrics(21.0, 1.1e7, 1.1e8) if success else None,
         iterations=iterations,

@@ -10,7 +10,7 @@ per-candidate verification backend.
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,13 @@ import pytest
 from repro.core import DesignSpec, PipelineConfig, train_sizing_model
 from repro.core.bundle import SizingModel
 from repro.datagen import SequenceBuilder, SequenceConfig
-from repro.service import ResultCache, SizingEngine, SizingRequest, SizingResponse
+from repro.service import (
+    EngineStats,
+    ResultCache,
+    SizingEngine,
+    SizingRequest,
+    SizingResponse,
+)
 from repro.service.cache import quantize_spec
 from repro.devices import Corner
 from repro.solvers import BatchedBackend, EvalBackend
@@ -364,7 +370,7 @@ class TestBatchedDecodeParity:
                     )
                 )
         alone = SizingEngine(tiny_artifacts.model, cache_size=0)
-        sequential = [alone.size_results([r])[0] for r in requests]
+        sequential = [alone.size_batch([r])[0] for r in requests]
         engine = SizingEngine(tiny_artifacts.model, cache_size=0)
         responses = engine.size_batch(requests)
         assert [r.request_id for r in responses] == [r.id for r in requests]
@@ -384,6 +390,24 @@ class TestBatchedDecodeParity:
 # ----------------------------------------------------------------------
 # The oracle model and the measured mini-dataset (``oracle_setup``)
 # moved to tests/conftest.py — they are shared with test_serve.py.
+
+
+class _RowCountingOracle(BatchedOracleModel):
+    """The oracle, recording how many rows each fused decode call gets."""
+
+    def __init__(self, topology, records, luts):
+        super().__init__(topology, records, luts)
+        self.rows: list[int] = []
+
+    def predict_params_many(self, specs_by_topology, max_len=None):
+        self.rows.append(sum(len(specs) for specs in specs_by_topology.values()))
+        return super().predict_params_many(specs_by_topology, max_len)
+
+
+def _wire_without_time(response):
+    payload = response.to_json()
+    payload.pop("wall_time_s")
+    return payload
 
 
 class TestEngineServing:
@@ -502,17 +526,48 @@ class TestEngineServing:
         response = engine.size(impossible)
         assert not response.success
         assert response.metrics is not None  # best effort reported
-        (result,) = engine.size_results([impossible])
         shortfalls = [
             sum(impossible.spec.miss_fractions(t.metrics).values())
-            for t in result.trace if t.metrics is not None
+            for t in response.trace if t.metrics is not None
         ]
-        best_reported = sum(impossible.spec.miss_fractions(result.metrics).values())
+        best_reported = sum(impossible.spec.miss_fractions(response.metrics).values())
         assert best_reported == min(shortfalls)
 
+    def test_response_trace_is_in_process_only(self, oracle_setup):
+        """A copilot response carries one trace entry per round, never on
+        the wire, and a JSON round trip still equals the response."""
+        engine, model, records = self._engine(oracle_setup, cache_size=0)
+        impossible = SizingRequest.for_spec("5T-OTA", 90.0, 1e9, 1e11, max_iterations=3)
+        ok, failed = engine.size_batch([self._achievable(records[0]), impossible])
+        assert ok.success and not failed.success and failed.iterations == 3
+        for response in (ok, failed):
+            assert len(response.trace) == response.iterations
+            assert tuple(t.decoded_text for t in response.trace) == response.decoded_texts
+            assert "trace" not in response.to_json()
+        assert ok.trace[-1].satisfied and ok.trace[-1].widths == ok.widths
+        assert SizingResponse.from_json(ok.to_json()) == ok
+
+    def test_untrained_topology_copilot_request_fails_alone(self, oracle_setup):
+        """A copilot request for a topology the model was not trained on
+        gets an error response naming the trained ones, before the fused
+        decode: its neighbour decodes alone and answers as if alone, and
+        the model's builders are left as they were."""
+        topology, records, luts = oracle_setup
+        model = _RowCountingOracle(topology, records, luts)
+        engine = SizingEngine(model, cache_size=0)
+        engine.adopt_topology(topology)
+        untrained = SizingRequest.for_spec("CM-OTA", 24.0, 1.5e7, 2.5e8, id="cm")
+        clean = self._achievable(records[0], id="clean")
+        error, response = engine.size_batch([untrained, clean])
+        assert not error.success and error.iterations == 0
+        assert "'CM-OTA' is not in this model bundle (trained: 5T-OTA)" in error.error
+        assert model.rows == [1] * response.iterations
+        assert list(model.builders) == ["5T-OTA"]
+        alone, _, _ = self._engine(oracle_setup, cache_size=0)
+        assert _wire_without_time(response) == _wire_without_time(alone.size(clean))
+
     def test_zero_iteration_budget_fails_gracefully(self, oracle_setup):
-        """max_iterations=0 returns a failed result without inference,
-        on the wire and through the library path."""
+        """max_iterations=0 returns a failed response without inference."""
         engine, model, records = self._engine(oracle_setup, cache_size=0)
         response = engine.size(self._achievable(records[0], max_iterations=0))
         assert not response.success
@@ -520,10 +575,11 @@ class TestEngineServing:
         assert response.spice_simulations == 0
         assert model.single_calls == 0
 
-        (result,) = engine.size_results(
+        (response,) = engine.size_batch(
             [SizingRequest.for_spec("5T-OTA", 25.0, 3e6, 6e7, max_iterations=0)]
         )
-        assert not result.success and result.iterations == 0
+        assert not response.success and response.iterations == 0
+        assert response.trace == ()
         assert model.single_calls == 0 and model.batch_calls == 0
 
     def test_run_sizing_study_uses_batched_inference(self, oracle_setup):
@@ -543,7 +599,7 @@ class TestEngineServing:
 
         reference_engine, _, _ = self._engine(oracle_setup, cache_size=0)
         for spec, result in zip(specs, study.results, strict=True):
-            (reference,) = reference_engine.size_results(
+            (reference,) = reference_engine.size_batch(
                 [SizingRequest(topology="5T-OTA", spec=spec)]
             )
             assert reference.widths == result.widths
@@ -552,9 +608,9 @@ class TestEngineServing:
             assert reference.iterations == result.iterations
 
     def test_flow_delegates_to_engine(self, oracle_setup):
-        """One spec through the library path is one engine request."""
+        """One spec through ``size_batch`` is one engine request."""
         engine, model, records = self._engine(oracle_setup, cache_size=0)
-        (result,) = engine.size_results([self._achievable(records[0])])
+        (result,) = engine.size_batch([self._achievable(records[0])])
         assert result.success
         assert result.single_simulation
         # One fused one-row decode per round, like any engine request.
@@ -674,11 +730,9 @@ class TestBatchedStageIVParity:
         batched = engine_batched.size_batch(requests)
         assert_responses_identical(sequential, batched)
         assert engine_seq.stats.spice_simulations == engine_batched.stats.spice_simulations
-        # Traces too (size_results exposes them): requested specs, parse
-        # flags, widths, metrics and verdicts, iteration by iteration.
-        traces_seq = engine_seq.size_results(requests)
-        traces_batched = engine_batched.size_results(requests)
-        for ref, got in zip(traces_seq, traces_batched, strict=True):
+        # Traces too: requested specs, parse flags, widths and verdicts,
+        # iteration by iteration.
+        for ref, got in zip(sequential, batched, strict=True):
             assert len(ref.trace) == len(got.trace)
             for t_ref, t_got in zip(ref.trace, got.trace, strict=True):
                 assert t_ref.requested_spec == t_got.requested_spec
@@ -827,7 +881,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "5T-OTA" in out and "CM-OTA" in out and "2S-OTA" in out
 
-    def test_size_jsonl_round_trip(self, tiny_artifacts, tmp_path):
+    def test_size_jsonl_round_trip(self, tiny_artifacts, tmp_path, capsys):
         from repro.service.cli import main
 
         bundle = tmp_path / "bundle"
@@ -843,9 +897,13 @@ class TestCLI:
         )
         responses_file = tmp_path / "responses.jsonl"
         exit_code = main([
-            "size", "--bundle", str(bundle),
+            "size", "--bundle", str(bundle), "--stats",
             "-i", str(requests_file), "-o", str(responses_file),
         ])
+        # --stats names every engine counter, so new ones show up too.
+        err = capsys.readouterr().err
+        for field in fields(EngineStats):
+            assert f"{field.name}=" in err, field.name
         lines = responses_file.read_text().splitlines()
         assert len(lines) == 2
         # Every output line — including error lines — parses with the

@@ -16,7 +16,9 @@ Contracts pinned here:
   fails alone: neighbors come back bit-identical to a single-process
   run, the worker restarts (``/healthz`` goes degraded → healthy), and
   spawn-start means no worker ever inherits the parent's HTTP listener
-  socket (pinned against ``/proc/<pid>/fd``).
+  socket (pinned against ``/proc/<pid>/fd``).  A worker whose process
+  cannot be started is marked failed at once, and its requests are
+  answered by a healthy worker.
 
 Worker factories used here are module-level (spawn pickles them by
 qualified name into the fresh child interpreter).
@@ -29,9 +31,11 @@ import json
 import os
 import signal
 import sys
+import threading
 import time
 from dataclasses import fields
 from functools import partial
+from multiprocessing.context import SpawnContext, SpawnProcess
 
 import pytest
 
@@ -288,6 +292,49 @@ class TestCrashContainment:
             # The recovered pool still serves, and still matches.
             again = engine.size_batch([goods[0]])
             _assert_parity(reference_engine.size_batch([goods[0]]), again)
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize(
+        "owner, method", [(SpawnProcess, "start"), (SpawnContext, "Pipe")]
+    )
+    def test_worker_that_cannot_start_fails_alone(
+        self, owner, method, bundle_dir, reference_engine, artifacts, monkeypatch
+    ):
+        original = getattr(owner, method)
+
+        def fail_for_worker_0(*args, **kwargs):
+            # Worker i is started on its own IO thread.
+            if threading.current_thread().name == "repro-shard-io-0":
+                raise OSError(f"injected: {method} fails for worker 0")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, method, fail_for_worker_0)
+        records = [*artifacts.val_records["5T-OTA"], *artifacts.train_records["5T-OTA"]]
+        requests = _requests_from(records, 8, "nostart-")
+        startup_timeout_s = 30.0
+        began = time.monotonic()
+        engine = ShardedEngine.from_bundle(
+            bundle_dir, workers=2, startup_timeout_s=startup_timeout_s
+        )
+        try:
+            # Startup does not wait out its timeout for the worker that
+            # never started, and reports it failed, not starting.
+            assert time.monotonic() - began < startup_timeout_s
+            states = [worker["state"] for worker in engine.health()["workers"]]
+            assert states == ["failed", "healthy"]
+            assert "injected" in engine._handles[0].init_error
+            assert any(engine._route(request) == 0 for request in requests)
+            # Joined with a timeout, so a hang fails the test instead of
+            # stalling the suite.
+            answered = []
+            thread = threading.Thread(
+                target=lambda: answered.extend(engine.size_batch(requests)), daemon=True
+            )
+            thread.start()
+            thread.join(60.0)
+            assert not thread.is_alive(), "size_batch hung on the unstarted worker"
+            _assert_parity(reference_engine.size_batch(requests), answered)
         finally:
             engine.close()
 

@@ -30,7 +30,13 @@ from repro.solvers import (
     SolveResult,
 )
 from repro.spice import ConvergenceError
-from repro.topologies import DEFAULT_ANALYSES, CornerSweep, FiveTransistorOTA, MeasureOutcome
+from repro.topologies import (
+    DEFAULT_ANALYSES,
+    CornerSweep,
+    FiveTransistorOTA,
+    MeasureOutcome,
+    topology_by_name,
+)
 
 from tests import scalar_reference
 from tests.scalar_reference import ScalarBackend
@@ -489,6 +495,11 @@ class TestCopilotSolver:
     def test_requires_model_or_engine(self, five_t_module):
         with pytest.raises(ValueError, match="model"):
             solvers.create("copilot", five_t_module)
+
+    def test_untrained_topology_raises(self, oneshot_model, achievable_spec):
+        solver = solvers.create("copilot", topology_by_name("CM-OTA"), model=oneshot_model)
+        with pytest.raises(ValueError, match="'CM-OTA' is not in this model bundle"):
+            solver.solve(achievable_spec)
 
 
 # ----------------------------------------------------------------------
