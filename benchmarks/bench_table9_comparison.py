@@ -1,12 +1,11 @@
 """Table IX: comparison with prior SPICE-in-the-loop sizing approaches.
 
 The paper's Table IX is qualitative; this bench makes it quantitative on
-our substrate, and since the solver redesign every method runs through
-the *same* unified API (``repro.solvers``): simulated annealing, PSO and
-differential evolution as registered solvers with SPICE in the loop (on
-the batched evaluation backend), the trained transformer flow as the
-registered ``copilot`` solver.  The comparison columns are SPICE-call
-counts, runtime and success.
+our substrate.  Simulated annealing, PSO and differential evolution run
+as registered ``repro.solvers`` with SPICE in the loop (on the batched
+evaluation backend); the trained transformer flow runs where it is
+served, as one one-request ``SizingEngine.size_batch`` call per spec.
+The comparison columns are SPICE-call counts, runtime and success.
 
 ``test_table9_population_throughput`` is the backend's own before/after
 number: one population evaluated through the sequential scalar reference
@@ -22,6 +21,7 @@ import numpy as np
 
 from repro import solvers
 from repro.core import DesignSpec
+from repro.service import SizingEngine, SizingRequest
 from repro.solvers import BatchedBackend, SearchSpace
 from repro.topologies import DEFAULT_ANALYSES
 
@@ -54,20 +54,22 @@ def test_table9_comparison(benchmark, artifact, topologies):
             wins += int(result.success)
         rows.append((name.upper(), float(np.mean(calls)), float(np.mean(times)), wins))
 
-    copilot = solvers.create("copilot", topology, model=artifact.model)
+    engine = SizingEngine(artifact.model, cache_size=0)
+    engine.adopt_topology(topology)
     flow_calls, flow_times, flow_wins = [], [], 0
     for spec in specs:
-        result = copilot.solve(spec)
-        flow_calls.append(result.spice_calls)
-        flow_times.append(result.wall_time_s)
-        flow_wins += int(result.success)
+        (response,) = engine.size_batch([SizingRequest(topology=topology.name, spec=spec)])
+        assert response.error is None, response.error
+        flow_calls.append(response.spice_simulations)
+        flow_times.append(response.wall_time_s)
+        flow_wins += int(response.success)
     rows.append(("Transformer+LUT", float(np.mean(flow_calls)), float(np.mean(flow_times)), flow_wins))
 
     lines = [
         "Table IX -- comparison with SPICE-in-the-loop sizing (quantified)",
         "",
         f"{N_SPECS} unseen 5T-OTA specs; baselines capped at {MAX_EVALS} SPICE calls;",
-        "all methods dispatched through the unified repro.solvers API",
+        "baselines through repro.solvers, the flow through SizingEngine.size_batch",
         "",
         f"{'method':16s} {'avg SPICE calls':>16s} {'avg time [s]':>13s} {'success':>8s}",
     ]

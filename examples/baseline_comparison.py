@@ -3,8 +3,8 @@
 Reproduces the qualitative Table IX story quantitatively on one spec
 through the unified solver API: the stochastic baselines (SA / PSO / DE)
 each need tens to hundreds of SPICE simulations to satisfy the same
-specification the trained flow satisfies with one verification
-simulation.  Populations are evaluated through the batched backend
+specification the trained flow (``SizingEngine``, method ``copilot``)
+satisfies with one verification simulation.  Populations are evaluated through the batched backend
 (vectorized AC, amortized DC Newton) — identical results, fewer seconds.
 
 Usage::
@@ -34,8 +34,9 @@ def main() -> None:
         result = solver.solve(spec, budget=400, rng=np.random.default_rng(0))
         print(f"{name:10s} {str(result.success):8s} {result.spice_calls:<12d} "
               f"{result.wall_time_s:<10.2f} {result.best_value:<10.4f}")
-    print("\nThe trained transformer flow is the registered 'copilot' solver and "
-          "satisfies comparable specs with a single verification simulation "
+    print("\nThe trained transformer flow is not a solver: SizingEngine serves it as "
+          "method 'copilot', one size_batch request per spec, and it satisfies "
+          "comparable specs with a single verification simulation "
           "(see benchmarks/bench_table9_comparison.py).")
 
 

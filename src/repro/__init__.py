@@ -32,15 +32,15 @@ Subpackages
     The trained sizing model, training pipeline, margin allocation and
     evaluation utilities.
 ``solvers``
-    The unified solver API: every sizing method (transformer copilot and
-    the SA/PSO/DE baselines) behind one registry-dispatched ``Solver``
-    protocol, measuring through one evaluation-backend method,
-    ``EvalBackend.measure_sweeps``.
+    The unified solver API: the SA/PSO/DE baselines behind one
+    registry-dispatched ``Solver`` protocol, measuring through one
+    evaluation-backend method, ``EvalBackend.measure_sweeps``.
 ``service``
     The batched request/response sizing engine (Stages I-IV of the flow),
-    topology-registry-backed, with JSON-serializable requests, one
-    response per request (carrying its copilot iteration trace
-    in-process) and the ``python -m repro`` CLI.
+    the one place the transformer copilot runs; it also dispatches the
+    solvers by name.  JSON-serializable requests, one response per
+    request (carrying its copilot iteration trace in-process) and the
+    ``python -m repro`` CLI.
 ``serve``
     The HTTP serving layer: micro-batching, backpressure and deadlines in
     front of the engine (``python -m repro serve``).

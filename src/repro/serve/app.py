@@ -13,6 +13,8 @@ Endpoints:
       (``success`` may still be ``false`` when the spec is infeasible);
     * ``400`` — malformed body, same structured payload as a bad JSONL
       line in the CLI;
+    * ``413`` — a ``Content-Length`` over :data:`MAX_BODY_BYTES`, same
+      payload; the body is not read and the connection is closed;
     * ``503`` + ``Retry-After`` — the bounded queue is full
       (backpressure: retry, don't pile on);
     * ``504`` — the request's ``deadline_ms`` expired while it waited in
@@ -56,7 +58,11 @@ from .batcher import BatcherClosedError, MicroBatcher, QueueFullError
 from .protocol import RequestError, invalid_request_response, parse_request_text
 from .stats import ServeStats, aggregate_counter_payloads
 
-__all__ = ["SizingServer", "create_server"]
+__all__ = ["MAX_BODY_BYTES", "SizingServer", "create_server"]
+
+#: Largest ``POST /v1/size`` body the server reads (one request is a few
+#: hundred bytes); a larger ``Content-Length`` is answered 413 unread.
+MAX_BODY_BYTES = 1 << 20
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -109,6 +115,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(
                 400, invalid_request_response("empty request body").to_json()
             )
+            return
+        if length > MAX_BODY_BYTES:
+            # An unread body cannot be skipped on a keep-alive socket: close it.
+            self.server.serve_stats.record_bad_request()
+            message = f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            payload = invalid_request_response(message).to_json()
+            self._send_json(413, payload, headers={"Connection": "close"})
             return
         body = self.rfile.read(length).decode("utf-8", errors="replace")
         try:

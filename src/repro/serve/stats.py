@@ -79,7 +79,7 @@ class ServeStats:
         self.served = 0
         #: Requests that failed inside the batch handler (HTTP 500).
         self.failed = 0
-        #: Request bodies that failed validation (HTTP 400).
+        #: Request bodies that failed validation (HTTP 400) or were too large (413).
         self.bad_requests = 0
         #: Requests rejected because the queue was full (HTTP 503).
         self.rejected_queue_full = 0

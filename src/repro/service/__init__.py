@@ -14,13 +14,14 @@ serving-shaped API:
   memoizes results in an LRU cache keyed by quantized specification;
 * ``python -m repro size`` — JSONL in, JSONL out, on top of the engine.
 
-``SizingEngine.size_batch`` is the one path for library callers too
-(``run_sizing_study``, the copilot solver, scripts).
+``SizingEngine.size_batch`` is the one place the copilot runs, for
+library callers too (``run_sizing_study``, Table IX, scripts).
 
 Requests may name any registered solver (``method="sa"``/``"pso"``/
-``"de"``, see :mod:`repro.solvers`); the engine dispatches them through
-the unified solver API and returns the same response schema, so the
-copilot and the SPICE-in-the-loop baselines are served by one endpoint.
+``"de"``, see :mod:`repro.solvers`, a layer below this one); the engine
+dispatches them through the unified solver API and returns the same
+response schema, so the copilot and the SPICE-in-the-loop baselines are
+served by one endpoint.
 A request resolves its corner axis and analyses once, at construction;
 the copilot rounds and the solvers hand both to
 :meth:`~repro.solvers.EvalBackend.measure_sweeps` unchanged, with the

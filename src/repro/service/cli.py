@@ -9,11 +9,11 @@ Subcommands:
 
         python -m repro size --bundle path/to/bundle < requests.jsonl > responses.jsonl
 
-    ``--method`` dispatches every request to a registered solver
-    (``copilot`` / ``sa`` / ``pso`` / ``de``), overriding the per-request
-    ``method`` field; ``--budget`` caps each solver's SPICE evaluations;
-    ``--corners`` verifies every request worst-case across the named PVT
-    corners::
+    ``--method`` sizes every request with one method (``copilot``, or a
+    registered solver: ``sa`` / ``pso`` / ``de``), overriding the
+    per-request ``method`` field; ``--budget`` caps each solver's SPICE
+    evaluations; ``--corners`` verifies every request worst-case across
+    the named PVT corners::
 
         python -m repro size --bundle path/to/bundle --method pso --budget 400 ...
         python -m repro size --bundle path/to/bundle --corners tt,ss,ff ...
@@ -53,7 +53,8 @@ Subcommands:
     List the circuits currently in the topology registry.
 
 ``solvers``
-    List the sizing methods currently in the solver registry.
+    List the sizing methods a request may name: ``copilot``, then the
+    solver registry.
 
 ``checks``
     Run the project's static analyzer; every argument after ``checks``
@@ -70,9 +71,8 @@ from collections.abc import Iterator, Sequence
 from typing import IO
 
 from ..core.bundle import SizingModel
-from ..solvers import available_solvers
 from ..topologies import available_topologies
-from .engine import SizingEngine
+from .engine import SizingEngine, available_methods
 from .requests import SizingRequest
 
 __all__ = ["main", "build_parser"]
@@ -106,10 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="requests per engine batch (default 64)")
     size.add_argument("--cache-size", type=int, default=256,
                       help="LRU result-cache entries, 0 disables (default 256)")
-    size.add_argument("--method", default=None, metavar="SOLVER",
-                      help="dispatch every request to this registered solver "
-                           "(overrides the per-request 'method' field; "
-                           "see 'python -m repro solvers')")
+    size.add_argument("--method", default=None, metavar="METHOD",
+                      help="size every request with this method: 'copilot' or "
+                           "a registered solver (overrides the per-request "
+                           "'method' field; see 'python -m repro solvers')")
     size.add_argument("--budget", type=int, default=None,
                       help="per-request SPICE-evaluation budget for the solver "
                            "(copilot: verification iterations)")
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(same arguments as `python -m repro.checks`)",
     )
     sub.add_parser("topologies", help="list registered topologies")
-    sub.add_parser("solvers", help="list registered sizing methods")
+    sub.add_parser("solvers", help="list the sizing methods a request may name")
     return parser
 
 
@@ -230,13 +230,13 @@ def _bundle_exists(bundle: Path) -> bool:
 
 def _run_size(args: argparse.Namespace) -> int:
     from ..devices import resolve_corners
-    from ..serve.protocol import RequestError, invalid_request_response, parse_request_text
+    from ..serve.protocol import invalid_request_response, parse_request_text
     from ..topologies import resolve_analyses
 
-    if args.method is not None and args.method not in available_solvers():
+    if args.method is not None and args.method not in available_methods():
         print(
-            f"error: unknown solver {args.method!r} "
-            f"(registered: {', '.join(available_solvers())})",
+            f"error: unknown sizing method {args.method!r} "
+            f"(available: {', '.join(available_methods())})",
             file=sys.stderr,
         )
         return 2
@@ -291,11 +291,12 @@ def _run_size(args: argparse.Namespace) -> int:
             for index, line in enumerate(lines):
                 # Validation shared with the HTTP serving layer: a bad
                 # JSONL line and a bad HTTP body produce the same
-                # structured error payload (see repro.serve.protocol).
+                # structured error payload (see repro.serve.protocol); an
+                # override over a work bound (--budget) is a bad line too.
                 try:
                     request, _ = parse_request_text(line)
                     requests.append(replace(request, **overrides) if overrides else request)
-                except RequestError as error:
+                except ValueError as error:
                     requests.append(None)
                     parse_errors[index] = str(error)
             responses = iter(engine.size_batch([r for r in requests if r is not None]))
@@ -456,7 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(name)
         return 0
     if args.command == "solvers":
-        for name in available_solvers():
+        for name in available_methods():
             print(name)
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -29,11 +29,11 @@ in-process (``trace``, never on the wire).
 A bounded LRU cache keyed by (topology, quantized spec) absorbs repeated
 and near-duplicate requests without touching the transformer at all.
 
-Requests may also name any registered solver (``method="pso"`` etc., see
-:mod:`repro.solvers`): those are dispatched to the unified solver API --
-running SPICE-in-the-loop on the batched evaluation backend -- and come
-back in the same response schema, so one service endpoint serves copilot
-and baseline sizing alike.
+The engine is the one place the copilot runs.  Requests may also name
+any registered solver (:func:`available_methods` lists them all): those
+are dispatched to the unified solver API -- running SPICE-in-the-loop on
+the batched evaluation backend -- and come back in the same response
+schema, so one service endpoint serves copilot and baseline sizing alike.
 
 Requests with a ``corners`` axis are verified **worst-case across PVT
 corners**: each round's candidates are measured at every corner (the
@@ -59,13 +59,13 @@ from ..core.margin import tighten_spec
 from ..core.specs import DesignSpec
 from ..datagen.serialize import ParsedParams
 from ..lut import DeviceParams, estimate_width
-from ..solvers.backend import BatchedBackend, EvalBackend
-from ..spice import TRAN_METRIC_DIRECTIONS, PerformanceMetrics
+from ..solvers import BatchedBackend, EvalBackend, available_solvers, solver_factory
+from ..spice import TRAN_METRIC_DIRECTIONS
 from ..topologies import CornerSweep, OTATopology, topology_by_name
 from .cache import ResultCache
 from .requests import IterationTrace, SizingRequest, SizingResponse
 
-__all__ = ["SizingEngine", "EngineStats"]
+__all__ = ["SizingEngine", "EngineStats", "available_methods"]
 
 #: Retry nudge applied when an iteration produced nothing verifiable
 #: (unparseable decode, inconsistent widths, or a non-converging design).
@@ -79,6 +79,12 @@ _WIDTH_BOUNDS = (0.1e-6, 200e-6)
 #: predicted parameters cannot describe any physical device, so
 #: re-inferring beats verifying a garbage design.
 _MAX_CANDIDATE_SPREAD = 5.0
+
+
+def available_methods() -> tuple[str, ...]:
+    """Every ``SizingRequest.method`` the engine serves: the copilot,
+    then the registered solvers."""
+    return ("copilot", *available_solvers())
 
 
 def _derated_spec(spec: DesignSpec, rel_tol: float) -> DesignSpec:
@@ -436,18 +442,15 @@ class SizingEngine:
         requests explore independently.  ``rel_tol`` derates the targets the
         solver chases, matching the copilot's tolerance semantics.
         """
-        from .. import solvers
-
         self.stats.add(solver_requests=1)
         try:
             topology = self.topology(request.topology)
-            factory = solvers.solver_factory(request.method)
+            factory = solver_factory(request.method)
         except KeyError as error:
             return SizingResponse.failure(str(error), request)
 
         solver = factory(
             topology,
-            model=self.model,
             backend=self.backend,
             corners=request.corners,
             analyses=request.analyses,

@@ -10,11 +10,13 @@ Request line::
      "f3db_hz": 5e6, "ugf_hz": 8e7, "max_iterations": 6, "rel_tol": 0.0,
      "method": "copilot", "budget": null, "corners": ["tt", "ss", "ff"]}
 
-``method`` names any registered solver (``repro.solvers``): the default
-``"copilot"`` runs the transformer flow, ``"sa"``/``"pso"``/``"de"`` run
-the SPICE-in-the-loop baselines.  ``budget`` caps the solver's SPICE
-evaluations (for the copilot: verification iterations); ``null`` selects
-the per-method default (``max_iterations`` for the copilot).
+``method`` names the sizing method: the default ``"copilot"`` runs the
+transformer flow, any registered solver (``repro.solvers``:
+``"sa"``/``"pso"``/``"de"``) runs a SPICE-in-the-loop baseline.
+``budget`` caps the solver's SPICE evaluations (for the copilot:
+verification iterations); ``null`` selects the per-method default
+(``max_iterations`` for the copilot).  A request runs inside one
+``size_batch`` call, so both are bounded at ten times their defaults.
 
 ``corners`` selects the PVT evaluation contexts: preset names
 (``"tt"``/``"ss"``/``"ff"``) or explicit override objects (e.g.
@@ -58,10 +60,17 @@ from typing import Any
 
 from ..core.specs import DesignSpec
 from ..devices import Corner, resolve_corners
+from ..solvers import DEFAULT_BUDGET
 from ..spice import TRAN_METRIC_NAMES, PerformanceMetrics
 from ..topologies import DEFAULT_ANALYSES, analyses_for_spec
 
 __all__ = ["IterationTrace", "SizingRequest", "SizingResponse"]
+
+#: Most copilot rounds one request may ask for (``max_iterations``, or a
+#: copilot ``budget``) and most SPICE evaluations of a solver ``budget``:
+#: ten times each default.
+MAX_ITERATIONS = 60
+MAX_SOLVER_BUDGET = 10 * DEFAULT_BUDGET
 
 
 def _metrics_json(metrics: PerformanceMetrics | None) -> dict[str, Any] | None:
@@ -142,14 +151,15 @@ class SizingRequest:
             raise ValueError("topology must be a non-empty string")
         if not self.id or not isinstance(self.id, str):
             raise ValueError("request id must be a non-empty string")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
+        if not 0 <= self.max_iterations <= MAX_ITERATIONS:
+            raise ValueError(f"max_iterations must be between 0 and {MAX_ITERATIONS}")
         if not (0.0 <= self.rel_tol < 1.0):
             raise ValueError("rel_tol must be in [0, 1)")
         if not self.method or not isinstance(self.method, str):
             raise ValueError("method must be a non-empty string")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be non-negative")
+        cap = MAX_ITERATIONS if self.method == "copilot" else MAX_SOLVER_BUDGET
+        if self.budget is not None and not 0 <= self.budget <= cap:
+            raise ValueError(f"budget of a {self.method} request must be between 0 and {cap}")
         # DesignSpec's positivity check lets NaN and inf through; reject them
         # here, before the request can join (and fail) a batch.
         targets = (

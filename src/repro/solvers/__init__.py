@@ -1,15 +1,17 @@
 """Unified solver API over a batched SPICE evaluation backend.
 
-Every sizing method -- the transformer copilot and the SPICE-in-the-loop
-baselines (SA / PSO / DE) -- implements one protocol::
+The SPICE-in-the-loop baselines of Table IX (SA / PSO / DE) implement
+one protocol::
 
     solver = repro.solvers.get("pso")(topology)          # or .create(...)
     result = solver.solve(spec, budget=400, rng=rng)     # -> SolveResult
 
 with unified success / SPICE-call / wall-time / history accounting, and
-all methods are dispatchable by name through the registry (mirroring the
+all of them are dispatchable by name through the registry (mirroring the
 topology registry), the sizing engine (``SizingRequest.method``) and the
-CLI (``python -m repro size --method pso``).
+CLI (``python -m repro size --method pso``).  The transformer copilot is
+not a solver: :class:`~repro.service.SizingEngine` runs it, and this
+package imports nothing from the service layers above it.
 
 Underneath, population-based solvers submit whole generations to an
 :class:`EvalBackend`, whose one method ``measure_sweeps`` takes the
@@ -35,7 +37,6 @@ from .base import (
     DEFAULT_BUDGET,
     PENALTY,
     SearchObjective,
-    SearchSolver,
     SearchSpace,
     Solver,
     SolveResult,
@@ -51,7 +52,6 @@ from .registry import (
 
 # Importing the solver modules registers the stock methods.
 from .annealing import SimulatedAnnealingSolver
-from .copilot import CopilotSolver, solve_result_from_sizing
 from .evolution import DifferentialEvolutionSolver
 from .swarm import ParticleSwarmSolver
 
@@ -61,7 +61,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "PENALTY",
     "SearchObjective",
-    "SearchSolver",
     "SearchSpace",
     "Solver",
     "SolveResult",
@@ -72,8 +71,6 @@ __all__ = [
     "solver_factory",
     "unregister",
     "SimulatedAnnealingSolver",
-    "CopilotSolver",
-    "solve_result_from_sizing",
     "DifferentialEvolutionSolver",
     "ParticleSwarmSolver",
 ]

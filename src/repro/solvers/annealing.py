@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from ..core.specs import DesignSpec
-from .base import SearchSolver, SolveResult
+from .base import Solver, SolveResult
 from .registry import register
 
 __all__ = ["SimulatedAnnealingSolver"]
@@ -30,7 +30,7 @@ STEP_SCALE = 0.15
 
 
 @register
-class SimulatedAnnealingSolver(SearchSolver):
+class SimulatedAnnealingSolver(Solver):
     """Multi-chain simulated annealing over the normalized width box."""
 
     name = "sa"

@@ -1,16 +1,15 @@
-"""The unified solver API: one protocol for every sizing method.
+"""The unified solver API: one protocol for the SPICE-in-the-loop methods.
 
 The paper's Table IX pits the transformer copilot against SPICE-in-the-
-loop optimizers; this module makes them interchangeable.  A *solver*
-takes a specification, a budget and an rng and returns a
+loop optimizers.  This module gives those optimizers one protocol.  A
+*solver* takes a specification, a budget and an rng and returns a
 :class:`SolveResult` with unified success / SPICE-call / wall-time /
 history accounting::
 
     result = repro.solvers.get("pso")(topology).solve(spec, budget=400, rng=rng)
 
-Search-based solvers (SA / PSO / DE) share :class:`SearchObjective`, the
-one place that owns best-value and history bookkeeping (previously
-copy-pasted across the three baseline modules) and submits whole
+The solvers (SA / PSO / DE) share :class:`SearchObjective`, the one
+place that owns best-value and history bookkeeping and submits whole
 populations to an :class:`~repro.solvers.backend.EvalBackend` so
 generation evaluation is vectorized.
 
@@ -54,7 +53,6 @@ __all__ = [
     "SearchObjective",
     "SolveResult",
     "Solver",
-    "SearchSolver",
 ]
 
 #: Objective value assigned to non-simulatable / invalid designs.
@@ -227,18 +225,18 @@ class SearchObjective:
 
 
 class Solver(ABC):
-    """One sizing method over one topology.
+    """One SPICE-in-the-loop sizing method over one topology.
 
     Every registered solver is constructed as
-    ``factory(topology, backend=..., model=..., corners=..., analyses=...)``:
-    search-based solvers use the evaluation backend (``None`` means the
-    batched one), the copilot uses the trained model; each ignores what it
-    does not need, so callers can instantiate any registry entry
-    uniformly.  ``corners`` selects the PVT corner axis -- when set, the
-    solver chases worst-corner-aggregate objectives and succeeds only when
-    the design meets spec at every corner.  ``analyses`` selects the
-    measurement pipeline (``None`` is the AC-only default; a spec with
-    transient targets pulls the transient leg in regardless).
+    ``factory(topology, backend=..., corners=..., analyses=...)``.
+    ``backend`` is the evaluation backend (``None`` means the batched
+    one).  ``corners`` selects the PVT corner axis -- when set, the
+    objective built by :meth:`_objective` scores every generation by
+    worst-corner aggregates (see :class:`SearchObjective`), and a solve
+    succeeds only when the design meets spec at every corner.
+    ``analyses`` selects the measurement pipeline (``None`` is the
+    AC-only default; a spec with transient targets pulls the transient
+    leg in regardless).
     """
 
     #: Registry name, e.g. ``"sa"``; also stamped on results.
@@ -249,13 +247,11 @@ class Solver(ABC):
         topology: OTATopology,
         *,
         backend: EvalBackend | None = None,
-        model=None,
         corners: Sequence[CornerLike] | None = None,
         analyses: Sequence[str] | None = None,
     ):
         self.topology = topology
         self.backend = backend if backend is not None else BatchedBackend()
-        self.model = model
         #: Resolved corner axis; empty = nominal-only evaluation.
         self.corners: tuple[Corner, ...] = resolve_corners(corners)
         #: Resolved requested pipeline; each spec may pull ``tran`` in.
@@ -270,20 +266,10 @@ class Solver(ABC):
     ) -> SolveResult:
         """Search for a design meeting ``spec`` within ``budget`` SPICE calls.
 
-        ``budget`` bounds the number of SPICE evaluations (for the copilot:
-        verification iterations, each costing at most one simulation);
-        ``None`` selects the solver's default.  ``rng`` drives any
-        stochastic choices; ``None`` means a fixed default seed.
+        ``budget`` bounds the number of SPICE evaluations; ``None``
+        selects :data:`DEFAULT_BUDGET`.  ``rng`` drives any stochastic
+        choices; ``None`` means a fixed default seed.
         """
-
-
-class SearchSolver(Solver):
-    """Shared plumbing of the stochastic SPICE-in-the-loop solvers.
-
-    The objective built by :meth:`_objective` inherits the solver's corner
-    axis, so with ``corners=`` set every generation is scored by
-    worst-corner aggregates (see :class:`SearchObjective`).
-    """
 
     def _objective(self, spec: DesignSpec) -> SearchObjective:
         return SearchObjective(

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from ..core.specs import DesignSpec
-from .base import SearchSolver, SolveResult
+from .base import Solver, SolveResult
 from .registry import register
 
 __all__ = ["DifferentialEvolutionSolver"]
@@ -29,7 +29,7 @@ CROSSOVER = 0.8
 
 
 @register
-class DifferentialEvolutionSolver(SearchSolver):
+class DifferentialEvolutionSolver(Solver):
     """DE/rand/1/bin over the normalized width box."""
 
     name = "de"

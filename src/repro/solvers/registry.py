@@ -5,10 +5,10 @@ class decorator); the sizing engine, the CLI and the benchmarks resolve
 method names through the registry, so adding a sizing method means
 registering one class -- no dispatch table to edit::
 
-    from repro.solvers import SearchSolver, register
+    from repro.solvers import Solver, register
 
     @register
-    class RandomSearch(SearchSolver):
+    class RandomSearch(Solver):
         name = "random"
 
         def solve(self, spec, budget=None, rng=None):
@@ -37,8 +37,7 @@ __all__ = [
 
 F = TypeVar("F", bound=Callable[..., Solver])
 
-#: name -> factory
-#: ``(topology, *, backend=None, model=None, corners=None, analyses=None)``,
+#: name -> factory ``(topology, *, backend=None, corners=None, analyses=None)``,
 #: in registration order (``corners`` selects worst-case PVT evaluation).
 _REGISTRY: dict[str, Callable[..., Solver]] = {}
 
@@ -83,9 +82,8 @@ get = solver_factory
 def create(name: str, topology: OTATopology, **kwargs) -> Solver:
     """Instantiate a registered solver for ``topology``.
 
-    Keyword arguments are passed to the factory (``backend=`` for the
-    search solvers, ``model=`` for the copilot, ``corners=`` and
-    ``analyses=`` for every solver).
+    Keyword arguments (``backend=``, ``corners=``, ``analyses=``) are
+    passed to the factory.
     """
     return solver_factory(name)(topology, **kwargs)
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from ..core.specs import DesignSpec
-from .base import SearchSolver, SolveResult
+from .base import Solver, SolveResult
 from .registry import register
 
 __all__ = ["ParticleSwarmSolver"]
@@ -29,7 +29,7 @@ SOCIAL = 1.49
 
 
 @register
-class ParticleSwarmSolver(SearchSolver):
+class ParticleSwarmSolver(Solver):
     """Global-best PSO over the normalized width box."""
 
     name = "pso"

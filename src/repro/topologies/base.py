@@ -402,10 +402,7 @@ class OTATopology(ABC):
         return resolve_corner(corner).supply(self.vdd)
 
     def build_circuit(
-        self,
-        widths: Mapping[str, float],
-        vcm: float | None = None,
-        corner: CornerLike = None,
+        self, widths: Mapping[str, float], corner: CornerLike = None
     ) -> Circuit:
         """Construct the sized netlist at a PVT corner.
 
@@ -416,7 +413,7 @@ class OTATopology(ABC):
         the :attr:`supply_source` voltage source.
         """
         resolved = resolve_corner(corner)
-        circuit = self.build(widths, vcm=vcm)
+        circuit = self.build(widths)
         if resolved.is_nominal:
             return circuit
         return self._apply_corner(circuit, resolved)
@@ -446,8 +443,6 @@ class OTATopology(ABC):
     def measure(
         self,
         widths: Mapping[str, float],
-        vcm: float | None = None,
-        frequencies: np.ndarray | None = None,
         corner: CornerLike = None,
         analyses: Sequence[str] | None = None,
     ) -> MeasurementResult:
@@ -470,9 +465,9 @@ class OTATopology(ABC):
         fields.
         """
         resolved_analyses = resolve_analyses(analyses)
-        circuit = self.build_circuit(widths, vcm=vcm, corner=corner)
+        circuit = self.build_circuit(widths, corner=corner)
         dc = solve_dc(circuit, initial_guess=self.initial_guess_for(corner))
-        metrics = extract_metrics(run_ac(dc, frequencies=frequencies), self.output_node)
+        metrics = extract_metrics(run_ac(dc), self.output_node)
         tran = run_tran(dc, **self._tran_testbench()) if "tran" in resolved_analyses else None
         return self._package_measurement(circuit, dc, metrics, tran=tran)
 
@@ -516,8 +511,6 @@ class OTATopology(ABC):
     def measure_many(
         self,
         widths_list: list,
-        vcm: float | None = None,
-        frequencies: np.ndarray | None = None,
         corners: Sequence[CornerLike] | None = None,
         analyses: Sequence[str] | None = None,
         specs: Sequence | None = None,
@@ -562,15 +555,13 @@ class OTATopology(ABC):
         resolved_analyses = resolve_analyses(analyses)
         if corners is None:
             sweeps = self._measure_corner_sweeps(
-                widths_list, (NOMINAL_CORNER,), vcm, frequencies, resolved_analyses, specs
+                widths_list, (NOMINAL_CORNER,), resolved_analyses, specs
             )
             return [sweep.outcomes[0] for sweep in sweeps]
         resolved_corners = resolve_corners(corners)
         if not resolved_corners:
             raise ValueError("corners must be non-empty (use corners=None for nominal)")
-        return self._measure_corner_sweeps(
-            widths_list, resolved_corners, vcm, frequencies, resolved_analyses, specs
-        )
+        return self._measure_corner_sweeps(widths_list, resolved_corners, resolved_analyses, specs)
 
     def _tran_slots(
         self,
@@ -611,8 +602,6 @@ class OTATopology(ABC):
         self,
         widths_list: list,
         corners: tuple[Corner, ...],
-        vcm: float | None,
-        frequencies: np.ndarray | None,
         analyses: tuple[str, ...] = DEFAULT_ANALYSES,
         specs: Sequence | None = None,
     ) -> list[CornerSweep]:
@@ -635,7 +624,7 @@ class OTATopology(ABC):
         for i, widths in enumerate(widths_list):
             for j, corner in enumerate(corners):
                 try:
-                    circuit = self.build_circuit(widths, vcm=vcm, corner=corner)
+                    circuit = self.build_circuit(widths, corner=corner)
                 except (KeyError, ValueError) as error:
                     rows[i][j].error = str(error)
                     continue
@@ -651,7 +640,7 @@ class OTATopology(ABC):
             else:
                 solved.append((i, j, circuit, solution))
 
-        ac_results = run_ac_many([dc for _, _, _, dc in solved], frequencies=frequencies)
+        ac_results = run_ac_many([dc for _, _, _, dc in solved])
         ac_metrics = [extract_metrics(ac, self.output_node) for ac in ac_results]
         trans = self._tran_slots(solved, ac_metrics, len(corners), analyses, specs)
         for (i, j, circuit, dc), metrics, tran in zip(solved, ac_metrics, trans, strict=True):

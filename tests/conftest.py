@@ -111,8 +111,8 @@ class PoisonedFiveT(FiveTransistorOTA):
         self._poison = poison_width
         self._corner_name = corner_name
 
-    def build_circuit(self, widths, vcm=None, corner=None):
-        circuit = super().build_circuit(widths, vcm=vcm, corner=corner)
+    def build_circuit(self, widths, corner=None):
+        circuit = super().build_circuit(widths, corner=corner)
         if widths.get("M1") == self._poison and (
             self._corner_name is None
             or resolve_corner(corner).name == self._corner_name

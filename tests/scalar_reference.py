@@ -591,15 +591,13 @@ def run_ac(solution: DCSolution, frequencies: np.ndarray | None = None) -> ACRes
 def measure(
     topology: OTATopology,
     widths: Mapping[str, float],
-    vcm: float | None = None,
-    frequencies: np.ndarray | None = None,
     corner: CornerLike = None,
     analyses: Sequence[str] | None = None,
 ) -> MeasurementResult:
     """:meth:`OTATopology.measure` on the scalar kernels above."""
-    circuit = topology.build_circuit(widths, vcm=vcm, corner=corner)
+    circuit = topology.build_circuit(widths, corner=corner)
     dc = solve_dc(circuit, initial_guess=topology.initial_guess_for(corner))
-    metrics = extract_metrics(run_ac(dc, frequencies=frequencies), topology.output_node)
+    metrics = extract_metrics(run_ac(dc), topology.output_node)
     tran = None
     if "tran" in resolve_analyses(analyses):
         tran = run_tran(dc, **topology._tran_testbench())

@@ -1,7 +1,9 @@
-"""Smoke test of ``scripts/size_ota.py`` on the committed benchmark bundle.
+"""Smoke tests of ``scripts/size_ota.py`` and of the model-free examples.
 
 The bundle and design pool under ``perfbench/data`` are read, never
 written; the script's SPICE deck goes to a temporary directory.
+``examples/quickstart.py`` and ``examples/batch_service.py`` are left
+out: without a cached artifact they train a model first.
 """
 
 import importlib.util
@@ -22,8 +24,17 @@ SUMMARY = re.compile(
 WIDTH_LINE = re.compile(r"W\(([\w,]+)\) = ([\d.]+) um")
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+#: Model-free example -> one line its output always holds.
+EXAMPLES = {
+    "active_inductor_dpsfg": "Mason vs MNA transfer function: max relative error = ",
+    "baseline_comparison": "solver     success  SPICE calls  time [s]   residual",
+    "layout_in_the_loop": "layout iterations (no SPICE -- Mason on the DP-SFG):",
+    "lut_width_estimation": "Algorithm 1 round trip (NMOS):",
+}
+
+
+def _load_script(name, folder="scripts"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -57,3 +68,10 @@ def test_size_ota_sizes_a_pool_spec_and_writes_a_readable_deck(tmp_path, capsys)
     for devices, micrometres in printed:
         for name in devices.split(","):
             assert widths[name] * 1e6 == pytest.approx(float(micrometres), abs=5e-4)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_model_free_example_runs(name, capsys):
+    _load_script(name, folder="examples").main()
+    out = capsys.readouterr().out
+    assert any(line.startswith(EXAMPLES[name]) for line in out.splitlines()), out

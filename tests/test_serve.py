@@ -11,6 +11,7 @@ shutdown drains what was queued.
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -183,6 +184,14 @@ class TestMicroBatcher:
 # ----------------------------------------------------------------------
 # Shared protocol: one request schema, one error payload, two transports
 # ----------------------------------------------------------------------
+#: Each work bound of a request, ten times its default: (over it, at it).
+WORK_BOUNDS = {
+    "max_iterations": ({"max_iterations": 61}, {"max_iterations": 60}),
+    "copilot-budget": ({"budget": 61}, {"budget": 60}),
+    "solver-budget": ({"method": "pso", "budget": 5001}, {"method": "pso", "budget": 5000}),
+}
+
+
 class TestProtocol:
     GOOD = {"topology": "5T-OTA", "gain_db": 25.0, "f3db_hz": 5e6, "ugf_hz": 8e7}
 
@@ -233,6 +242,21 @@ class TestProtocol:
             parse_request_payload({**self.GOOD, "deadline_ms": 0}, allow_deadline=True)
         with pytest.raises(RequestError, match="positive"):
             parse_request_payload({**self.GOOD, "deadline_ms": -5}, allow_deadline=True)
+
+    @pytest.mark.parametrize("bound", sorted(WORK_BOUNDS))
+    def test_work_bounds(self, bound):
+        over, at = WORK_BOUNDS[bound]
+        # Rejected at construction, so no transport can queue it ...
+        with pytest.raises(ValueError, match="must be between 0 and"):
+            SizingRequest.for_spec("5T-OTA", 25.0, 5e6, 8e7, **over)
+        # ... and a bad line (the CLI's "bad request line" payload).
+        with pytest.raises(RequestError, match="must be between 0 and") as caught:
+            parse_request_text(json.dumps({**self.GOOD, **over}))
+        message = invalid_request_response(str(caught.value)).error
+        assert message.startswith(f"{BAD_REQUEST_PREFIX}: ")
+        # A request exactly at the bound is served.
+        request, _ = parse_request_text(json.dumps({**self.GOOD, **at}))
+        assert request == SizingRequest.for_spec("5T-OTA", 25.0, 5e6, 8e7, id=request.id, **at)
 
     def test_error_payloads_are_wire_schema(self):
         """Every failure payload round-trips through the standard schema."""
@@ -569,6 +593,56 @@ class TestHTTPServing:
             assert status == 400 and "must be positive" in payload["error"]
         assert server.serve_stats.bad_requests == 5
         assert engine.stats.requests == 0
+
+    def test_over_work_bound_returns_400(self, oracle_engine):
+        engine, _ = oracle_engine
+        server = create_server(engine)
+        with _RunningServer(server):
+            port = server.server_address[1]
+            for over, _ in WORK_BOUNDS.values():
+                status, _, payload = _request_json(
+                    port, "POST", "/v1/size", {**TestProtocol.GOOD, **over}
+                )
+                assert status == 400
+                assert payload["error"].startswith(f"{BAD_REQUEST_PREFIX}: ")
+                assert "must be between 0 and" in payload["error"]
+        assert server.serve_stats.bad_requests == len(WORK_BOUNDS)
+        assert engine.stats.requests == 0
+
+    def test_oversized_body_returns_413_and_closes(self, oracle_engine):
+        engine, records = oracle_engine
+        server = create_server(engine)
+        claimed = 2 * 1024 * 1024
+        with _RunningServer(server):
+            port = server.server_address[1]
+            # Headers claiming 2 MiB, then a few body bytes: a server that
+            # waited for the rest would time this read out.
+            with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+                sock.sendall(
+                    b"POST /v1/size HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    b"Content-Type: application/json\r\n"
+                    + f"Content-Length: {claimed}\r\n\r\n".encode()
+                    + b'{"topology"'
+                )
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                status, connection = response.status, response.getheader("Connection")
+                payload = json.loads(response.read().decode("utf-8"))
+                # The server closed the connection after its answer.
+                try:
+                    assert sock.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            assert status == 413 and connection == "close"
+            prefix = f"{BAD_REQUEST_PREFIX}: "
+            assert f"{claimed} bytes" in payload["error"]
+            assert payload == invalid_request_response(payload["error"][len(prefix):]).to_json()
+            # The next request, on a new connection, is served.
+            request = _achievable(records[0], id="after")
+            status, _, body = _request_json(port, "POST", "/v1/size", request.to_json())
+            assert status == 200 and body["request_id"] == "after"
+        assert server.serve_stats.bad_requests == 1
+        assert engine.stats.requests == 1
 
     def test_observability_endpoints(self, oracle_setup):
         topology, records, luts = oracle_setup

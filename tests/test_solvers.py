@@ -5,10 +5,14 @@ The parity classes are the contract of the API redesign: the bulk
 Newton) must produce
 *bit-identical* measurements to the sequential scalar reference
 (``tests/scalar_reference.py``), with per-candidate failure isolation;
-and every sizing method — copilot and SPICE-in-the-loop baselines (SA /
-PSO / DE, the Table IX baselines) — must be dispatchable through
-``repro.solvers`` and the service layers built on it.
+the SPICE-in-the-loop baselines (SA / PSO / DE, the Table IX baselines)
+must be dispatchable through ``repro.solvers``, and every sizing method
+— the copilot and those baselines — through the service layers built on
+it.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +29,8 @@ from repro.solvers import (
     BatchedBackend,
     EvalBackend,
     SearchObjective,
-    SearchSolver,
     SearchSpace,
+    Solver,
     SolveResult,
 )
 from repro.spice import ConvergenceError
@@ -35,7 +39,6 @@ from repro.topologies import (
     CornerSweep,
     FiveTransistorOTA,
     MeasureOutcome,
-    topology_by_name,
 )
 
 from tests import scalar_reference
@@ -67,10 +70,13 @@ def five_t_module():
 # ----------------------------------------------------------------------
 class TestSolverRegistry:
     def test_stock_solvers_registered(self):
-        assert {"sa", "pso", "de", "copilot"} <= set(solvers.available_solvers())
+        registered = set(solvers.available_solvers())
+        assert {"sa", "pso", "de"} <= registered
+        # The copilot runs in the sizing engine, not in the registry.
+        assert "copilot" not in registered
 
     def test_register_create_unregister_round_trip(self, five_t_module, easy_spec):
-        class NominalSolver(SearchSolver):
+        class NominalSolver(Solver):
             """Evaluates only the nominal design — enough to round-trip."""
 
             name = "nominal"
@@ -112,6 +118,36 @@ class TestSolverRegistry:
     def test_factory_without_name_rejected(self):
         with pytest.raises(ValueError, match="name"):
             solvers.register(lambda topology, **kwargs: None)
+
+
+#: The layers above the solvers: the engine, the HTTP layer, the shard pool
+#: and the trained model bundle.
+ABOVE_SOLVERS = ("repro.service", "repro.serve", "repro.shard", "repro.core.bundle")
+
+
+def test_solvers_import_no_layer_above_them():
+    """``repro.solvers`` is a layer under the service: none of its modules
+    imports the engine, the HTTP layer, the shard pool or the model bundle,
+    not even inside a function."""
+    package = Path(solvers.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # Level 1 is ``repro.solvers`` itself, level 2 ``repro``.
+                anchor = ["repro", "solvers"][: 3 - node.level] if node.level else []
+                base = ".".join([*anchor, *([node.module] if node.module else [])])
+                # ``from .. import service`` names the module in the alias.
+                modules = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            for module in modules:
+                assert not any(
+                    module == above or module.startswith(f"{above}.") for above in ABOVE_SOLVERS
+                ), (path.name, node.lineno, module)
 
 
 # ----------------------------------------------------------------------
@@ -388,8 +424,9 @@ def tran_spec(five_t_module):
 
 class TestSeedDeterminism:
     """Every registered solver must reproduce an identical ``SolveResult``
-    (best design, history, accounting) from the same rng seed -- with and
-    without transient specs in the objective."""
+    (best design, history, accounting) from the same rng seed, and the
+    copilot an identical response -- with and without transient specs in
+    the objective."""
 
     @pytest.mark.parametrize("name", ["sa", "pso", "de"])
     @pytest.mark.parametrize("with_tran", [False, True])
@@ -413,17 +450,29 @@ class TestSeedDeterminism:
     def test_copilot_reproduces(
         self, with_tran, five_t_module, oneshot_model, achievable_spec, tran_spec
     ):
+        """Two fresh engines answer the same copilot request alike, apart
+        from the wall time."""
         spec = tran_spec if with_tran else achievable_spec
-        results = []
+        payloads = []
         for _ in range(2):
-            solver = solvers.create("copilot", five_t_module, model=oneshot_model)
-            results.append(solver.solve(spec, budget=2, rng=np.random.default_rng(42)))
-        _assert_solve_results_identical(*results)
+            response = _size_copilot(oneshot_model, five_t_module, spec, id="same", budget=2)
+            payload = response.to_json()
+            payload.pop("wall_time_s")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
 
 # ----------------------------------------------------------------------
-# Copilot through the unified API (perfect-prediction stand-in model)
+# Copilot requests, one per size_batch (perfect-prediction stand-in model)
 # ----------------------------------------------------------------------
+def _size_copilot(model, topology, spec, **kwargs):
+    """One copilot request through a fresh, cacheless engine."""
+    engine = SizingEngine(model, cache_size=0)
+    engine.adopt_topology(topology)
+    (response,) = engine.size_batch([SizingRequest(topology=topology.name, spec=spec, **kwargs)])
+    return response
+
+
 class _OneShotModel(SizingModel):
     """Always predicts the device parameters of one known-good design."""
 
@@ -468,38 +517,30 @@ def achievable_spec(five_t_module):
     return DesignSpec(metrics.gain_db * 0.98, metrics.f3db_hz * 0.9, metrics.ugf_hz * 0.9)
 
 
-class TestCopilotSolver:
+class TestCopilotRequests:
     def test_unified_call_and_accounting(self, five_t_module, oneshot_model, achievable_spec):
-        solver = solvers.get("copilot")(five_t_module, model=oneshot_model)
-        result = solver.solve(achievable_spec)
-        assert result.solver == "copilot"
-        assert result.success
-        assert result.spice_calls == 1
-        assert result.iterations == 1
-        assert result.history == [0.0]
-        assert result.best_value == 0.0
-        assert achievable_spec.satisfied(result.best_metrics)
+        response = _size_copilot(oneshot_model, five_t_module, achievable_spec)
+        assert response.method == "copilot"
+        assert response.error is None
+        assert response.success
+        assert response.spice_simulations == 1
+        assert response.iterations == 1
+        assert [trace.satisfied for trace in response.trace] == [True]
+        assert sum(achievable_spec.miss_fractions(response.metrics).values()) == 0.0
+        assert achievable_spec.satisfied(response.metrics)
 
     def test_budget_caps_iterations(self, five_t_module, oneshot_model):
         impossible = DesignSpec(gain_db=90.0, f3db_hz=1e10, ugf_hz=1e12)
-        solver = solvers.create("copilot", five_t_module, model=oneshot_model)
-        result = solver.solve(impossible, budget=3)
-        assert not result.success
-        assert result.iterations == 3
-        assert result.spice_calls <= 3
-        # Best-iterate reporting survives the conversion.
-        assert result.best_metrics is not None
-        assert np.isfinite(result.best_value)
-        assert len(result.history) == result.spice_calls
-
-    def test_requires_model_or_engine(self, five_t_module):
-        with pytest.raises(ValueError, match="model"):
-            solvers.create("copilot", five_t_module)
-
-    def test_untrained_topology_raises(self, oneshot_model, achievable_spec):
-        solver = solvers.create("copilot", topology_by_name("CM-OTA"), model=oneshot_model)
-        with pytest.raises(ValueError, match="'CM-OTA' is not in this model bundle"):
-            solver.solve(achievable_spec)
+        response = _size_copilot(oneshot_model, five_t_module, impossible, budget=3)
+        assert not response.success
+        assert response.iterations == 3
+        assert response.spice_simulations <= 3
+        # The best iterate is reported, and each simulated round is traced.
+        assert response.metrics is not None
+        assert np.isfinite(sum(impossible.miss_fractions(response.metrics).values()))
+        assert len(response.trace) == 3
+        simulated = [trace for trace in response.trace if trace.metrics is not None]
+        assert len(simulated) == response.spice_simulations
 
 
 # ----------------------------------------------------------------------
@@ -630,6 +671,24 @@ class TestCLIMethodDispatch:
         assert response.spice_simulations <= budget
         if method != "copilot":  # the micro model may miss; the search won't
             assert response.success
+
+    def test_budget_over_work_bound_is_a_bad_line(self, micro_bundle, easy_spec, tmp_path):
+        from repro.service.cli import main
+        from repro.service.requests import SizingResponse
+
+        request = SizingRequest(topology="5T-OTA", spec=easy_spec, id="greedy")
+        requests_file = tmp_path / "requests.jsonl"
+        requests_file.write_text(request.to_json_line() + "\n")
+        responses_file = tmp_path / "responses.jsonl"
+        exit_code = main([
+            "size", "--bundle", str(micro_bundle), "--budget", "61",
+            "-i", str(requests_file), "-o", str(responses_file),
+        ])
+        assert exit_code == 1
+        (line,) = responses_file.read_text().splitlines()
+        response = SizingResponse.from_json_line(line)
+        assert response.error.startswith("bad request line: ")
+        assert "must be between 0 and 60" in response.error
 
     def test_unknown_method_flag_exits_2(self, micro_bundle, tmp_path):
         from repro.service.cli import main
