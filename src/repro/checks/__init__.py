@@ -36,9 +36,9 @@ and pass 2 runs seven rules over those summaries, enforced in CI:
 
 Suppress a single finding inline with ``# checks: ignore[rule-id]``;
 unused suppressions are themselves findings.  Findings carry severities
-(only errors fail a run unless ``--strict``), and ``--changed-only``
-restricts reporting to git-changed files while still resolving symbols
-from the full tree.
+(only errors fail a run unless ``--strict``); every run checks and
+reports the whole tree, because a change to one module can raise a
+finding in another that calls it.
 See the README's "Static analysis" section for the full catalog.
 """
 

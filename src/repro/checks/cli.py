@@ -5,17 +5,12 @@ otherwise (``--strict`` promotes warnings to failures too), 2 on
 usage errors.  ``--format json`` prints the machine-readable report to
 stdout; ``--output FILE`` additionally writes the JSON report to a file
 regardless of the stdout format (CI uploads it as an artifact).
-
-``--changed-only [REF]`` restricts *reporting* to files changed versus
-REF (default HEAD) per ``git diff`` plus untracked files — the full
-tree is still parsed so cross-module resolution never degrades.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -51,12 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON report to FILE (CI artifact)",
     )
     parser.add_argument(
-        "--changed-only", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="report findings only for files changed vs REF (git diff + "
-             "untracked; default REF: HEAD); the full tree is still "
-             "parsed for symbol resolution",
-    )
-    parser.add_argument(
         "--strict", action="store_true",
         help="fail on warning-severity findings too (default: only "
              "error severity fails)",
@@ -73,38 +62,11 @@ def _default_paths() -> list[Path]:
     return [Path(__file__).resolve().parents[1]]
 
 
-def _changed_paths(ref: str, anchor: Path) -> set[Path] | None:
-    """Absolute paths of ``.py`` files changed vs ``ref`` (plus untracked)."""
-    probe = anchor if anchor.is_dir() else anchor.parent
-    try:
-        root = Path(
-            subprocess.run(
-                ["git", "-C", str(probe), "rev-parse", "--show-toplevel"],
-                capture_output=True, text=True, check=True,
-            ).stdout.strip()
-        )
-        diff = subprocess.run(
-            ["git", "-C", str(root), "diff", "--name-only", "-z", ref],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "-C", str(root), "ls-files", "--others", "--exclude-standard", "-z"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as error:
-        detail = getattr(error, "stderr", "") or str(error)
-        print(f"error: --changed-only failed: {detail.strip()}", file=sys.stderr)
-        return None
-    names = [name for name in (diff + untracked).split("\0") if name]
-    return {root / name for name in names if name.endswith(".py")}
-
-
 def run(
     paths: Sequence[Path],
     fmt: str = "text",
     output: Path | None = None,
     rules: Sequence[Rule] | None = None,
-    changed_only: str | None = None,
     strict: bool = False,
 ) -> int:
     """Run the checker; returns the process exit status."""
@@ -115,15 +77,7 @@ def run(
             print(f"error: no such path: {path}", file=sys.stderr)
             return 2
 
-    restrict: set[Path] | None = None
-    if changed_only is not None:
-        restrict = _changed_paths(changed_only, resolved[0])
-        if restrict is None:
-            return 2
-
-    report = run_checks(
-        resolved, active_rules, display_root=Path.cwd(), restrict_paths=restrict
-    )
+    report = run_checks(resolved, active_rules, display_root=Path.cwd())
     if output is not None:
         output.write_text(
             json.dumps(report.as_dict(), indent=2, sort_keys=True, allow_nan=False)
@@ -161,6 +115,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.paths,
         fmt=args.format,
         output=args.output,
-        changed_only=args.changed_only,
         strict=args.strict,
     )

@@ -357,7 +357,6 @@ def run_checks(
     paths: Sequence[Path],
     rules: Sequence[Rule],
     display_root: Path | None = None,
-    restrict_paths: set[Path] | None = None,
 ) -> Report:
     """Parse ``paths``, run every rule, apply suppressions.
 
@@ -365,14 +364,6 @@ def run_checks(
     ``unused-suppression`` finding per ignore directive that matched
     nothing.  Files that fail to parse yield a ``syntax-error`` finding
     instead of aborting the run.
-
-    ``restrict_paths`` implements ``--changed-only``: every file is
-    still parsed (the symbol table and call graph always cover the full
-    tree, so cross-module resolution never degrades), but findings —
-    including the unused-suppression audit — are only *reported* for
-    files in the restricted set.  Syntax errors are reported regardless;
-    a file that does not parse poisons the shared symbol table for
-    everyone.
     """
     contexts: list[FileContext] = []
     findings: list[Finding] = []
@@ -398,13 +389,6 @@ def run_checks(
                 )
             )
 
-    restrict_display: set[str] | None = None
-    if restrict_paths is not None:
-        resolved = {path.resolve() for path in restrict_paths}
-        restrict_display = {
-            ctx.display_path for ctx in contexts if ctx.path.resolve() in resolved
-        }
-
     project = ProjectContext(contexts)
     raw: list[Finding] = []
     for rule in rules:
@@ -419,12 +403,10 @@ def run_checks(
         )
         if suppressed:
             used.add((finding.path, finding.line, finding.rule))
-        elif restrict_display is None or finding.path in restrict_display:
+        else:
             findings.append(finding)
 
     for ctx in contexts:
-        if restrict_display is not None and ctx.display_path not in restrict_display:
-            continue
         for line, rule_ids in sorted(ctx.suppressions.items()):
             for rule_id in sorted(rule_ids):
                 if (ctx.display_path, line, rule_id) not in used:

@@ -663,9 +663,6 @@ class ProjectGraph:
     def module_for(self, summary: FunctionSummary) -> ModuleInfo:
         return self.modules[summary.module]
 
-    def class_for(self, name: str) -> Optional[ClassInfo]:
-        return self.classes.get(name) or self.classes_by_name.get(name.split(".")[-1])
-
 
 def _module_summaries(module: ModuleInfo):
     yield from module.functions.values()

@@ -134,44 +134,20 @@ class LookupTable:  # checks: process-shared
 
     @classmethod
     def load(cls, path: str | Path) -> LookupTable:
-        """Load a table saved by :meth:`save`."""
+        """Load a table saved by :meth:`save` (only the spline
+        coefficients are computed)."""
         data = np.load(path)
         tech_name = str(data["tech_name"])
-        return cls.from_arrays(
-            tech_name,
-            length=float(data["length"]),
-            reference_width=float(data["reference_width"]),
-            vgs_grid=data["vgs_grid"],
-            vds_grid=data["vds_grid"],
-            tables={name: data[f"table_{name}"] for name in LUT_OUTPUTS},
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        tech_name: str,
-        *,
-        length: float,
-        reference_width: float,
-        vgs_grid: np.ndarray,
-        vds_grid: np.ndarray,
-        tables: dict[str, np.ndarray],
-    ) -> LookupTable:
-        """Build a table directly from grid arrays (what :meth:`load` reads).
-
-        The arrays are adopted as-is; only the spline coefficients are
-        computed.
-        """
         tech = _TECH_BY_NAME.get(tech_name)
         if tech is None:
             raise ValueError(f"unknown technology {tech_name!r}")
         characterization = CharacterizationResult(
             tech=tech,
-            length=float(length),
-            reference_width=float(reference_width),
-            vgs_grid=vgs_grid,
-            vds_grid=vds_grid,
-            tables=dict(tables),
+            length=float(data["length"]),
+            reference_width=float(data["reference_width"]),
+            vgs_grid=data["vgs_grid"],
+            vds_grid=data["vds_grid"],
+            tables={name: data[f"table_{name}"] for name in LUT_OUTPUTS},
         )
         return cls(characterization)
 

@@ -58,11 +58,16 @@ from .batcher import BatcherClosedError, MicroBatcher, QueueFullError
 from .protocol import RequestError, invalid_request_response, parse_request_text
 from .stats import ServeStats, aggregate_counter_payloads
 
-__all__ = ["MAX_BODY_BYTES", "SizingServer", "create_server"]
+__all__ = ["MAX_BODY_BYTES", "READ_TIMEOUT_S", "SizingServer", "create_server"]
 
 #: Largest ``POST /v1/size`` body the server reads (one request is a few
 #: hundred bytes); a larger ``Content-Length`` is answered 413 unread.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection's socket read may wait (a body shorter than its
+#: ``Content-Length``, or an idle keep-alive connection) before the
+#: handler closes the connection and frees its thread.
+READ_TIMEOUT_S = 30.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -71,6 +76,11 @@ class _Handler(BaseHTTPRequestHandler):
     server: SizingServer
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+
+    def setup(self) -> None:
+        # StreamRequestHandler.setup applies ``timeout`` to the socket.
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
 
     # ------------------------------------------------------------------
     def _send_json(

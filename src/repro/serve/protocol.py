@@ -89,10 +89,12 @@ def parse_request_text(
     return parse_request_payload(payload, allow_deadline=allow_deadline)
 
 
-def invalid_request_response(message: str) -> SizingResponse:
+def invalid_request_response(message: str, request: SizingRequest | None = None) -> SizingResponse:
     """The structured payload for a request that failed validation.
 
     Identical for a malformed JSONL line and a malformed HTTP body —
-    this is the single constructor both transports use.
+    this is the single constructor both transports use.  It is addressed
+    to ``request`` when the payload parsed and only a later check failed
+    (a CLI override breaking a work bound).
     """
-    return SizingResponse.failure(f"{BAD_REQUEST_PREFIX}: {message}")
+    return SizingResponse.failure(f"{BAD_REQUEST_PREFIX}: {message}", request)

@@ -25,7 +25,6 @@ from collections.abc import Hashable
 from typing import Any
 
 from ..core.specs import DesignSpec
-from ..topologies import binding_corner
 from .requests import SizingRequest, SizingResponse
 
 __all__ = ["ResultCache", "quantize_spec"]
@@ -123,20 +122,17 @@ class ResultCache:
             return response
         if not response.success or response.metrics is None:
             return None
+        derated = request.spec.derated(request.rel_tol)
         if not response.corner_metrics:
-            satisfied = request.spec.satisfied(response.metrics, rel_tol=request.rel_tol)
-            return response if satisfied else None
+            return response if derated.satisfied(response.metrics) else None
         # The headline ``metrics`` is only the binding worst corner by
         # total shortfall, which does not dominate per metric, so every
         # corner is re-validated.
-        if not all(
-            request.spec.satisfied(metrics, rel_tol=request.rel_tol)
-            for metrics in response.corner_metrics.values()
-        ):
+        if not all(derated.satisfied(m) for m in response.corner_metrics.values()):
             return None
         # The binding corner is spec-dependent: re-rank the per-corner
         # measurements against this request's exact targets.
-        worst_name, worst_metrics = binding_corner(request.spec, response.corner_metrics)
+        worst_name, worst_metrics = request.spec.binding_corner(response.corner_metrics)
         return replace(response, worst_corner=worst_name, metrics=worst_metrics)
 
     def get(self, request: SizingRequest) -> SizingResponse | None:

@@ -73,7 +73,7 @@ from typing import IO
 from ..core.bundle import SizingModel
 from ..topologies import available_topologies
 from .engine import SizingEngine, available_methods
-from .requests import SizingRequest
+from .requests import SizingRequest, SizingResponse
 
 __all__ = ["main", "build_parser"]
 
@@ -286,26 +286,27 @@ def _run_size(args: argparse.Namespace) -> int:
     failures = 0
     try:
         for lines in _batched_lines(source, max(1, args.batch_size)):
-            requests: list[SizingRequest | None] = []
-            parse_errors: dict[int, str] = {}
+            requests: list[SizingRequest] = []
+            bad_lines: dict[int, SizingResponse] = {}
             for index, line in enumerate(lines):
                 # Validation shared with the HTTP serving layer: a bad
                 # JSONL line and a bad HTTP body produce the same
                 # structured error payload (see repro.serve.protocol); an
-                # override over a work bound (--budget) is a bad line too.
+                # override over a work bound (--budget) is a bad line too,
+                # addressed to the request the line parsed to.
+                parsed = None
                 try:
-                    request, _ = parse_request_text(line)
-                    requests.append(replace(request, **overrides) if overrides else request)
+                    parsed, _ = parse_request_text(line)
+                    requests.append(replace(parsed, **overrides) if overrides else parsed)
                 except ValueError as error:
-                    requests.append(None)
-                    parse_errors[index] = str(error)
-            responses = iter(engine.size_batch([r for r in requests if r is not None]))
-            for index, request in enumerate(requests):
-                if request is None:
+                    bad_lines[index] = invalid_request_response(str(error), parsed)
+            responses = iter(engine.size_batch(requests))
+            for index in range(len(lines)):
+                if index in bad_lines:
                     failures += 1
                     # Same schema as every other line, so consumers can
                     # parse the whole stream with SizingResponse.from_json.
-                    response = invalid_request_response(parse_errors[index])
+                    response = bad_lines[index]
                 else:
                     response = next(responses)
                     failures += 1 if response.error is not None else 0

@@ -60,7 +60,6 @@ from ..core.specs import DesignSpec
 from ..datagen.serialize import ParsedParams
 from ..lut import DeviceParams, estimate_width
 from ..solvers import BatchedBackend, EvalBackend, available_solvers, solver_factory
-from ..spice import TRAN_METRIC_DIRECTIONS
 from ..topologies import CornerSweep, OTATopology, topology_by_name
 from .cache import ResultCache
 from .requests import IterationTrace, SizingRequest, SizingResponse
@@ -85,23 +84,6 @@ def available_methods() -> tuple[str, ...]:
     """Every ``SizingRequest.method`` the engine serves: the copilot,
     then the registered solvers."""
     return ("copilot", *available_solvers())
-
-
-def _derated_spec(spec: DesignSpec, rel_tol: float) -> DesignSpec:
-    """The spec a registry-dispatched solver chases under ``rel_tol``.
-
-    Loosens every target the way Stage IV's ``satisfied(rel_tol=...)``
-    does: minimum targets (the AC triple, slew rate) derate down by
-    ``1 - rel_tol``, maximum targets (settling time, overshoot) inflate
-    up by ``1 + rel_tol``.
-    """
-    if not rel_tol:
-        return spec
-    derate = 1.0 - rel_tol
-    factors = {"gain_db": derate, "f3db_hz": derate, "ugf_hz": derate}
-    for name, direction in TRAN_METRIC_DIRECTIONS.items():
-        factors[name] = derate if direction == "min" else 1.0 + rel_tol
-    return spec.scaled(factors)
 
 
 @dataclass
@@ -168,7 +150,7 @@ class _ActiveRequest:
         self.original = request.spec
         #: The spec Stage IV's verdict applies (``original`` within
         #: ``rel_tol``), handed to the backend as the transient gate.
-        self.derated = _derated_spec(request.spec, request.rel_tol)
+        self.derated = request.spec.derated(request.rel_tol)
         self.current = request.spec
         self.trace: list[IterationTrace] = []
         self.decoded_texts: list[str] = []
@@ -373,11 +355,12 @@ class SizingEngine:
     def _stage_iv(self, s: _ActiveRequest, widths: dict[str, float], sweep: CornerSweep) -> None:
         """Stage IV: one candidate judged across every corner of its sweep.
 
-        The candidate passes only when **all** corners meet the original
-        spec; the iteration trace and margin allocation run against the
-        binding worst corner (largest total shortfall), so retries tighten
-        toward the hardest operating condition.  A nominal request is the
-        one-corner ``tt`` sweep and reports no per-corner fields.
+        The candidate passes only when **all** corners meet the derated
+        spec (the original within ``rel_tol``, which also gated the
+        transient); the iteration trace and margin allocation run against
+        the binding worst corner (largest total shortfall), so retries
+        tighten toward the hardest operating condition.  A nominal request
+        is the one-corner ``tt`` sweep and reports no per-corner fields.
 
         A candidate that missed an AC target at some corner ran no
         transient: its transient metrics are ``None``, each of its
@@ -403,10 +386,7 @@ class SizingEngine:
 
         worst_name, worst_metrics = sweep.worst_corner(s.original)
         corner_metrics = sweep.metrics_by_corner()
-        satisfied = all(
-            s.original.satisfied(metrics, rel_tol=s.request.rel_tol)
-            for metrics in corner_metrics.values()
-        )
+        satisfied = all(s.derated.satisfied(metrics) for metrics in corner_metrics.values())
         s.trace.append(
             IterationTrace(requested, text, True, widths, worst_metrics, satisfied)
         )
@@ -417,7 +397,7 @@ class SizingEngine:
         # Track the iterate with the smallest total spec shortfall, so a
         # failing run reports its closest attempt rather than its latest.
         iterate = (widths, worst_metrics, corner_metrics, worst_name)
-        shortfall = sum(s.original.miss_fractions(worst_metrics).values())
+        shortfall = s.original.shortfall(worst_metrics)
         if shortfall < s.best_shortfall:
             s.best_shortfall, s.best = shortfall, iterate
 
@@ -455,7 +435,7 @@ class SizingEngine:
             corners=request.corners,
             analyses=request.analyses,
         )
-        spec = _derated_spec(request.spec, request.rel_tol)
+        spec = request.spec.derated(request.rel_tol)
         rng = np.random.default_rng(zlib.crc32(request.id.encode()))
         result = solver.solve(spec, budget=request.budget, rng=rng)
         self.stats.add(spice_simulations=result.spice_calls)

@@ -290,8 +290,9 @@ class SizingResponse:
     only.
 
     ``trace`` holds one :class:`IterationTrace` per copilot round.  It is
-    in-process only: it never reaches the wire, equality ignores it, and
-    a cache hit carries the trace of the request that computed it.
+    in-process only: it never reaches the wire, equality ignores it, a
+    cache hit carries the trace of the request that computed it, and a
+    shard worker's response comes back to the pool without it.
     """
 
     request_id: str

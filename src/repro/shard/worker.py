@@ -17,7 +17,8 @@ Protocol over the duplex pipe (parent → worker / worker → parent):
 * ``("init-error", message, traceback)`` — the factory raised; the
   worker exits and the parent marks it failed.
 * ``("size", job_id, requests)`` → ``("result", job_id, responses,
-  engine_stats, cache_stats)`` — one batch; the worker piggybacks its
+  engine_stats, cache_stats)`` — one batch (responses without their
+  in-process ``trace``); the worker piggybacks its
   cumulative :class:`~repro.service.EngineStats` snapshot on every
   result so the parent can aggregate ``/stats`` without extra round
   trips.
@@ -33,6 +34,7 @@ import os
 import signal
 import traceback
 from collections.abc import Callable
+from dataclasses import replace
 from typing import Any
 
 from ..core.bundle import SizingModel
@@ -83,11 +85,11 @@ def worker_main(conn: Any, engine_factory: Callable[[], SizingEngine]) -> None:
             continue
         job_id, requests = message[1], message[2]
         try:
-            responses = engine.size_batch(requests)
+            # The in-process copilot trace stays here: nothing past the
+            # pipe reads it (HTTP writes ``to_json``).
+            responses = [replace(r, trace=()) for r in engine.size_batch(requests)]
             cache_stats = engine.cache.as_dict() if engine.cache is not None else None
-            conn.send(
-                ("result", job_id, list(responses), engine.stats.as_dict(), cache_stats)
-            )
+            conn.send(("result", job_id, responses, engine.stats.as_dict(), cache_stats))
         except BaseException as error:  # noqa: BLE001 — a batch bug must not kill the worker
             conn.send(("job-error", job_id, _describe(error), traceback.format_exc()))
     conn.close()

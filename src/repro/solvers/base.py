@@ -129,7 +129,7 @@ class SearchObjective:
     ``spec`` is also the transient gate handed to the backend: a candidate
     that misses an AC target at some corner runs no transient, and each
     of the spec's transient targets scores it the full 1.0 that
-    ``DesignSpec.miss_fractions`` gives an unmeasured metric.
+    ``DesignSpec.shortfall`` gives an unmeasured metric.
     """
 
     def __init__(
@@ -182,7 +182,7 @@ class SearchObjective:
         """One corner's score: the spec shortfall, or a penalty."""
         if not outcome.ok:
             return PENALTY
-        return float(sum(self.spec.miss_fractions(outcome.result.metrics).values()))
+        return self.spec.shortfall(outcome.result.metrics)
 
     def _record_sweep(self, widths: dict[str, float], sweep: CornerSweep) -> float:
         """Worst-corner aggregate of one candidate's corner sweep.

@@ -17,7 +17,6 @@ from .base import (
     MeasurementResult,
     OTATopology,
     analyses_for_spec,
-    binding_corner,
     resolve_analyses,
 )
 from .current_mirror import CurrentMirrorOTA
@@ -35,7 +34,6 @@ from .two_stage import TwoStageOTA
 
 __all__ = [
     "build_active_inductor",
-    "binding_corner",
     "resolve_analyses",
     "analyses_for_spec",
     "DEFAULT_ANALYSES",

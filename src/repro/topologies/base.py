@@ -34,7 +34,6 @@ from ..devices import (
 )
 from ..dpsfg import DPSFG, build_dpsfg, enumerate_paths, PathInventory
 from ..spice import (
-    TRAN_METRIC_DIRECTIONS,
     Circuit,
     ConvergenceError,
     DCSolution,
@@ -56,7 +55,6 @@ __all__ = [
     "MeasurementResult",
     "MeasureOutcome",
     "CornerSweep",
-    "binding_corner",
     "resolve_analyses",
     "analyses_for_spec",
     "DEFAULT_ANALYSES",
@@ -208,75 +206,14 @@ class CornerSweep:
         }
 
     def worst_corner(self, spec) -> tuple[str, PerformanceMetrics]:
-        """The binding corner against ``spec``.
-
-        Ranked by (clamped total shortfall, signed total shortfall): a
-        failing corner always outranks a passing one by its miss, and when
-        every corner passes (all clamped shortfalls are 0) the signed
-        tie-break picks the corner with the *least margin* -- the one that
-        actually binds the worst-case guarantee.  Remaining ties resolve
-        to the first corner in sweep order, so the result is
-        deterministic.  Requires :attr:`ok` (every corner converged).
+        """The binding corner against ``spec``
+        (:meth:`~repro.core.DesignSpec.binding_corner`): the worst miss, or
+        the least margin when every corner passes.  Requires :attr:`ok`
+        (every corner converged).
         """
         if not self.ok:
             raise ValueError("worst_corner needs every corner to have converged")
-        return binding_corner(spec, self.metrics_by_corner())
-
-
-def binding_corner(
-    spec, metrics_by_corner: Mapping[str, PerformanceMetrics]
-) -> tuple[str, PerformanceMetrics]:
-    """The binding corner of a per-corner metrics map against ``spec``.
-
-    The ranking behind :meth:`CornerSweep.worst_corner`, reusable wherever
-    per-corner metrics exist without a sweep (e.g. re-ranking a cached
-    response against a near-duplicate request's own spec): maximal
-    (clamped shortfall, signed shortfall), ties to the first entry in
-    mapping order.
-    """
-    if not metrics_by_corner:
-        raise ValueError("binding_corner needs at least one corner's metrics")
-    worst_name: str | None = None
-    worst_metrics: PerformanceMetrics | None = None
-    worst_key: tuple[float, float] | None = None
-    for name, metrics in metrics_by_corner.items():
-        key = (
-            float(sum(spec.miss_fractions(metrics).values())),
-            _signed_shortfall(spec, metrics),
-        )
-        if worst_key is None or key > worst_key:
-            worst_name, worst_metrics, worst_key = name, metrics, key
-    assert worst_name is not None and worst_metrics is not None
-    return worst_name, worst_metrics
-
-
-def _signed_shortfall(spec, metrics) -> float:
-    """Total *signed* relative shortfall (negative = margin; NaN counts 1).
-
-    The unclamped counterpart of ``DesignSpec.miss_fractions``: passing
-    metrics contribute their negative margin instead of 0, which is what
-    lets :meth:`CornerSweep.worst_corner` rank passing corners by how
-    little headroom they leave.  Transient targets (when the spec sets
-    them) contribute with their own direction: minimum targets like the
-    AC triple, maximum targets (settling, overshoot) by relative excess.
-    """
-    total = 0.0
-    for attr in ("gain_db", "f3db_hz", "ugf_hz"):
-        target = getattr(spec, attr)
-        value = getattr(metrics, attr)
-        total += 1.0 if value != value else (target - value) / target
-    for attr, direction in TRAN_METRIC_DIRECTIONS.items():
-        target = getattr(spec, attr, None)
-        if target is None:
-            continue
-        value = getattr(metrics, attr, None)
-        if value is None or value != value:
-            total += 1.0
-        elif direction == "min":
-            total += (target - value) / target
-        else:
-            total += (value - target) / target
-    return total
+        return spec.binding_corner(self.metrics_by_corner())
 
 
 class OTATopology(ABC):

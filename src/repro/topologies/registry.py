@@ -1,79 +1,23 @@
-"""Pluggable topology registry.
-
-Historically ``topology_by_name`` scanned a hardcoded tuple of the three
-paper topologies, so adding a circuit meant editing the dispatch.  The
-registry inverts the dependency: each topology module *declares* itself
-with :func:`register` (usable as a class decorator), and everything else
-— the training pipeline, the sizing engine, the CLI — resolves names
-through the registry.  Third-party circuits register the same way::
-
-    from repro.topologies import register, OTATopology
-
-    @register
-    class FoldedCascodeOTA(OTATopology):
-        name = "FC-OTA"
-        ...
-
-or, for an arbitrary zero-argument factory under an explicit name::
-
-    register(lambda: FoldedCascodeOTA(vdd=1.0), name="FC-OTA-1V")
-"""
+"""Pluggable topology registry: zero-argument topology factories by name
+(a :class:`~repro.registry.Registry`, which shows how to register)."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import TypeVar
 
+from ..registry import Registry
 from .base import OTATopology
 
 __all__ = ["register", "unregister", "topology_by_name", "available_topologies", "topology_factory"]
 
-F = TypeVar("F", bound=Callable[[], OTATopology])
+_TOPOLOGIES: Registry[Callable[[], OTATopology]] = Registry("topology")
 
-#: name -> zero-argument factory, in registration order.
-_REGISTRY: dict[str, Callable[[], OTATopology]] = {}
-
-
-def register(factory: F | None = None, *, name: str | None = None, replace: bool = False):
-    """Register a topology factory (class or callable) under its name.
-
-    Usable directly (``register(FiveTransistorOTA)``), as a decorator
-    (``@register``), or with an explicit name for factories that don't
-    carry a ``name`` attribute.  Duplicate names raise unless
-    ``replace=True`` (useful for tests shadowing a stock topology).
-    """
-    if factory is None:  # @register(name=...) decorator form
-        return lambda f: register(f, name=name, replace=replace)
-    key = name or getattr(factory, "name", None)
-    if not key or not isinstance(key, str):
-        raise ValueError(
-            "topology factory needs a 'name' attribute or an explicit name=..."
-        )
-    if not replace and key in _REGISTRY:
-        raise ValueError(f"topology {key!r} is already registered")
-    _REGISTRY[key] = factory
-    return factory
-
-
-def unregister(name: str) -> None:
-    """Remove a registered topology (primarily for test isolation)."""
-    _REGISTRY.pop(name, None)
-
-
-def topology_factory(name: str) -> Callable[[], OTATopology]:
-    """The registered factory for ``name``; raises ``KeyError`` if absent."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise KeyError(f"unknown topology {name!r} (registered: {known})") from None
+register = _TOPOLOGIES.register
+unregister = _TOPOLOGIES.unregister
+topology_factory = _TOPOLOGIES.factory
+available_topologies = _TOPOLOGIES.names
 
 
 def topology_by_name(name: str) -> OTATopology:
     """Instantiate a topology from its paper name (``"5T-OTA"`` etc.)."""
     return topology_factory(name)()
-
-
-def available_topologies() -> tuple[str, ...]:
-    """Registered topology names, in registration order."""
-    return tuple(_REGISTRY)

@@ -8,8 +8,6 @@ is the same gate CI enforces.
 """
 
 import json
-import shutil
-import subprocess
 import textwrap
 from pathlib import Path
 
@@ -1235,7 +1233,7 @@ class TestHotLoop:
 
 
 # ----------------------------------------------------------------------
-# Severities and --changed-only (the CLI workflow)
+# Severities (the CLI workflow)
 # ----------------------------------------------------------------------
 class TestBaselineAndSeverity:
     """The gate without a baseline file: every error finding fails the
@@ -1268,96 +1266,6 @@ class TestBaselineAndSeverity:
         payload = json.loads(out.read_text())
         assert payload["severities"] == {"error": 1}
         assert payload["findings"][0]["severity"] == "error"
-        capsys.readouterr()
-
-
-@pytest.mark.skipif(shutil.which("git") is None, reason="git not available")
-class TestChangedOnly:
-    def _git(self, cwd, *argv):
-        subprocess.run(
-            ["git", *argv],
-            cwd=cwd,
-            check=True,
-            capture_output=True,
-            env={
-                "GIT_AUTHOR_NAME": "t",
-                "GIT_AUTHOR_EMAIL": "t@t",
-                "GIT_COMMITTER_NAME": "t",
-                "GIT_COMMITTER_EMAIL": "t@t",
-                "HOME": str(cwd),
-                "PATH": "/usr/bin:/bin:/usr/local/bin",
-            },
-        )
-
-    def test_changed_file_uses_full_symbol_table(self, tmp_path, capsys, monkeypatch):
-        # The finding in the changed file is interprocedural: it needs
-        # `dense_solve` resolved from the *unchanged* module, proving the
-        # symbol table still covers the full tree.  The unchanged module
-        # carries its own finding, which must NOT be reported.
-        write_package(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/solvers.py": """
-                    import json
-                    import numpy as np
-
-                    def dense_solve(matrix, rhs):
-                        return np.linalg.solve(matrix, rhs)
-
-                    def emit(payload):
-                        return json.dumps(payload)
-                    """,
-                "pkg/hot.py": """
-                    from pkg.solvers import dense_solve
-
-                    def drive(mats, rhs):
-                        return dense_solve(mats, rhs)
-                    """,
-            },
-        )
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-q", "-m", "seed")
-
-        (tmp_path / "pkg" / "hot.py").write_text(
-            textwrap.dedent(
-                """
-                from pkg.solvers import dense_solve
-
-                def drive(mats, rhs):  # checks: hot-path
-                    outs = []
-                    for m, r in zip(mats, rhs):
-                        outs.append(dense_solve(m, r))
-                    return outs
-                """
-            )
-        )
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "report.json"
-        code = checks_main(
-            [str(tmp_path / "pkg"), "--changed-only", "HEAD", "--output", str(out)]
-        )
-        capsys.readouterr()
-        assert code == 1
-        payload = json.loads(out.read_text())
-        paths = {finding["path"] for finding in payload["findings"]}
-        assert paths == {str(Path("pkg") / "hot.py")}
-        assert payload["counts"] == {"hot-loop": 1}
-        # The interprocedural message proves cross-module resolution.
-        assert "solvers.dense_solve" in payload["findings"][0]["message"]
-
-    def test_unchanged_tree_reports_nothing(self, tmp_path, capsys, monkeypatch):
-        write_package(
-            tmp_path,
-            {"pkg/__init__.py": "", "pkg/mod.py": "import json\njson.dumps({})\n"},
-        )
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-q", "-m", "seed")
-        monkeypatch.chdir(tmp_path)
-        assert checks_main([str(tmp_path / "pkg"), "--changed-only", "HEAD"]) == 0
-        assert checks_main([str(tmp_path / "pkg")]) == 1
         capsys.readouterr()
 
 

@@ -7,9 +7,13 @@ are validated independently of training quality.  They size through
 ``SizingEngine.size_batch``, whose responses carry the iteration trace.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import DesignSpec, tighten_spec
 from repro.core.bundle import SizingModel
 from repro.datagen import SequenceBuilder, SequenceConfig
@@ -55,6 +59,25 @@ class TestDesignSpec:
     def test_positive_targets_required(self):
         with pytest.raises(ValueError):
             DesignSpec(-1.0, 1e7, 1e8)
+
+
+def test_only_the_spec_imports_the_direction_table():
+    """``DesignSpec`` is the one judge of measured metrics against targets:
+    besides the ``repro.spice`` re-export, no module imports
+    ``TRAN_METRIC_DIRECTIONS`` or reaches it as an attribute."""
+    package = Path(repro.__file__).parent
+    users = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "TRAN_METRIC_DIRECTIONS" in names:
+                users.add(path.relative_to(package).as_posix())
+    assert users == {"spice/__init__.py", "core/specs.py"}
 
 
 class TestMarginAllocation:

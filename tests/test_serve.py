@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+import repro.serve.app as serve_app
 from repro.serve import (
     BatcherClosedError,
     MicroBatcher,
@@ -642,6 +643,33 @@ class TestHTTPServing:
             status, _, body = _request_json(port, "POST", "/v1/size", request.to_json())
             assert status == 200 and body["request_id"] == "after"
         assert server.serve_stats.bad_requests == 1
+        assert engine.stats.requests == 1
+
+    def test_stalled_body_read_times_out_and_closes(self, oracle_engine, monkeypatch):
+        """A body shorter than its ``Content-Length`` holds its handler
+        only for the read timeout: the server closes the connection and
+        serves the next one."""
+        monkeypatch.setattr(serve_app, "READ_TIMEOUT_S", 0.5)
+        engine, records = oracle_engine
+        server = create_server(engine)
+        with _RunningServer(server):
+            port = server.server_address[1]
+            # Headers claiming 100 bytes, then 5: without a read timeout
+            # the server waits for the rest and this client times out.
+            with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+                sock.sendall(
+                    b"POST /v1/size HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: 100\r\n\r\n"
+                    b'{"id"'
+                )
+                try:
+                    assert sock.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            request = _achievable(records[0], id="after")
+            status, _, body = _request_json(port, "POST", "/v1/size", request.to_json())
+            assert status == 200 and body["request_id"] == "after"
         assert engine.stats.requests == 1
 
     def test_observability_endpoints(self, oracle_setup):

@@ -179,6 +179,9 @@ class TestShardedEngine:
         responses = pool.size_batch(requests)
         assert [r.request_id for r in responses] == [r.id for r in requests]
         _assert_parity(reference, responses)
+        # The in-process copilot trace does not cross the worker pipe.
+        assert all(r.trace for r in reference)
+        assert all(r.trace == () for r in responses)
 
     def test_cross_worker_cache_hits(self, pool, artifacts):
         """Spec routing sends a repeat to the worker that sized it, so it

@@ -689,6 +689,8 @@ class TestCLIMethodDispatch:
         response = SizingResponse.from_json_line(line)
         assert response.error.startswith("bad request line: ")
         assert "must be between 0 and 60" in response.error
+        # The line parsed, so its failure is addressed to it.
+        assert response.request_id == "greedy"
 
     def test_unknown_method_flag_exits_2(self, micro_bundle, tmp_path):
         from repro.service.cli import main

@@ -44,7 +44,6 @@ from repro.topologies import (
     TRAN_ANALYSES,
     FiveTransistorOTA,
     available_topologies,
-    binding_corner,
     resolve_analyses,
     topology_by_name,
 )
@@ -334,8 +333,6 @@ class TestTransientGate:
 
     @pytest.fixture(scope="class")
     def gate_case(self, five_t):
-        from repro.service.engine import _derated_spec
-
         population = make_population(five_t, len(self.ROLES), seed=3)
         corners = resolve_corners(PVT)
         ungated = five_t.measure_many(population, corners=corners, analyses=TRAN)
@@ -351,7 +348,7 @@ class TestTransientGate:
             }[role]
             f3db, ugf = (min(getattr(m, name) for m in by_corner) * 0.99 for name in AC_NAMES[1:])
             originals.append(DesignSpec(gain, f3db, ugf, settling_time_s=1e-6))
-        specs = [_derated_spec(spec, self.REL_TOL) for spec in originals]
+        specs = [spec.derated(self.REL_TOL) for spec in originals]
         return population, corners, ungated, originals, specs
 
     def test_gate_passes_candidates_meeting_ac_everywhere(self, gate_case):
@@ -598,7 +595,7 @@ class TestTransientSpec:
         assert slow_score == 1.0
         assert gated_score == pytest.approx(1.04)
         assert slow_score < gated_score
-        corner, _ = binding_corner(spec, {"tt": slow, "ss": gated})
+        corner, _ = spec.binding_corner({"tt": slow, "ss": gated})
         assert corner == "ss"
 
     def test_rel_tol_loosens_in_the_right_direction(self):
@@ -890,18 +887,16 @@ class TestTransientServing:
     def test_solver_rel_tol_loosens_transient_caps(self):
         """The solver path's derated spec must loosen max targets *up*,
         matching Stage IV's satisfied(rel_tol=...) semantics."""
-        from repro.service.engine import _derated_spec
-
         spec = DesignSpec(
             25.0, 5e6, 8e7,
             slew_v_per_s=1e6, settling_time_s=1e-7, overshoot_frac=0.1,
         )
-        derated = _derated_spec(spec, 0.02)
+        derated = spec.derated(0.02)
         assert derated.gain_db == pytest.approx(25.0 * 0.98)
         assert derated.slew_v_per_s == pytest.approx(1e6 * 0.98)  # floor down
         assert derated.settling_time_s == pytest.approx(1e-7 * 1.02)  # cap up
         assert derated.overshoot_frac == pytest.approx(0.1 * 1.02)
-        assert _derated_spec(spec, 0.0) == spec
+        assert spec.derated(0.0) == spec
         # A metric exactly at the loosened boundary passes both judgments.
         boundary = PerformanceMetrics(
             25.0, 5e6, 8e7,
