@@ -49,7 +49,7 @@ SERIALIZER_METHODS = ("to_json", "from_json")
 #: Wire keys that carry *transport* concerns (how a request travels),
 #: not sizing inputs: they are stripped before the engine and must never
 #: appear in the cache key.  ``deadline_ms`` is the canonical example —
-#: see ``repro.serve.protocol``.
+#: the HTTP handler strips it (``repro.serve.app._parse_body``).
 TRANSPORT_ONLY = frozenset({"deadline_ms"})
 
 #: Request fields that are per-request *identity*, not content: cache

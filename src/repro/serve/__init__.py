@@ -10,29 +10,25 @@ real service in front of :class:`~repro.service.SizingEngine`:
   queue.  Engine-free planning logic: the batch handler is opaque.
 * :class:`SizingServer` / :func:`create_server` — stdlib
   ``ThreadingHTTPServer`` exposing ``POST /v1/size``, ``GET /stats``,
-  ``GET /healthz`` and ``GET /topologies``.
-* :mod:`repro.serve.protocol` — request validation and structured error
-  payloads shared with the JSONL CLI, so both transports speak one
-  schema.
+  ``GET /healthz`` and ``GET /topologies``.  A body, less its transport
+  key ``deadline_ms``, is parsed by the CLI's parser,
+  :meth:`~repro.service.SizingRequest.from_json`.
 
 ``python -m repro serve --bundle ...`` runs it from the command line.
 """
 
 from .app import SizingServer, create_server, serve_forever_in_thread
 from .batcher import BatcherClosedError, MicroBatcher, QueueFullError, Ticket
-from .protocol import RequestError, invalid_request_response
 from .stats import ServeStats, aggregate_counter_payloads
 
 __all__ = [
     "BatcherClosedError",
     "MicroBatcher",
     "QueueFullError",
-    "RequestError",
     "ServeStats",
     "SizingServer",
     "Ticket",
     "aggregate_counter_payloads",
     "create_server",
-    "invalid_request_response",
     "serve_forever_in_thread",
 ]

@@ -12,10 +12,10 @@ Endpoints:
     * ``200`` — the standard :class:`~repro.service.SizingResponse` JSON
       (``success`` may still be ``false`` when the spec is infeasible);
     * ``400`` — malformed body, same structured payload as a bad JSONL
-      line in the CLI;
+      line in the CLI (:meth:`~repro.service.SizingResponse.bad_request`);
     * ``413`` — a ``Content-Length`` over :data:`MAX_BODY_BYTES`, same
       payload; the body is not read and the connection is closed;
-    * ``503`` + ``Retry-After`` — the bounded queue is full
+    * ``503`` + ``Retry-After: 1`` — the bounded queue is full
       (backpressure: retry, don't pile on);
     * ``504`` — the request's ``deadline_ms`` expired while it waited in
       the queue (no solver work was spent on it);
@@ -52,13 +52,12 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from ..service.engine import SizingEngine
-from ..service.requests import SizingRequest, SizingResponse
+from ..service.requests import SizingRequest, SizingResponse, decode_json
 from ..topologies import available_topologies
 from .batcher import BatcherClosedError, MicroBatcher, QueueFullError
-from .protocol import RequestError, invalid_request_response, parse_request_text
 from .stats import ServeStats, aggregate_counter_payloads
 
-__all__ = ["MAX_BODY_BYTES", "READ_TIMEOUT_S", "SizingServer", "create_server"]
+__all__ = ["MAX_BODY_BYTES", "READ_TIMEOUT_S", "RETRY_AFTER_S", "SizingServer", "create_server"]
 
 #: Largest ``POST /v1/size`` body the server reads (one request is a few
 #: hundred bytes); a larger ``Content-Length`` is answered 413 unread.
@@ -69,6 +68,31 @@ MAX_BODY_BYTES = 1 << 20
 #: handler closes the connection and frees its thread.
 READ_TIMEOUT_S = 30.0
 
+#: ``Retry-After`` seconds of a 503 (a full queue, or shutting down).
+RETRY_AFTER_S = 1
+
+
+def _parse_body(body: str) -> tuple[SizingRequest, float | None]:
+    """A ``POST /v1/size`` body as ``(request, deadline_ms)``.
+
+    ``deadline_ms``, the one transport key (``null``: no deadline), is
+    stripped before :meth:`SizingRequest.from_json`, so it never reaches
+    the engine or the cache key.  A malformed body raises ``ValueError``.
+    """
+    payload = decode_json(body)
+    deadline_ms = None
+    raw = payload.pop("deadline_ms", None) if isinstance(payload, dict) else None
+    if raw is not None:
+        try:
+            if isinstance(raw, bool):  # float() would take it as 0 or 1
+                raise TypeError(raw)
+            deadline_ms = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("deadline_ms must be a number of milliseconds") from None
+        if not deadline_ms > 0:
+            raise ValueError("deadline_ms must be positive")
+    return SizingRequest.from_json(payload), deadline_ms
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Per-connection HTTP handler; all state lives on ``self.server``."""
@@ -76,6 +100,9 @@ class _Handler(BaseHTTPRequestHandler):
     server: SizingServer
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: ``_send_json`` sends headers, then body: under Nagle's algorithm the
+    #: body waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         # StreamRequestHandler.setup applies ``timeout`` to the socket.
@@ -122,23 +149,21 @@ class _Handler(BaseHTTPRequestHandler):
             length = -1
         if length <= 0:
             self.server.serve_stats.record_bad_request()
-            self._send_json(
-                400, invalid_request_response("empty request body").to_json()
-            )
+            self._send_json(400, SizingResponse.bad_request("empty request body").to_json())
             return
         if length > MAX_BODY_BYTES:
             # An unread body cannot be skipped on a keep-alive socket: close it.
             self.server.serve_stats.record_bad_request()
             message = f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
-            payload = invalid_request_response(message).to_json()
+            payload = SizingResponse.bad_request(message).to_json()
             self._send_json(413, payload, headers={"Connection": "close"})
             return
         body = self.rfile.read(length).decode("utf-8", errors="replace")
         try:
-            request, deadline_ms = parse_request_text(body, allow_deadline=True)
-        except RequestError as error:
+            request, deadline_ms = _parse_body(body)
+        except ValueError as error:
             self.server.serve_stats.record_bad_request()
-            self._send_json(400, invalid_request_response(str(error)).to_json())
+            self._send_json(400, SizingResponse.bad_request(str(error)).to_json())
             return
         self._serve_sizing(request, deadline_ms)
 
@@ -152,14 +177,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(
                 503,
                 SizingResponse.failure(f"server overloaded: {error}", request).to_json(),
-                headers={"Retry-After": str(server.retry_after_s)},
+                headers={"Retry-After": str(RETRY_AFTER_S)},
             )
             return
         except BatcherClosedError:
             self._send_json(
                 503,
                 SizingResponse.failure("server shutting down", request).to_json(),
-                headers={"Retry-After": str(server.retry_after_s)},
+                headers={"Retry-After": str(RETRY_AFTER_S)},
             )
             return
         ticket.wait()
@@ -202,7 +227,6 @@ class SizingServer(ThreadingHTTPServer):
         max_batch_size: int = 16,
         max_wait_ms: float = 20.0,
         queue_depth: int = 256,
-        retry_after_s: int = 1,
         concurrent_batches: int = 1,
         handler: Callable[[list[SizingRequest]], Sequence[SizingResponse]] | None = None,
         log: Callable[[str], None] | None = None,
@@ -214,7 +238,6 @@ class SizingServer(ThreadingHTTPServer):
         #: ``workers_payload()`` additionally light up pool status in
         #: ``/healthz`` and ``/stats``.
         self.engine = engine
-        self.retry_after_s = retry_after_s
         self.log = log
         self.serve_stats = ServeStats()
         # The batcher's planning logic is engine-free: it only sees this

@@ -9,20 +9,17 @@ Subcommands:
 
         python -m repro size --bundle path/to/bundle < requests.jsonl > responses.jsonl
 
-    ``--method`` sizes every request with one method (``copilot``, or a
-    registered solver: ``sa`` / ``pso`` / ``de``), overriding the
-    per-request ``method`` field; ``--budget`` caps each solver's SPICE
-    evaluations; ``--corners`` verifies every request worst-case across
-    the named PVT corners::
+    Each line is parsed by :meth:`SizingRequest.from_json_line` and
+    carries its own sizing method (``copilot``, or a registered solver:
+    ``sa`` / ``pso`` / ``de``), ``budget``, PVT ``corners`` and
+    ``analyses`` (``["dc", "ac", "tran"]`` adds the step-response
+    metrics: slew rate, settling time, overshoot)::
 
-        python -m repro size --bundle path/to/bundle --method pso --budget 400 ...
-        python -m repro size --bundle path/to/bundle --corners tt,ss,ff ...
+        {"topology": "5T-OTA", "gain_db": 25, "f3db_hz": 3e6, "ugf_hz": 6e7,
+         "method": "pso", "budget": 400, "corners": ["tt", "ss", "ff"]}
 
-    ``--analyses dc,ac,tran`` additionally integrates each verified
-    design's step-response testbench and reports the transient metrics
-    (slew rate, settling time, overshoot)::
-
-        python -m repro size --bundle path/to/bundle --analyses dc,ac,tran ...
+    A malformed line gets a ``"bad request line: ..."`` response, the
+    same payload an HTTP 400 carries.
 
 ``serve``
     Run the HTTP serving layer (see :mod:`repro.serve`): concurrent
@@ -65,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from collections.abc import Iterator, Sequence
 from typing import IO
@@ -106,24 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="requests per engine batch (default 64)")
     size.add_argument("--cache-size", type=int, default=256,
                       help="LRU result-cache entries, 0 disables (default 256)")
-    size.add_argument("--method", default=None, metavar="METHOD",
-                      help="size every request with this method: 'copilot' or "
-                           "a registered solver (overrides the per-request "
-                           "'method' field; see 'python -m repro solvers')")
-    size.add_argument("--budget", type=int, default=None,
-                      help="per-request SPICE-evaluation budget for the solver "
-                           "(copilot: verification iterations)")
-    size.add_argument("--corners", default=None, metavar="C1,C2,...",
-                      help="comma-separated PVT corner presets (tt/ss/ff) applied "
-                           "to every request (overrides the per-request 'corners' "
-                           "field); a request succeeds only when the design meets "
-                           "spec at every corner")
-    size.add_argument("--analyses", default=None, metavar="A1,A2,...",
-                      help="comma-separated analyses selector applied to every "
-                           "request (overrides the per-request 'analyses' field): "
-                           "'dc,ac' (default pipeline) or 'dc,ac,tran' to also "
-                           "integrate the step-response testbench and report "
-                           "slew/settling/overshoot metrics")
     size.add_argument("--stats", action="store_true",
                       help="print engine serving counters to stderr when done")
 
@@ -162,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "processes (0 = single-process, the default); each "
                             "worker loads the bundle, keeps its own "
                             "--cache-size LRU and runs cores/N BLAS threads")
-    serve.add_argument("--retry-after", type=int, default=1, metavar="SECONDS",
-                       help="Retry-After hint on 503 responses (default 1)")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-request access logging")
 
@@ -208,7 +184,8 @@ def _batched_lines(stream: IO[str], batch_size: int) -> Iterator[list[str]]:
     batch: list[str] = []
     for line in stream:
         if line.strip():
-            batch.append(line)
+            # Unterminated, as an HTTP body: a JSON error names one position.
+            batch.append(line.rstrip("\n"))
         if len(batch) >= batch_size:
             yield batch
             batch = []
@@ -229,53 +206,9 @@ def _bundle_exists(bundle: Path) -> bool:
 
 
 def _run_size(args: argparse.Namespace) -> int:
-    from ..devices import resolve_corners
-    from ..serve.protocol import invalid_request_response, parse_request_text
-    from ..topologies import resolve_analyses
-
-    if args.method is not None and args.method not in available_methods():
-        print(
-            f"error: unknown sizing method {args.method!r} "
-            f"(available: {', '.join(available_methods())})",
-            file=sys.stderr,
-        )
-        return 2
-    corners = None
-    if args.corners is not None:
-        try:
-            corners = resolve_corners(
-                [name.strip() for name in args.corners.split(",") if name.strip()]
-            )
-            if not corners:
-                raise ValueError("no corner names given")
-        except ValueError as error:
-            # An empty override would silently *disable* per-request corner
-            # verification stream-wide; refuse it like a bad preset name.
-            print(f"error: bad --corners: {error}", file=sys.stderr)
-            return 2
-    analyses = None
-    if args.analyses is not None:
-        try:
-            names = [name.strip() for name in args.analyses.split(",") if name.strip()]
-            if not names:
-                raise ValueError("no analysis names given")
-            analyses = resolve_analyses(names)
-        except ValueError as error:
-            print(f"error: bad --analyses: {error}", file=sys.stderr)
-            return 2
     if not _bundle_exists(args.bundle):
         return 2
     engine = SizingEngine(SizingModel.load(args.bundle), cache_size=args.cache_size)
-
-    overrides = {}
-    if args.method is not None:
-        overrides["method"] = args.method
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if corners is not None:
-        overrides["corners"] = corners
-    if analyses is not None:
-        overrides["analyses"] = analyses
 
     source = _open_input(args.input)
     sink = _open_output(args.output)
@@ -289,27 +222,16 @@ def _run_size(args: argparse.Namespace) -> int:
             requests: list[SizingRequest] = []
             bad_lines: dict[int, SizingResponse] = {}
             for index, line in enumerate(lines):
-                # Validation shared with the HTTP serving layer: a bad
-                # JSONL line and a bad HTTP body produce the same
-                # structured error payload (see repro.serve.protocol); an
-                # override over a work bound (--budget) is a bad line too,
-                # addressed to the request the line parsed to.
-                parsed = None
                 try:
-                    parsed, _ = parse_request_text(line)
-                    requests.append(replace(parsed, **overrides) if overrides else parsed)
+                    requests.append(SizingRequest.from_json_line(line))
                 except ValueError as error:
-                    bad_lines[index] = invalid_request_response(str(error), parsed)
+                    bad_lines[index] = SizingResponse.bad_request(str(error))
             responses = iter(engine.size_batch(requests))
             for index in range(len(lines)):
-                if index in bad_lines:
-                    failures += 1
-                    # Same schema as every other line, so consumers can
-                    # parse the whole stream with SizingResponse.from_json.
-                    response = bad_lines[index]
-                else:
-                    response = next(responses)
-                    failures += 1 if response.error is not None else 0
+                # A bad line gets the schema of every other line, so
+                # consumers parse the stream with SizingResponse.from_json.
+                response = bad_lines[index] if index in bad_lines else next(responses)
+                failures += response.error is not None
                 sink.write(response.to_json_line() + "\n")
             sink.flush()
     finally:
@@ -367,7 +289,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             max_batch_size=args.max_batch_size,
             max_wait_ms=args.max_wait_ms,
             queue_depth=args.queue_depth,
-            retry_after_s=args.retry_after,
             # Pipeline batches across the worker pool: batch k+1 forms
             # while batch k runs, one in-flight batch per worker.
             concurrent_batches=max(1, args.workers),

@@ -64,7 +64,7 @@ from ..solvers import DEFAULT_BUDGET
 from ..spice import TRAN_METRIC_NAMES, PerformanceMetrics
 from ..topologies import DEFAULT_ANALYSES, analyses_for_spec
 
-__all__ = ["IterationTrace", "SizingRequest", "SizingResponse"]
+__all__ = ["IterationTrace", "SizingRequest", "SizingResponse", "decode_json"]
 
 #: Most copilot rounds one request may ask for (``max_iterations``, or a
 #: copilot ``budget``) and most SPICE evaluations of a solver ``budget``:
@@ -112,6 +112,44 @@ def _metrics_from_json(payload: Mapping[str, Any] | None) -> PerformanceMetrics 
     return PerformanceMetrics(
         value("gain_db"), value("f3db_hz"), value("ugf_hz"), **kwargs
     )
+
+
+def _number(payload: Mapping[str, Any], name: str) -> float:
+    """Field ``name`` as a float: a number (or numeric string) as sent,
+    never a boolean, which ``float`` would read as 0 or 1."""
+    value = payload[name]
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a number, not {value!r}")
+
+
+def _whole(payload: Mapping[str, Any], name: str) -> int:
+    """Field ``name`` as an int: ``2.9`` is an error, not ``2``."""
+    number = _number(payload, name)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, not {payload[name]!r}")
+    return int(number)
+
+
+def _list(payload: Mapping[str, Any], name: str) -> tuple[Any, ...]:
+    """Field ``name`` as a tuple of entries, which its resolver checks."""
+    value = payload[name]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, not {value!r}")
+    return tuple(value)
+
+
+def decode_json(text: str) -> Any:
+    """A JSONL line or an HTTP body; text that is not JSON (or nests too
+    deeply to decode) raises ``ValueError``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as error:
+        raise ValueError(f"invalid JSON: {error}") from error
+
 
 _request_ids = itertools.count(1)
 
@@ -219,7 +257,12 @@ class SizingRequest:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> SizingRequest:
-        """Parse the stable flat schema; extra keys are rejected loudly."""
+        """Parse the stable flat schema: the one parser of a request on
+        every transport.  Any malformed payload raises ``ValueError``,
+        including a boolean or ``null`` where a number belongs and a
+        fractional ``max_iterations`` or ``budget``."""
+        if not isinstance(payload, Mapping):
+            raise ValueError("request payload must be a JSON object")
         known = {
             "id", "topology", "gain_db", "f3db_hz", "ugf_hz",
             "max_iterations", "rel_tol", "method", "budget", "corners",
@@ -231,36 +274,39 @@ class SizingRequest:
         missing = {"topology", "gain_db", "f3db_hz", "ugf_hz"} - set(payload)
         if missing:
             raise ValueError(f"missing request fields: {sorted(missing)}")
-        spec_kwargs: dict[str, Any] = {}
-        for name in TRAN_METRIC_NAMES:
-            if payload.get(name) is not None:
-                spec_kwargs[name] = float(payload[name])
         spec = DesignSpec(
-            gain_db=float(payload["gain_db"]),
-            f3db_hz=float(payload["f3db_hz"]),
-            ugf_hz=float(payload["ugf_hz"]),
-            **spec_kwargs,
+            gain_db=_number(payload, "gain_db"),
+            f3db_hz=_number(payload, "f3db_hz"),
+            ugf_hz=_number(payload, "ugf_hz"),
+            **{
+                name: _number(payload, name)
+                for name in TRAN_METRIC_NAMES
+                if payload.get(name) is not None
+            },
         )
         kwargs: dict[str, Any] = {}
         if "id" in payload:
             kwargs["id"] = str(payload["id"])
         if "max_iterations" in payload:
-            kwargs["max_iterations"] = int(payload["max_iterations"])
+            kwargs["max_iterations"] = _whole(payload, "max_iterations")
         if "rel_tol" in payload:
-            kwargs["rel_tol"] = float(payload["rel_tol"])
+            kwargs["rel_tol"] = _number(payload, "rel_tol")
         if "method" in payload:
             kwargs["method"] = str(payload["method"])
         if payload.get("budget") is not None:
-            kwargs["budget"] = int(payload["budget"])
-        if payload.get("corners"):
-            kwargs["corners"] = tuple(payload["corners"])
-        if payload.get("analyses"):
-            kwargs["analyses"] = tuple(payload["analyses"])
-        return cls(topology=str(payload["topology"]), spec=spec, **kwargs)
+            kwargs["budget"] = _whole(payload, "budget")
+        if payload.get("corners") is not None:
+            kwargs["corners"] = _list(payload, "corners")
+        if payload.get("analyses") is not None:
+            kwargs["analyses"] = _list(payload, "analyses")
+        try:
+            return cls(topology=str(payload["topology"]), spec=spec, **kwargs)
+        except TypeError as error:  # a corner or analysis entry of the wrong type
+            raise ValueError(str(error)) from error
 
     @classmethod
     def from_json_line(cls, line: str) -> SizingRequest:
-        return cls.from_json(json.loads(line))
+        return cls.from_json(decode_json(line))
 
 
 @dataclass
@@ -339,6 +385,12 @@ class SizingResponse:
             wall_time_s=0.0,
             error=message,
         )
+
+    @classmethod
+    def bad_request(cls, message: str) -> SizingResponse:
+        """The response to a payload that failed validation, the same on
+        every transport (a ``size`` line, an HTTP 400 or 413)."""
+        return cls.failure(f"bad request line: {message}")
 
     def with_request_id(self, request_id: str, cached: bool = True) -> SizingResponse:
         """A copy re-addressed to another request (cache/duplicate hits)."""

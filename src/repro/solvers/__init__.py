@@ -9,7 +9,7 @@ one protocol::
 with unified success / SPICE-call / wall-time / history accounting, and
 all of them are dispatchable by name through the registry (mirroring the
 topology registry), the sizing engine (``SizingRequest.method``) and the
-CLI (``python -m repro size --method pso``).  The transformer copilot is
+CLI (a ``size`` line with ``"method": "pso"``).  The transformer copilot is
 not a solver: :class:`~repro.service.SizingEngine` runs it, and this
 package imports nothing from the service layers above it.
 

@@ -1,4 +1,4 @@
-"""Tests of the HTTP serving layer: micro-batcher, protocol, end to end.
+"""Tests of the HTTP serving layer: micro-batcher, request parsing, end to end.
 
 The end-to-end suites run a real ``SizingServer`` on an ephemeral port
 with the shared oracle model, so the contracts under test are the ones
@@ -12,8 +12,10 @@ shutdown drains what was queued.
 import http.client
 import json
 import socket
+import statistics
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,13 +27,6 @@ from repro.serve import (
     ServeStats,
     create_server,
     serve_forever_in_thread,
-)
-from repro.serve.protocol import (
-    BAD_REQUEST_PREFIX,
-    RequestError,
-    invalid_request_response,
-    parse_request_payload,
-    parse_request_text,
 )
 from repro.service import SizingEngine, SizingRequest, SizingResponse
 from repro.service.engine import EngineStats
@@ -183,7 +178,7 @@ class TestMicroBatcher:
 
 
 # ----------------------------------------------------------------------
-# Shared protocol: one request schema, one error payload, two transports
+# One parser, one error payload, two transports
 # ----------------------------------------------------------------------
 #: Each work bound of a request, ten times its default: (over it, at it).
 WORK_BOUNDS = {
@@ -192,21 +187,32 @@ WORK_BOUNDS = {
     "solver-budget": ({"method": "pso", "budget": 5001}, {"method": "pso", "budget": 5000}),
 }
 
+#: The HTTP handler's body parser: it strips ``deadline_ms``, then hands
+#: the rest to ``SizingRequest.from_json``.
+parse_body = serve_app._parse_body
+
 
 class TestProtocol:
     GOOD = {"topology": "5T-OTA", "gain_db": 25.0, "f3db_hz": 5e6, "ugf_hz": 8e7}
 
     def test_parse_valid_payload(self):
-        request, deadline = parse_request_payload(dict(self.GOOD))
+        assert SizingRequest.from_json(dict(self.GOOD)).topology == "5T-OTA"
+        request, deadline = parse_body(json.dumps(self.GOOD))
         assert request.topology == "5T-OTA" and deadline is None
 
     def test_invalid_json_rejected(self):
-        with pytest.raises(RequestError, match="invalid JSON"):
-            parse_request_text("{not json")
+        for parse in (SizingRequest.from_json_line, parse_body):
+            with pytest.raises(ValueError, match="invalid JSON"):
+                parse("{not json")
+            # Nested past the decoder's recursion limit: still a bad line.
+            with pytest.raises(ValueError, match="invalid JSON"):
+                parse("[" * 100_000)
 
     def test_non_object_rejected(self):
-        with pytest.raises(RequestError, match="JSON object"):
-            parse_request_text("[1, 2]")
+        for text in ("[1, 2]", "3", '"abc"', "null"):
+            for parse in (SizingRequest.from_json_line, parse_body):
+                with pytest.raises(ValueError, match="^request payload must be a JSON object$"):
+                    parse(text)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"nan"', '"inf"'])
     @pytest.mark.parametrize("field", ["gain_db", "f3db_hz", "ugf_hz", "slew_v_per_s"])
@@ -214,35 +220,29 @@ class TestProtocol:
         # Python's json accepts the NaN/Infinity literals and float() the
         # strings; every spelling is a bad line before it reaches a batch.
         good = json.dumps(self.GOOD)[:-1]
-        with pytest.raises(RequestError):
-            parse_request_text(f'{good}, "{field}": {value}}}')
+        with pytest.raises(ValueError):
+            SizingRequest.from_json_line(f'{good}, "{field}": {value}}}')
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(RequestError, match="unknown"):
-            parse_request_payload({**self.GOOD, "bogus": 1})
+        with pytest.raises(ValueError, match="unknown"):
+            SizingRequest.from_json({**self.GOOD, "bogus": 1})
 
     def test_deadline_is_serving_only(self):
-        # The HTTP transport strips it before shared validation ...
-        request, deadline = parse_request_payload(
-            {**self.GOOD, "deadline_ms": 250}, allow_deadline=True
-        )
+        # The HTTP handler strips it before the shared parser ...
+        _, deadline = parse_body(json.dumps({**self.GOOD, "deadline_ms": 250}))
         assert deadline == 250.0
         # ... an explicit null means "no deadline" ...
-        _, deadline = parse_request_payload(
-            {**self.GOOD, "deadline_ms": None}, allow_deadline=True
-        )
+        _, deadline = parse_body(json.dumps({**self.GOOD, "deadline_ms": None}))
         assert deadline is None
         # ... and the JSONL CLI rejects it like any unknown field.
-        with pytest.raises(RequestError, match="unknown"):
-            parse_request_payload({**self.GOOD, "deadline_ms": 250})
+        with pytest.raises(ValueError, match="unknown"):
+            SizingRequest.from_json({**self.GOOD, "deadline_ms": 250})
 
     def test_deadline_validation(self):
-        with pytest.raises(RequestError, match="number of milliseconds"):
-            parse_request_payload({**self.GOOD, "deadline_ms": "soon"}, allow_deadline=True)
-        with pytest.raises(RequestError, match="positive"):
-            parse_request_payload({**self.GOOD, "deadline_ms": 0}, allow_deadline=True)
-        with pytest.raises(RequestError, match="positive"):
-            parse_request_payload({**self.GOOD, "deadline_ms": -5}, allow_deadline=True)
+        for raw, message in (("soon", "number of milliseconds"), (True, "number of milliseconds"),
+                             (0, "positive"), (-5, "positive")):
+            with pytest.raises(ValueError, match=message):
+                parse_body(json.dumps({**self.GOOD, "deadline_ms": raw}))
 
     @pytest.mark.parametrize("bound", sorted(WORK_BOUNDS))
     def test_work_bounds(self, bound):
@@ -251,20 +251,21 @@ class TestProtocol:
         with pytest.raises(ValueError, match="must be between 0 and"):
             SizingRequest.for_spec("5T-OTA", 25.0, 5e6, 8e7, **over)
         # ... and a bad line (the CLI's "bad request line" payload).
-        with pytest.raises(RequestError, match="must be between 0 and") as caught:
-            parse_request_text(json.dumps({**self.GOOD, **over}))
-        message = invalid_request_response(str(caught.value)).error
-        assert message.startswith(f"{BAD_REQUEST_PREFIX}: ")
+        with pytest.raises(ValueError, match="must be between 0 and") as caught:
+            SizingRequest.from_json_line(json.dumps({**self.GOOD, **over}))
+        message = SizingResponse.bad_request(str(caught.value)).error
+        assert message.startswith("bad request line: ")
         # A request exactly at the bound is served.
-        request, _ = parse_request_text(json.dumps({**self.GOOD, **at}))
+        request = SizingRequest.from_json_line(json.dumps({**self.GOOD, **at}))
         assert request == SizingRequest.for_spec("5T-OTA", 25.0, 5e6, 8e7, id=request.id, **at)
 
     def test_error_payloads_are_wire_schema(self):
         """Every failure payload round-trips through the standard schema."""
-        payload = invalid_request_response("missing field").to_json()
+        payload = SizingResponse.bad_request("missing field").to_json()
         restored = SizingResponse.from_json(payload)
         assert not restored.success
-        assert restored.error == f"{BAD_REQUEST_PREFIX}: missing field"
+        assert restored.error == "bad request line: missing field"
+        assert restored.request_id == "" and restored.topology == ""
         assert restored.widths is None and restored.metrics is None
         request = SizingRequest.for_spec("5T-OTA", 25.0, 5e6, 8e7, id="r9", method="pso")
         stamped = SizingResponse.failure("late", request)
@@ -381,6 +382,24 @@ def _stub_responses(requests):
     ]
 
 
+#: The trained bundle committed for the benchmark, read (never written)
+#: by the ``size`` CLI of the transport-parity test.
+COMMITTED_BUNDLE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bundle"
+
+#: One malformed payload of each kind, sent as a ``size`` line and as an
+#: HTTP body.
+MALFORMED = {
+    "invalid JSON": '{"topology": "5T-OTA", "gain_db": ',
+    "non-object": '["5T-OTA", 25.0, 5e6, 8e7]',
+    "unknown field": json.dumps({**TestProtocol.GOOD, "bogus": 1}),
+    "missing field": json.dumps({"topology": "5T-OTA", "gain_db": 25.0}),
+    "non-finite target": '{"topology": "5T-OTA", "gain_db": NaN, "f3db_hz": 5e6, "ugf_hz": 8e7}',
+    "over-bound budget": json.dumps({**TestProtocol.GOOD, "budget": 61}),
+    "null target": json.dumps({**TestProtocol.GOOD, "gain_db": None}),
+    "boolean target": json.dumps({**TestProtocol.GOOD, "gain_db": True}),
+}
+
+
 @pytest.fixture()
 def oracle_engine(oracle_setup):
     topology, records, luts = oracle_setup
@@ -475,7 +494,6 @@ class TestHTTPServing:
             max_batch_size=1,
             max_wait_ms=0.0,
             queue_depth=1,
-            retry_after_s=7,
         )
         payload = _achievable(records[0]).to_json()
         blocked = []
@@ -503,7 +521,7 @@ class TestHTTPServing:
             second.join(timeout=30.0)
 
         assert status == 503
-        assert headers["Retry-After"] == "7"
+        assert headers["Retry-After"] == str(serve_app.RETRY_AFTER_S) == "1"
         assert not body["success"]
         assert "server overloaded" in body["error"]
         assert server.serve_stats.rejected_queue_full == 1
@@ -579,10 +597,10 @@ class TestHTTPServing:
                 # Byte-for-byte the same structured payload a bad JSONL
                 # line gets from the CLI: the shared constructor applied
                 # to the same validation message.
-                prefix = f"{BAD_REQUEST_PREFIX}: "
+                prefix = "bad request line: "
                 assert payload["error"].startswith(prefix)
                 message = payload["error"][len(prefix):]
-                assert payload == invalid_request_response(message).to_json()
+                assert payload == SizingResponse.bad_request(message).to_json()
             # Empty body and bad deadlines are caught before the queue.
             status, _, payload = _request_json(port, "POST", "/v1/size", None)
             assert status == 400 and "empty request body" in payload["error"]
@@ -605,7 +623,7 @@ class TestHTTPServing:
                     port, "POST", "/v1/size", {**TestProtocol.GOOD, **over}
                 )
                 assert status == 400
-                assert payload["error"].startswith(f"{BAD_REQUEST_PREFIX}: ")
+                assert payload["error"].startswith("bad request line: ")
                 assert "must be between 0 and" in payload["error"]
         assert server.serve_stats.bad_requests == len(WORK_BOUNDS)
         assert engine.stats.requests == 0
@@ -635,9 +653,9 @@ class TestHTTPServing:
                 except ConnectionResetError:
                     pass
             assert status == 413 and connection == "close"
-            prefix = f"{BAD_REQUEST_PREFIX}: "
+            prefix = "bad request line: "
             assert f"{claimed} bytes" in payload["error"]
-            assert payload == invalid_request_response(payload["error"][len(prefix):]).to_json()
+            assert payload == SizingResponse.bad_request(payload["error"][len(prefix):]).to_json()
             # The next request, on a new connection, is served.
             request = _achievable(records[0], id="after")
             status, _, body = _request_json(port, "POST", "/v1/size", request.to_json())
@@ -671,6 +689,61 @@ class TestHTTPServing:
             status, _, body = _request_json(port, "POST", "/v1/size", request.to_json())
             assert status == 200 and body["request_id"] == "after"
         assert engine.stats.requests == 1
+
+    def test_keep_alive_replies_do_not_wait_for_delayed_ack(self, oracle_engine):
+        """A reply leaves in two sends, headers then body.  Under Nagle's
+        algorithm the body of a keep-alive reply waited for the client's
+        delayed ACK of the headers: about 40 ms a round trip."""
+        engine, _ = oracle_engine
+        server = create_server(engine)
+        round_trips = []
+        with _RunningServer(server):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=30
+            )
+            try:
+                for _ in range(20):
+                    start = time.perf_counter()
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    assert json.loads(response.read()) == {"status": "ok"}
+                    round_trips.append(time.perf_counter() - start)
+            finally:
+                connection.close()
+        assert statistics.median(round_trips) < 0.020, round_trips
+
+    def test_size_line_and_http_body_get_the_same_bad_request(self, oracle_engine, tmp_path):
+        """Each malformed payload gets the same answer as a ``size`` line
+        and as a ``POST /v1/size`` body: one parser serves both."""
+        from repro.service.cli import main
+
+        requests_file = tmp_path / "requests.jsonl"
+        requests_file.write_text("".join(f"{text}\n" for text in MALFORMED.values()))
+        responses_file = tmp_path / "responses.jsonl"
+        exit_code = main([
+            "size", "--bundle", str(COMMITTED_BUNDLE),
+            "-i", str(requests_file), "-o", str(responses_file),
+        ])
+        assert exit_code == 1
+        lines = [json.loads(line) for line in responses_file.read_text().splitlines()]
+        engine, _ = oracle_engine
+        server = create_server(engine)
+        with _RunningServer(server):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=30
+            )
+            try:
+                for (case, text), line in zip(MALFORMED.items(), lines, strict=True):
+                    connection.request("POST", "/v1/size", body=text)
+                    response = connection.getresponse()
+                    body = json.loads(response.read())
+                    assert response.status == 400, case
+                    assert body["error"].startswith("bad request line: "), case
+                    assert body == line, case
+            finally:
+                connection.close()
+        assert server.serve_stats.bad_requests == len(MALFORMED)
+        assert engine.stats.requests == 0
 
     def test_observability_endpoints(self, oracle_setup):
         topology, records, luts = oracle_setup

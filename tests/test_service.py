@@ -63,22 +63,6 @@ class TestRegistry:
             unregister("TEST-OTA")
         assert "TEST-OTA" not in available_topologies()
 
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register(FiveTransistorOTA)
-
-    def test_replace_allows_shadowing(self):
-        register(FiveTransistorOTA, replace=True)
-        assert topology_by_name("5T-OTA").name == "5T-OTA"
-
-    def test_unknown_name_lists_registered(self):
-        with pytest.raises(KeyError, match="registered:"):
-            topology_by_name("NOPE-OTA")
-
-    def test_factory_without_name_rejected(self):
-        with pytest.raises(ValueError, match="name"):
-            register(lambda: FiveTransistorOTA())
-
 
 # ----------------------------------------------------------------------
 # Request/response JSON round trips
@@ -146,6 +130,41 @@ class TestRequestJSON:
                 SizingRequest(
                     topology="5T-OTA", spec=DesignSpec(25.0, 5e6, 8e7, slew_v_per_s=bad)
                 )
+
+
+    #: A wrong type in a field the parser converts: each was a TypeError
+    #: (or a crash) before the parser checked it.
+    ILL_TYPED = {
+        "null target": ({"gain_db": None}, "gain_db must be a number"),
+        "null tolerance": ({"rel_tol": None}, "rel_tol must be a number"),
+        "scalar corners": ({"corners": 5}, "corners must be a list"),
+        "list count": ({"max_iterations": [1]}, "max_iterations must be a number"),
+        "corner entry": ({"corners": [5]}, "cannot resolve a corner"),
+        "scalar analyses": ({"analyses": 5}, "analyses must be a list"),
+        "huge target": ({"ugf_hz": 10**400}, "ugf_hz must be a number"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ILL_TYPED))
+    def test_ill_typed_field_is_a_value_error(self, case):
+        bad, message = self.ILL_TYPED[case]
+        good = {"topology": "5T-OTA", "gain_db": 25.0, "f3db_hz": 5e6, "ugf_hz": 8e7}
+        with pytest.raises(ValueError, match=message):
+            SizingRequest.from_json({**good, **bad})
+
+    def test_numbers_taken_as_sent(self):
+        """A boolean is no number and a count no fraction: ``float(True)``
+        would size a 1 dB target and ``int(2.9)`` run 2 rounds."""
+        good = {"topology": "5T-OTA", "gain_db": 25.0, "f3db_hz": 5e6, "ugf_hz": 8e7}
+        for name in ("gain_db", "f3db_hz", "rel_tol", "slew_v_per_s", "max_iterations"):
+            with pytest.raises(ValueError, match=f"{name} must be a number, not True"):
+                SizingRequest.from_json({**good, name: True})
+        with pytest.raises(ValueError, match="max_iterations must be a whole number, not 2.9"):
+            SizingRequest.from_json({**good, "max_iterations": 2.9})
+        with pytest.raises(ValueError, match="budget must be a whole number, not 10.5"):
+            SizingRequest.from_json({**good, "method": "pso", "budget": 10.5})
+        # An integral float is the count it spells.
+        request = SizingRequest.from_json({**good, "max_iterations": 2.0, "budget": 3.0})
+        assert (request.max_iterations, request.budget) == (2, 3)
 
 
 class TestResponseJSON:
@@ -915,19 +934,6 @@ class TestCLI:
         assert bad.success is False and "bad request line" in bad.error
         assert exit_code == 1  # the malformed line is a tool-level failure
 
-    def test_bad_corners_flag_is_a_tool_error(self, capsys):
-        from repro.service.cli import main
-
-        # Rejected before the bundle is even opened.
-        exit_code = main(["size", "--bundle", "/nonexistent", "--corners", "tt,sf"])
-        assert exit_code == 2
-        assert "bad --corners" in capsys.readouterr().err
-        # An empty override would silently disable per-request corner
-        # verification stream-wide; it must be refused the same way.
-        exit_code = main(["size", "--bundle", "/nonexistent", "--corners", " , "])
-        assert exit_code == 2
-        assert "bad --corners" in capsys.readouterr().err
-
     def test_corners_flag_overrides_requests(self, tiny_artifacts, tmp_path):
         from repro.service.cli import main
 
@@ -936,13 +942,13 @@ class TestCLI:
         record = tiny_artifacts.val_records["5T-OTA"][0]
         request = SizingRequest.for_spec(
             "5T-OTA", record.gain_db, record.f3db_hz, record.ugf_hz,
-            id="cli-c1", max_iterations=1,
+            id="cli-c1", max_iterations=1, corners=("tt", "ss"),
         )
         requests_file = tmp_path / "requests.jsonl"
         requests_file.write_text(request.to_json_line() + "\n")
         responses_file = tmp_path / "responses.jsonl"
         exit_code = main([
-            "size", "--bundle", str(bundle), "--corners", "tt,ss",
+            "size", "--bundle", str(bundle),
             "-i", str(requests_file), "-o", str(responses_file),
         ])
         assert exit_code == 0
