@@ -23,6 +23,10 @@ from repro.topologies import available_topologies
 DEFAULT_CACHE = Path(__file__).resolve().parent.parent / "benchmarks" / ".artifact_cache"
 
 
+def _metrics_text(m) -> str:
+    return f"gain={m.gain_db:.2f} dB  BW={m.f3db_hz / 1e6:.3f} MHz  UGF={m.ugf_hz / 1e6:.1f} MHz"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Size an OTA with the trained transformer+LUT flow")
     parser.add_argument("--topology", required=True, choices=available_topologies())
@@ -52,14 +56,16 @@ def main(argv=None) -> int:
 
     print(f"success: {response.success}  iterations: {response.iterations}  "
           f"SPICE simulations: {response.spice_simulations}  time: {response.wall_time_s:.2f}s")
+    # One line per copilot round: how it ended, and what it measured.
+    for number, record in enumerate(response.trace, start=1):
+        measured = f"  {_metrics_text(record.metrics)}" if record.metrics else ""
+        print(f"  round {number}: {record.outcome}{measured}")
     if response.widths:
         for group, width in response.widths.items():
             devices = ",".join(topology.group(group).devices)
             print(f"  W({devices}) = {width * 1e6:.3f} um")
     if response.metrics:
-        m = response.metrics
-        print(f"achieved: gain={m.gain_db:.2f} dB  BW={m.f3db_hz / 1e6:.3f} MHz  "
-              f"UGF={m.ugf_hz / 1e6:.1f} MHz")
+        print(f"achieved: {_metrics_text(response.metrics)}")
     if args.spice_out is not None and response.widths:
         from repro.spice import to_spice
 

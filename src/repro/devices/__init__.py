@@ -5,6 +5,7 @@ from .corners import (
     NOMINAL_CORNER,
     Corner,
     CornerLike,
+    number_field,
     resolve_corner,
     resolve_corners,
     thermal_voltage,
@@ -18,6 +19,7 @@ __all__ = [
     "CornerLike",
     "CORNER_PRESETS",
     "NOMINAL_CORNER",
+    "number_field",
     "resolve_corner",
     "resolve_corners",
     "thermal_voltage",

@@ -47,6 +47,7 @@ __all__ = [
     "NOMINAL_CORNER",
     "CORNER_PRESETS",
     "thermal_voltage",
+    "number_field",
     "resolve_corner",
     "resolve_corners",
 ]
@@ -217,9 +218,23 @@ def resolve_corner(spec: CornerLike) -> Corner:
         kwargs["name"] = spec.get("name", base.name if "process" in spec else "custom")
         for field_name in ("vt0_scale", "kp_scale", "vdd_scale", "temperature_k"):
             if field_name in spec:
-                kwargs[field_name] = float(spec[field_name])  # type: ignore[arg-type]
+                kwargs[field_name] = number_field(spec, field_name)
         return Corner(**kwargs)  # type: ignore[arg-type]
     raise TypeError(f"cannot resolve a corner from {type(spec).__name__}")
+
+
+def number_field(payload: Mapping[str, object], name: str) -> float:
+    """Field ``name`` of a JSON object as a float: a number (or numeric
+    string) as sent, never a boolean, which ``float`` would read as 0 or
+    1.  Anything else raises ``ValueError`` naming the field.  The one
+    reader of a numeric request field and of a corner override."""
+    value = payload[name]
+    if not isinstance(value, bool):
+        try:
+            return float(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a number, not {value!r}")
 
 
 def resolve_corners(specs: Sequence[CornerLike] | None) -> tuple[Corner, ...]:

@@ -19,7 +19,7 @@ real service in front of :class:`~repro.service.SizingEngine`:
 
 from .app import SizingServer, create_server, serve_forever_in_thread
 from .batcher import BatcherClosedError, MicroBatcher, QueueFullError, Ticket
-from .stats import ServeStats, aggregate_counter_payloads
+from .stats import ServeStats
 
 __all__ = [
     "BatcherClosedError",
@@ -28,7 +28,6 @@ __all__ = [
     "ServeStats",
     "SizingServer",
     "Ticket",
-    "aggregate_counter_payloads",
     "create_server",
     "serve_forever_in_thread",
 ]

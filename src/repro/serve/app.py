@@ -55,7 +55,7 @@ from ..service.engine import SizingEngine
 from ..service.requests import SizingRequest, SizingResponse, decode_json
 from ..topologies import available_topologies
 from .batcher import BatcherClosedError, MicroBatcher, QueueFullError
-from .stats import ServeStats, aggregate_counter_payloads
+from .stats import ServeStats
 
 __all__ = ["MAX_BODY_BYTES", "READ_TIMEOUT_S", "RETRY_AFTER_S", "SizingServer", "create_server"]
 
@@ -274,8 +274,8 @@ class SizingServer(ThreadingHTTPServer):
         pool-wide aggregate (summed worker counters); ``workers`` adds
         the per-worker breakdown — batch and restart counts, the
         worker's own LRU counters, its ``blas_threads`` — plus a
-        ``total`` row merged with
-        :func:`~repro.serve.stats.aggregate_counter_payloads`.
+        ``total`` row that sums the request, batch, cache-hit and restart
+        counts over the workers.
         """
         cache = self.engine.cache
         payload = {
@@ -292,9 +292,7 @@ class SizingServer(ThreadingHTTPServer):
             summable = ("requests", "batches", "cache_hits", "restarts")
             payload["workers"] = {
                 "workers": workers,
-                "total": aggregate_counter_payloads(
-                    [{key: worker[key] for key in summable} for worker in workers]
-                ),
+                "total": {key: sum(worker[key] for worker in workers) for key in summable},
             }
         return payload
 

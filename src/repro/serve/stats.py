@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter, deque
-from collections.abc import Sequence
 from typing import Any
 
-__all__ = ["ServeStats", "aggregate_counter_payloads"]
+__all__ = ["ServeStats"]
 
 #: Flush reasons the micro-batcher reports (see ``MicroBatcher``):
 #: ``size`` — the batch reached ``max_batch_size``; ``timeout`` — the
@@ -32,35 +31,6 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
     """Nearest-rank percentile of an already-sorted non-empty list."""
     rank = max(1, math.ceil(fraction * len(sorted_values)))
     return sorted_values[rank - 1]
-
-
-def aggregate_counter_payloads(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    """Merge per-worker stats snapshots into one pool-wide payload.
-
-    Sums numeric counters key-wise and merges one level of nested dicts
-    (histograms: batch sizes, flush reasons) by summing their numeric
-    leaves.  Keys whose values aren't numbers or dicts-of-numbers (pids,
-    state strings, paths) are dropped — a sum of pids is noise, not a
-    statistic.  Used by ``/stats`` to publish a ``workers.total`` block
-    next to the per-worker breakdown, and shared with any client that
-    wants to aggregate snapshots the same way the server does.
-    """
-    totals: dict[str, Any] = {}
-    for payload in payloads:
-        for key, value in payload.items():
-            if isinstance(value, bool):
-                continue
-            if isinstance(value, (int, float)):
-                totals[key] = totals.get(key, 0) + value
-            elif isinstance(value, dict):
-                bucket = totals.setdefault(key, {})
-                for sub_key, sub_value in value.items():
-                    if isinstance(sub_value, bool) or not isinstance(
-                        sub_value, (int, float)
-                    ):
-                        continue
-                    bucket[sub_key] = bucket.get(sub_key, 0) + sub_value
-    return totals
 
 
 class ServeStats:

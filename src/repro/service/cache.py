@@ -101,10 +101,6 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, request: SizingRequest) -> bool:
-        with self._lock:
-            return self._transferable(request) is not None
-
     def _transferable(self, request: SizingRequest) -> SizingResponse | None:
         """The cached response if its verdict carries over to ``request``.
 
@@ -153,12 +149,6 @@ class ResultCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
 
     def as_dict(self) -> dict[str, Any]:
         """Atomic counters snapshot for the serving layer's ``/stats``."""

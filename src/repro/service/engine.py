@@ -22,9 +22,13 @@ resolved once, in :class:`SizingRequest`, and reach the backend as they
 are, together with the spec each candidate is judged against: a
 candidate that misses an AC target at some corner has already failed,
 so its transient is not run (``EngineStats.tran_skipped`` counts them).
-A request's loop ends by building its one :class:`SizingResponse`,
-which also carries the rounds' :class:`IterationTrace` entries
-in-process (``trace``, never on the wire).
+Every round ends once, with one :class:`IterationTrace` whose
+``outcome`` names how it ended (``unparseable``, ``lut_rejected``,
+``nonconverged``, ``miss`` or ``success``); that trace is the request's
+one record.  A request's loop ends by building its one
+:class:`SizingResponse` from it, which also carries the trace in-process
+(``trace``, never on the wire), and :class:`EngineStats` counts the
+rounds of each batch by outcome.
 
 A bounded LRU cache keyed by (topology, quantized spec) absorbs repeated
 and near-duplicate requests without touching the transformer at all.
@@ -48,6 +52,7 @@ from __future__ import annotations
 import threading
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass, fields
 from collections.abc import Sequence
 from typing import Any
@@ -114,6 +119,14 @@ class EngineStats:
     #: :meth:`~repro.solvers.EvalBackend.measure_sweeps`).
     tran_skipped: int = 0
     solver_requests: int = 0
+    #: Copilot rounds by outcome (:data:`~repro.service.requests.ROUND_OUTCOMES`),
+    #: counted from the traces of the requests a batch ran: a cache hit or a
+    #: coalesced duplicate carries another request's trace and adds none.
+    rounds_unparseable: int = 0
+    rounds_lut_rejected: int = 0
+    rounds_nonconverged: int = 0
+    rounds_miss: int = 0
+    rounds_success: int = 0
 
     def __post_init__(self) -> None:
         # Not a dataclass field: equality/repr compare counters only.
@@ -137,11 +150,11 @@ class EngineStats:
 
 
 class _ActiveRequest:
-    """Mutable per-request state while its copilot loop is in flight."""
+    """One copilot request in flight: ``trace``, the record of its rounds,
+    is its only per-round state; ``current`` is the next round's spec."""
 
     __slots__ = (
-        "request", "topology", "original", "derated", "current", "trace", "decoded_texts",
-        "spice_count", "iteration", "best", "best_shortfall", "start", "response",
+        "request", "topology", "original", "derated", "current", "trace", "start", "response",
     )
 
     def __init__(self, request: SizingRequest, topology: OTATopology):
@@ -153,34 +166,52 @@ class _ActiveRequest:
         self.derated = request.spec.derated(request.rel_tol)
         self.current = request.spec
         self.trace: list[IterationTrace] = []
-        self.decoded_texts: list[str] = []
-        self.spice_count = 0
-        self.iteration = 0
-        #: The iterate with the smallest total spec shortfall: (widths, worst-corner
-        #: metrics, per-corner metrics, worst corner); the last two ``None`` if nominal.
-        self.best: tuple | None = None
-        self.best_shortfall = float("inf")
         self.start = time.perf_counter()
         self.response: SizingResponse | None = None
+        if not request.iteration_budget:
+            self.finish()  # a zero-round budget fails at once, without inference
 
-    def finish(self, success: bool, iterate: tuple | None) -> None:
-        """End the copilot loop with the request's one response, reporting
-        ``iterate`` (laid out like :attr:`best`; ``None``: nothing measured)."""
-        widths, metrics, corner_metrics, worst_corner = iterate or (None, None, None, None)
+    def end_round(self, record: IterationTrace) -> None:
+        """The one way a round ends: append its record, then finish on
+        success or a spent budget, or else pick the next round's spec --
+        a nudge when nothing was measured, margin allocation otherwise."""
+        self.trace.append(record)
+        if record.outcome == "success" or len(self.trace) >= self.request.iteration_budget:
+            self.finish()
+        elif record.metrics is None:
+            self.current = record.requested_spec.scaled(_NUDGE)
+        else:
+            self.current = tighten_spec(record.requested_spec, self.original, record.metrics)
+
+    def finish(self) -> None:
+        """End the copilot loop with the request's one response, read from
+        the trace.  It reports the success round's design, else the first
+        measured round with the smallest shortfall against the original
+        spec (none when no round's shortfall is finite)."""
+        trace = tuple(self.trace)
+        success = bool(trace) and trace[-1].outcome == "success"
+        reported = trace[-1] if success else None
+        if not success:
+            best = float("inf")
+            for record in trace:
+                if record.metrics is not None:
+                    shortfall = self.original.shortfall(record.metrics)
+                    if shortfall < best:
+                        best, reported = shortfall, record
         self.response = SizingResponse(
             request_id=self.request.id,
             topology=self.request.topology,
             method=self.request.method,
             success=success,
-            widths=widths,
-            metrics=metrics,
-            iterations=self.iteration,
-            spice_simulations=self.spice_count,
+            widths=reported.widths if reported else None,
+            metrics=reported.metrics if reported else None,
+            iterations=len(trace),
+            spice_simulations=sum(record.simulations for record in trace),
             wall_time_s=time.perf_counter() - self.start,
-            decoded_texts=tuple(self.decoded_texts),
-            corner_metrics=corner_metrics,
-            worst_corner=worst_corner,
-            trace=tuple(self.trace),
+            decoded_texts=tuple(record.decoded_text for record in trace),
+            corner_metrics=reported.corner_metrics if reported else None,
+            worst_corner=reported.worst_corner if reported else None,
+            trace=trace,
         )
 
 
@@ -278,10 +309,6 @@ class SizingEngine:
     # The copilot loop, round based
     # ------------------------------------------------------------------
     def _run(self, states: list[_ActiveRequest]) -> None:
-        # A zero-iteration budget finishes immediately as a failed response
-        # (the pre-engine flow's behavior for max_iterations=0).
-        for state in states:
-            self._finish_if_exhausted(state)
         active = [s for s in states if s.response is None]
         while active:
             by_topology: dict[str, list[_ActiveRequest]] = {}
@@ -297,17 +324,22 @@ class SizingEngine:
             # population x corners into the same batched solves, and
             # transient requests batch the step-response integrations of
             # the candidates that meet every AC target at every corner.
-            verifiable: dict[tuple, list[tuple[_ActiveRequest, dict[str, float]]]] = {}
+            verifiable: dict[tuple, list[tuple[_ActiveRequest, str, dict[str, float]]]] = {}
             for name, group in by_topology.items():
                 for state, (parsed, text) in zip(group, outputs[name], strict=True):
-                    widths = self._stage_iii(state, parsed, text)
-                    if widths is not None:
-                        key = (name, state.request.corners, state.request.analyses)
-                        verifiable.setdefault(key, []).append((state, widths))
-            for (name, corners, analyses), pairs in verifiable.items():
-                topology = pairs[0][0].topology
-                widths_list = [widths for _, widths in pairs]
-                specs = [state.derated for state, _ in pairs]
+                    if not parsed.complete:
+                        state.end_round(IterationTrace(state.current, text, "unparseable"))
+                        continue
+                    widths = self.widths_from_params(state.topology, parsed.values)
+                    if widths is None:
+                        state.end_round(IterationTrace(state.current, text, "lut_rejected"))
+                        continue
+                    key = (name, state.request.corners, state.request.analyses)
+                    verifiable.setdefault(key, []).append((state, text, widths))
+            for (name, corners, analyses), candidates in verifiable.items():
+                topology = candidates[0][0].topology
+                widths_list = [widths for _, _, widths in candidates]
+                specs = [state.derated for state, _, _ in candidates]
                 sweeps = self.backend.measure_sweeps(
                     topology, widths_list, corners, analyses, specs
                 )
@@ -320,96 +352,49 @@ class SizingEngine:
                         for outcome in sweep.outcomes
                         if outcome.ok and not outcome.result.metrics.has_tran
                     ))
-                for (state, widths), sweep in zip(pairs, sweeps, strict=True):
-                    self._stage_iv(state, widths, sweep)
+                for (state, text, widths), sweep in zip(candidates, sweeps, strict=True):
+                    state.end_round(self._stage_iv(state, text, widths, sweep))
             active = [s for s in active if s.response is None]
 
-    def _stage_iii(
-        self, s: _ActiveRequest, parsed: ParsedParams, text: str
-    ) -> dict[str, float] | None:
-        """Consume one inference result: record the decode, estimate widths.
-
-        Returns the width vector to verify, or ``None`` when this iteration
-        produced nothing verifiable (the request was nudged for the next
-        round and finished if its budget ran out).
-        """
-        s.iteration += 1
-        s.decoded_texts.append(text)
-        requested = s.current
-
-        if not parsed.complete:
-            s.trace.append(IterationTrace(requested, text, False, None, None, False))
-            # Unparseable output: nudge the request and retry inference.
-            s.current = requested.scaled(_NUDGE)
-            self._finish_if_exhausted(s)
-            return None
-
-        widths = self.widths_from_params(s.topology, parsed.values)
-        if widths is None:
-            s.trace.append(IterationTrace(requested, text, True, None, None, False))
-            s.current = requested.scaled(_NUDGE)
-            self._finish_if_exhausted(s)
-            return None
-        return widths
-
-    def _stage_iv(self, s: _ActiveRequest, widths: dict[str, float], sweep: CornerSweep) -> None:
-        """Stage IV: one candidate judged across every corner of its sweep.
+    @staticmethod
+    def _stage_iv(
+        s: _ActiveRequest, text: str, widths: dict[str, float], sweep: CornerSweep
+    ) -> IterationTrace:
+        """Stage IV: one candidate judged across every corner of its sweep,
+        returned as the round's record.
 
         The candidate passes only when **all** corners meet the derated
         spec (the original within ``rel_tol``, which also gated the
-        transient); the iteration trace and margin allocation run against
-        the binding worst corner (largest total shortfall), so retries
-        tighten toward the hardest operating condition.  A nominal request
-        is the one-corner ``tt`` sweep and reports no per-corner fields.
+        transient); the record and margin allocation run against the
+        binding worst corner (largest total shortfall), so retries tighten
+        toward the hardest operating condition.  A nominal request is the
+        one-corner ``tt`` sweep and records no per-corner fields.
 
         A candidate that missed an AC target at some corner ran no
         transient: its transient metrics are ``None``, each of its
         transient targets counts the full 1.0 shortfall of an unmeasured
         metric, and so both the binding corner and the best iterate rank
         it by its AC shortfall.
+
+        A corner that did not converge (DC Newton or transient
+        integration) makes the round ``nonconverged``; the corners that
+        did still count as simulations, and one that did not costs
+        nothing, matching the scalar path's convention that a failed
+        measure() is no simulation.
         """
-        requested = s.current
-        text = s.decoded_texts[-1]
-
-        # Partially converged sweeps still burned simulations; count them.
-        # A corner that did not converge costs nothing, matching the scalar
-        # path's convention that a failed measure() is no simulation.
-        s.spice_count += sweep.n_ok
-        self.stats.add(spice_simulations=sweep.n_ok)
-
         if not sweep.ok:
-            # A corner failed to converge (DC Newton or transient
-            # integration): nudge and retry inference.
-            s.trace.append(IterationTrace(requested, text, True, widths, None, False))
-            s.current = requested.scaled(_NUDGE)
-            return self._finish_if_exhausted(s)
-
+            return IterationTrace(
+                s.current, text, "nonconverged", widths, simulations=sweep.n_ok
+            )
         worst_name, worst_metrics = sweep.worst_corner(s.original)
         corner_metrics = sweep.metrics_by_corner()
         satisfied = all(s.derated.satisfied(metrics) for metrics in corner_metrics.values())
-        s.trace.append(
-            IterationTrace(requested, text, True, widths, worst_metrics, satisfied)
-        )
-
         if not s.request.corners:
             corner_metrics, worst_name = None, None
-
-        # Track the iterate with the smallest total spec shortfall, so a
-        # failing run reports its closest attempt rather than its latest.
-        iterate = (widths, worst_metrics, corner_metrics, worst_name)
-        shortfall = s.original.shortfall(worst_metrics)
-        if shortfall < s.best_shortfall:
-            s.best_shortfall, s.best = shortfall, iterate
-
-        if satisfied:
-            return s.finish(True, iterate)
-
-        s.current = tighten_spec(requested, s.original, worst_metrics)
-        self._finish_if_exhausted(s)
-
-    def _finish_if_exhausted(self, s: _ActiveRequest) -> None:
-        if s.response is None and s.iteration >= s.request.iteration_budget:
-            s.finish(False, s.best)
+        return IterationTrace(
+            s.current, text, "success" if satisfied else "miss", widths,
+            worst_metrics, corner_metrics, worst_name, sweep.n_ok,
+        )
 
     # ------------------------------------------------------------------
     # Non-copilot methods: dispatch through the solver registry
@@ -519,6 +504,9 @@ class SizingEngine:
             states[index] = _ActiveRequest(request, topology)
 
         self._run(list(states.values()))
+        rounds = [record for state in states.values() for record in state.trace]
+        outcomes = Counter(f"rounds_{record.outcome}" for record in rounds)
+        self.stats.add(spice_simulations=sum(record.simulations for record in rounds), **outcomes)
 
         for index, state in states.items():
             response = state.response

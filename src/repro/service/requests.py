@@ -59,12 +59,12 @@ from collections.abc import Mapping
 from typing import Any
 
 from ..core.specs import DesignSpec
-from ..devices import Corner, resolve_corners
+from ..devices import Corner, number_field, resolve_corners
 from ..solvers import DEFAULT_BUDGET
 from ..spice import TRAN_METRIC_NAMES, PerformanceMetrics
 from ..topologies import DEFAULT_ANALYSES, analyses_for_spec
 
-__all__ = ["IterationTrace", "SizingRequest", "SizingResponse", "decode_json"]
+__all__ = ["IterationTrace", "ROUND_OUTCOMES", "SizingRequest", "SizingResponse", "decode_json"]
 
 #: Most copilot rounds one request may ask for (``max_iterations``, or a
 #: copilot ``budget``) and most SPICE evaluations of a solver ``budget``:
@@ -114,21 +114,9 @@ def _metrics_from_json(payload: Mapping[str, Any] | None) -> PerformanceMetrics 
     )
 
 
-def _number(payload: Mapping[str, Any], name: str) -> float:
-    """Field ``name`` as a float: a number (or numeric string) as sent,
-    never a boolean, which ``float`` would read as 0 or 1."""
-    value = payload[name]
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{name} must be a number, not {value!r}")
-
-
 def _whole(payload: Mapping[str, Any], name: str) -> int:
     """Field ``name`` as an int: ``2.9`` is an error, not ``2``."""
-    number = _number(payload, name)
+    number = number_field(payload, name)
     if not number.is_integer():
         raise ValueError(f"{name} must be a whole number, not {payload[name]!r}")
     return int(number)
@@ -259,8 +247,9 @@ class SizingRequest:
     def from_json(cls, payload: Mapping[str, Any]) -> SizingRequest:
         """Parse the stable flat schema: the one parser of a request on
         every transport.  Any malformed payload raises ``ValueError``,
-        including a boolean or ``null`` where a number belongs and a
-        fractional ``max_iterations`` or ``budget``."""
+        including a boolean or ``null`` where a number belongs, a
+        fractional ``max_iterations`` or ``budget`` and an ``id``,
+        ``topology`` or ``method`` that is not a string."""
         if not isinstance(payload, Mapping):
             raise ValueError("request payload must be a JSON object")
         known = {
@@ -275,24 +264,24 @@ class SizingRequest:
         if missing:
             raise ValueError(f"missing request fields: {sorted(missing)}")
         spec = DesignSpec(
-            gain_db=_number(payload, "gain_db"),
-            f3db_hz=_number(payload, "f3db_hz"),
-            ugf_hz=_number(payload, "ugf_hz"),
+            gain_db=number_field(payload, "gain_db"),
+            f3db_hz=number_field(payload, "f3db_hz"),
+            ugf_hz=number_field(payload, "ugf_hz"),
             **{
-                name: _number(payload, name)
+                name: number_field(payload, name)
                 for name in TRAN_METRIC_NAMES
                 if payload.get(name) is not None
             },
         )
         kwargs: dict[str, Any] = {}
         if "id" in payload:
-            kwargs["id"] = str(payload["id"])
+            kwargs["id"] = payload["id"]
         if "max_iterations" in payload:
             kwargs["max_iterations"] = _whole(payload, "max_iterations")
         if "rel_tol" in payload:
-            kwargs["rel_tol"] = _number(payload, "rel_tol")
+            kwargs["rel_tol"] = number_field(payload, "rel_tol")
         if "method" in payload:
-            kwargs["method"] = str(payload["method"])
+            kwargs["method"] = payload["method"]
         if payload.get("budget") is not None:
             kwargs["budget"] = _whole(payload, "budget")
         if payload.get("corners") is not None:
@@ -300,8 +289,8 @@ class SizingRequest:
         if payload.get("analyses") is not None:
             kwargs["analyses"] = _list(payload, "analyses")
         try:
-            return cls(topology=str(payload["topology"]), spec=spec, **kwargs)
-        except TypeError as error:  # a corner or analysis entry of the wrong type
+            return cls(topology=payload["topology"], spec=spec, **kwargs)
+        except TypeError as error:  # a corner entry of the wrong type
             raise ValueError(str(error)) from error
 
     @classmethod
@@ -309,16 +298,31 @@ class SizingRequest:
         return cls.from_json(decode_json(line))
 
 
-@dataclass
+#: How a copilot round ends, in stage order: the decode did not parse,
+#: Stage III rejected the predicted parameters, a corner did not
+#: converge, the design missed its spec, or it met it.
+ROUND_OUTCOMES = ("unparseable", "lut_rejected", "nonconverged", "miss", "success")
+
+
+@dataclass(frozen=True)
 class IterationTrace:
-    """Diagnostics of one copilot iteration."""
+    """One copilot round: the spec it asked for, its decode, its
+    ``outcome`` (one of :data:`ROUND_OUTCOMES`) and what it measured.
+
+    ``widths`` are set from ``nonconverged`` on; ``metrics`` (the binding
+    worst corner's), ``corner_metrics`` and ``worst_corner`` only on a
+    ``miss`` or ``success``, and the last two only for a request with
+    corners.  ``simulations`` counts the corners that converged.
+    """
 
     requested_spec: DesignSpec
     decoded_text: str
-    parsed_ok: bool
-    widths: dict[str, float] | None
-    metrics: PerformanceMetrics | None
-    satisfied: bool
+    outcome: str
+    widths: dict[str, float] | None = None
+    metrics: PerformanceMetrics | None = None
+    corner_metrics: dict[str, PerformanceMetrics] | None = None
+    worst_corner: str | None = None
+    simulations: int = 0
 
 
 @dataclass(frozen=True)
@@ -335,10 +339,13 @@ class SizingResponse:
     response whose best iterate missed an AC target carries AC metrics
     only.
 
-    ``trace`` holds one :class:`IterationTrace` per copilot round.  It is
-    in-process only: it never reaches the wire, equality ignores it, a
-    cache hit carries the trace of the request that computed it, and a
-    shard worker's response comes back to the pool without it.
+    ``trace`` holds one :class:`IterationTrace` per copilot round, each
+    with its ``outcome``; the copilot builds ``iterations``,
+    ``spice_simulations``, ``decoded_texts`` and the reported design from
+    it.  It is in-process only: it never reaches the wire, equality
+    ignores it, a cache hit carries the trace of the request that
+    computed it, and a shard worker's response comes back to the pool
+    without it.
     """
 
     request_id: str

@@ -326,13 +326,7 @@ class ShardedEngine:
         n = len(self._handles)
         if n == 1:
             return 0
-        try:
-            text = repr(ResultCache.key(request))
-        except ValueError:
-            # Non-finite spec values cannot form a cache key; the worker
-            # engine will reject the request — any shard can do that.
-            text = request.topology
-        return zlib.crc32(text.encode()) % n
+        return zlib.crc32(repr(ResultCache.key(request)).encode()) % n
 
     def _fallback_worker(self, exclude: int) -> int:
         for handle in self._handles:

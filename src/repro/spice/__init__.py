@@ -18,7 +18,6 @@ from .sweep import (
     CharacterizationResult,
     ICMRResult,
     characterize_device,
-    dc_transfer_sweep,
     icmr_sweep,
 )
 
@@ -52,6 +51,5 @@ __all__ = [
     "CharacterizationResult",
     "ICMRResult",
     "characterize_device",
-    "dc_transfer_sweep",
     "icmr_sweep",
 ]

@@ -25,7 +25,6 @@ __all__ = [
     "characterize_device",
     "icmr_sweep",
     "ICMRResult",
-    "dc_transfer_sweep",
 ]
 
 
@@ -158,24 +157,3 @@ def icmr_sweep(
         all_saturated[k] = all(solution.op(name).saturated for name in monitored)
     return ICMRResult(vcm_values=values, all_saturated=all_saturated, converged=converged)
 
-
-def dc_transfer_sweep(
-    circuit: Circuit,
-    source_name: str,
-    values: Iterable[float],
-    observe_node: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sweep one voltage source and observe a node voltage (warm-started)."""
-    sweep_values = np.asarray(list(values), dtype=float)
-    observed = np.full(len(sweep_values), np.nan)
-    work = circuit.copy()
-    guess: dict[str, float] | None = None
-    for k, value in enumerate(sweep_values):
-        work.vsource(source_name).dc = float(value)
-        try:
-            solution = solve_dc(work, initial_guess=guess)
-        except ConvergenceError:
-            continue
-        guess = solution.node_voltages
-        observed[k] = solution.voltage(observe_node)
-    return sweep_values, observed

@@ -76,10 +76,14 @@ def resolve_analyses(analyses) -> tuple[str, ...]:
     :data:`TRAN_ANALYSES`.  ``"dc"`` and ``"ac"`` are always implied --
     the operating point anchors every other analysis and the AC sweep
     produces the paper's specification metrics -- so the selector really
-    toggles the transient leg.  Unknown names are rejected loudly.
+    toggles the transient leg.  Unknown names, and entries that are not
+    strings, are rejected loudly.
     """
     if analyses is None:
         return DEFAULT_ANALYSES
+    for name in analyses:
+        if not isinstance(name, str):
+            raise ValueError(f"analysis names must be strings, not {name!r}")
     requested = set(analyses)
     unknown = requested - set(TRAN_ANALYSES)
     if unknown:

@@ -82,9 +82,6 @@ class Module:
         for child in self._children.values():
             child.zero_grad()
 
-    def parameter_count(self) -> int:
-        return sum(int(np.prod(p.shape)) for _, p in self.named_parameters())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: value.copy() for name, value in self.named_parameters()}
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.devices import NMOS_65NM, PMOS_65NM
-from repro.spice import Circuit, characterize_device, dc_transfer_sweep, icmr_sweep, to_spice
+from repro.spice import Circuit, characterize_device, icmr_sweep, to_spice
 from repro.spice.netlist import GROUND
 from repro.topologies import topology_by_name
 
@@ -133,11 +133,3 @@ class TestSweeps:
         circuit = five_t.build(widths)
         result = icmr_sweep(circuit, ["VINP", "VINN"], np.linspace(0.4, 0.9, 6))
         assert result.low - 1e-9 <= 0.6 <= result.high + 1e-9
-
-    def test_dc_transfer_sweep(self):
-        circuit = Circuit("div")
-        circuit.add_vsource("VIN", "in", "0", 0.0)
-        circuit.add_resistor("R1", "in", "mid", 1e3)
-        circuit.add_resistor("R2", "mid", "0", 1e3)
-        values, observed = dc_transfer_sweep(circuit, "VIN", np.linspace(0, 1, 5), "mid")
-        np.testing.assert_allclose(observed, values / 2.0, rtol=1e-9)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.service.requests import ROUND_OUTCOMES
 from repro.spice import parse_netlist
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,6 +23,7 @@ SUMMARY = re.compile(
     r"success: (True|False)  iterations: (\d+)  SPICE simulations: (\d+)  time: [\d.]+s"
 )
 WIDTH_LINE = re.compile(r"W\(([\w,]+)\) = ([\d.]+) um")
+ROUND_LINE = re.compile(r"^  round (\d+): (\w+)(  gain=[\d.]+ dB  BW=[\d.]+ MHz  UGF=[\d.]+ MHz)?$")
 
 
 #: Model-free example -> one line its output always holds.
@@ -59,6 +61,18 @@ def test_size_ota_sizes_a_pool_spec_and_writes_a_readable_deck(tmp_path, capsys)
     )
     assert exit_code == (0 if success else 1)
     assert 1 <= simulations <= iterations <= 6
+
+    # One line per round, in order: a nominal round measures (and prints
+    # the binding corner's metrics) exactly when it ends in a miss or a
+    # success, and only the last round can succeed.
+    rounds = [ROUND_LINE.match(line) for line in out.splitlines() if line.startswith("  round ")]
+    assert all(rounds), out
+    assert [int(r.group(1)) for r in rounds] == list(range(1, iterations + 1))
+    outcomes = [r.group(2) for r in rounds]
+    assert set(outcomes) <= set(ROUND_OUTCOMES)
+    assert [bool(r.group(3)) for r in rounds] == [o in ("miss", "success") for o in outcomes]
+    assert sum(o in ("miss", "success") for o in outcomes) == simulations
+    assert (outcomes[-1] == "success") == success and "success" not in outcomes[:-1]
 
     # The deck reads back with every device at the width the script printed.
     circuit = parse_netlist(deck.read_text())

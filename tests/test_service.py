@@ -18,6 +18,7 @@ import pytest
 from repro.core import DesignSpec, PipelineConfig, train_sizing_model
 from repro.core.bundle import SizingModel
 from repro.datagen import SequenceBuilder, SequenceConfig
+from repro.datagen.serialize import ParsedParams
 from repro.service import (
     EngineStats,
     ResultCache,
@@ -26,7 +27,8 @@ from repro.service import (
     SizingResponse,
 )
 from repro.service.cache import quantize_spec
-from repro.devices import Corner
+from repro.service.requests import ROUND_OUTCOMES
+from repro.devices import Corner, resolve_corners
 from repro.solvers import BatchedBackend, EvalBackend
 from repro.spice import PerformanceMetrics
 from repro.topologies import (
@@ -142,6 +144,20 @@ class TestRequestJSON:
         "corner entry": ({"corners": [5]}, "cannot resolve a corner"),
         "scalar analyses": ({"analyses": 5}, "analyses must be a list"),
         "huge target": ({"ugf_hz": 10**400}, "ugf_hz must be a number"),
+        "boolean vdd_scale": (
+            {"corners": [{"process": "ss", "vdd_scale": True}]},
+            "vdd_scale must be a number, not True",
+        ),
+        "boolean kp_scale": ({"corners": [{"kp_scale": False}]}, "kp_scale must be a number"),
+        "null vt0_scale": ({"corners": [{"vt0_scale": None}]}, "vt0_scale must be a number"),
+        "null temperature": (
+            {"corners": [{"temperature_k": None}]}, "temperature_k must be a number"
+        ),
+        "numeric analysis": ({"analyses": ["x", 1]}, "analysis names must be strings, not 1"),
+        "nested analysis": ({"analyses": [["dc"]]}, r"must be strings, not \['dc'\]"),
+        "null id": ({"id": None}, "request id must be a non-empty string"),
+        "numeric topology": ({"topology": 5}, "topology must be a non-empty string"),
+        "null method": ({"method": None}, "method must be a non-empty string"),
     }
 
     @pytest.mark.parametrize("case", sorted(ILL_TYPED))
@@ -563,7 +579,7 @@ class TestEngineServing:
             assert len(response.trace) == response.iterations
             assert tuple(t.decoded_text for t in response.trace) == response.decoded_texts
             assert "trace" not in response.to_json()
-        assert ok.trace[-1].satisfied and ok.trace[-1].widths == ok.widths
+        assert ok.trace[-1].outcome == "success" and ok.trace[-1].widths == ok.widths
         assert SizingResponse.from_json(ok.to_json()) == ok
 
     def test_untrained_topology_copilot_request_fails_alone(self, oracle_setup):
@@ -635,6 +651,123 @@ class TestEngineServing:
         # One fused one-row decode per round, like any engine request.
         assert model.batch_calls == result.iterations
         assert model.single_calls == 0
+
+
+# ----------------------------------------------------------------------
+# Round outcomes: one record per round, the response read from the trace
+# ----------------------------------------------------------------------
+class _ScriptedOracle(BatchedOracleModel):
+    """Answers each request's rounds from its own script of per-group
+    parameter sets (``None``: an unparseable decode).  A round's spec
+    drifts from its request's only by nudges and margin allocation, so the
+    nearest scripted gain target names the request."""
+
+    def __init__(self, topology, records, luts, scripts):
+        super().__init__(topology, records, luts)
+        self._scripts = scripts
+        self._rounds = dict.fromkeys(scripts, 0)
+
+    def predict_params_many(self, specs_by_topology, max_len=None):
+        return {
+            name: [self._decode(spec) for spec in specs]
+            for name, specs in specs_by_topology.items()
+        }
+
+    def _decode(self, spec):
+        original = min(self._scripts, key=lambda s: abs(math.log(s.gain_db / spec.gain_db)))
+        k = self._rounds[original]
+        self._rounds[original] += 1
+        values = self._scripts[original][k]
+        text = f"<{original.gain_db:.3g} dB, round {k + 1}>"
+        if values is None:
+            return ParsedParams(complete=False), text
+        return ParsedParams(values=values), text
+
+
+class TestRoundOutcomes:
+    def test_rounds_end_once_with_an_outcome_and_the_response_reads_the_trace(
+        self, oracle_setup, monkeypatch
+    ):
+        """One batch drives all five outcomes.  Each response's counts, texts
+        and reported design come from its trace, and the batch counts only
+        the rounds it ran: a coalesced duplicate and a later cache hit carry
+        another request's trace and add none."""
+        topology, records, luts = oracle_setup
+        params = [{g: dict(p) for g, p in r.device_params.items()} for r in records]
+        probe = SizingEngine(BatchedOracleModel(topology, records, luts), cache_size=0)
+        widths = [probe.widths_from_params(topology, p) for p in params[:3]]
+        # Five positive width candidates always spread by less than 5, the
+        # engine's bound, so a lower bound is what lets a Cgs a million
+        # times off be rejected.
+        monkeypatch.setattr("repro.service.engine._MAX_CANDIDATE_SPREAD", 1.0)
+        rejected = {g: dict(p, cgs=p["cgs"] * 1e6) for g, p in params[0].items()}
+        # Design 1 meets spec_all at tt and ss; design 2 does not converge at ss.
+        corners = ("tt", "ss")
+        (sweep,) = BatchedBackend().measure_sweeps(
+            topology, [widths[1]], resolve_corners(corners), DEFAULT_ANALYSES
+        )
+        reached = sweep.metrics_by_corner().values()
+        spec_all = DesignSpec(*(
+            0.99 * min(getattr(m, name) for m in reached)
+            for name in ("gain_db", "f3db_hz", "ugf_hz")
+        ))
+        spec_far, spec_mute = DesignSpec(90.0, 1e9, 1e11), DesignSpec(10.0, 1e6, 1e7)
+        model = _ScriptedOracle(topology, records, luts, {
+            spec_all: [None, rejected, params[2], params[1]],
+            spec_far: [params[3], params[4], params[3]],
+            spec_mute: [None, None],
+        })
+        engine = SizingEngine(model, cache_size=16)
+        engine.adopt_topology(PoisonedFiveT(widths[2]["M1"], corner_name="ss"))
+        responses = engine.size_batch([
+            SizingRequest("5T-OTA", spec_all, id="all", corners=corners),
+            SizingRequest("5T-OTA", spec_far, id="far", max_iterations=3),
+            SizingRequest("5T-OTA", spec_mute, id="mute", max_iterations=2),
+            SizingRequest("5T-OTA", spec_far, id="far-again", max_iterations=3),
+        ])
+
+        outcomes = [[t.outcome for t in r.trace] for r in responses]
+        assert outcomes == [
+            ["unparseable", "lut_rejected", "nonconverged", "success"],
+            ["miss"] * 3,
+            ["unparseable"] * 2,
+            ["miss"] * 3,
+        ]
+        assert {o for row in outcomes for o in row} == set(ROUND_OUTCOMES)
+        for response in responses:
+            assert response.iterations == len(response.trace)
+            assert response.spice_simulations == sum(t.simulations for t in response.trace)
+            assert response.decoded_texts == tuple(t.decoded_text for t in response.trace)
+
+        every, far, mute, far_again = responses
+        nonconverged, success = every.trace[2:]
+        assert nonconverged.widths == widths[2] and nonconverged.metrics is None
+        assert nonconverged.simulations == 1  # tt converged, ss did not
+        assert every.success and every.spice_simulations == 3
+        reported = (every.widths, every.metrics, every.corner_metrics, every.worst_corner)
+        assert reported == (
+            success.widths, success.metrics, success.corner_metrics, success.worst_corner
+        )
+        assert set(every.corner_metrics) == {"tt", "ss"}
+        # min() keeps the first of equal shortfalls, as the engine does.
+        closest = min(far.trace, key=lambda t: spec_far.shortfall(t.metrics))
+        assert not far.success and (far.widths, far.metrics) == (closest.widths, closest.metrics)
+        assert far.corner_metrics is None and far.worst_corner is None
+        assert not mute.success and mute.widths is None and mute.metrics is None
+        assert mute.spice_simulations == 0
+        assert far_again.cached and far_again.trace == far.trace
+
+        rounds = {
+            "rounds_unparseable": 3, "rounds_lut_rejected": 1, "rounds_nonconverged": 1,
+            "rounds_miss": 3, "rounds_success": 1,
+        }
+        stats = engine.stats.as_dict()
+        assert {name: stats[name] for name in rounds} == rounds
+        assert sum(rounds.values()) == stats["inference_sequences"]  # one per decoded row
+        assert stats["spice_simulations"] == 6 and stats["coalesced"] == 1
+        (hit,) = engine.size_batch([SizingRequest("5T-OTA", spec_all, id="hit", corners=corners)])
+        assert hit.cached and hit.trace == every.trace
+        assert engine.stats.as_dict() == {**stats, "requests": 5, "batches": 2, "cache_hits": 1}
 
 
 # ----------------------------------------------------------------------
@@ -749,15 +882,14 @@ class TestBatchedStageIVParity:
         batched = engine_batched.size_batch(requests)
         assert_responses_identical(sequential, batched)
         assert engine_seq.stats.spice_simulations == engine_batched.stats.spice_simulations
-        # Traces too: requested specs, parse flags, widths and verdicts,
-        # iteration by iteration.
+        # Traces too: requested specs, outcomes and widths, iteration by
+        # iteration.
         for ref, got in zip(sequential, batched, strict=True):
             assert len(ref.trace) == len(got.trace)
             for t_ref, t_got in zip(ref.trace, got.trace, strict=True):
                 assert t_ref.requested_spec == t_got.requested_spec
-                assert t_ref.parsed_ok == t_got.parsed_ok
+                assert t_ref.outcome == t_got.outcome
                 assert t_ref.widths == t_got.widths
-                assert t_ref.satisfied == t_got.satisfied
 
     def test_one_measure_many_call_per_round(self, oracle_setup):
         """All verifiable candidates of a round share one backend call."""

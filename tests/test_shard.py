@@ -42,6 +42,7 @@ import pytest
 from repro.core import PipelineConfig, SizingModel, train_sizing_model
 from repro.serve import create_server, serve_forever_in_thread
 from repro.service import SizingEngine, SizingRequest
+from repro.service.requests import ROUND_OUTCOMES
 from repro.service.cli import _build_serve_engine, build_parser
 from repro.shard import ShardedEngine, engine_from_bundle
 
@@ -206,6 +207,10 @@ class TestShardedEngine:
         # as ints and timers as floats.
         for field in fields(stats):
             assert type(getattr(stats, field.name)) is type(field.default), field.name
+        # Each decoded row ends one round with one outcome, in the summed
+        # counters as in each worker's own.
+        rounds = sum(getattr(stats, f"rounds_{outcome}") for outcome in ROUND_OUTCOMES)
+        assert rounds == stats.inference_sequences > 0
         health = pool.health()
         assert health["status"] == "ok"
         assert [worker["state"] for worker in health["workers"]] == ["healthy"] * 2

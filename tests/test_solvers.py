@@ -510,7 +510,7 @@ class TestCopilotRequests:
         assert response.success
         assert response.spice_simulations == 1
         assert response.iterations == 1
-        assert [trace.satisfied for trace in response.trace] == [True]
+        assert [trace.outcome for trace in response.trace] == ["success"]
         assert sum(achievable_spec.miss_fractions(response.metrics).values()) == 0.0
         assert achievable_spec.satisfied(response.metrics)
 
