@@ -56,10 +56,16 @@ def main(argv=None) -> int:
 
     print(f"success: {response.success}  iterations: {response.iterations}  "
           f"SPICE simulations: {response.spice_simulations}  time: {response.wall_time_s:.2f}s")
-    # One line per copilot round: how it ended, and what it measured.
+    # One line per copilot round: how it ended, and what it measured.  A
+    # round that asked for the previous round's spec was filled in once
+    # margin allocation reached a fixed point: it names the round it repeats.
+    origin = 0
     for number, record in enumerate(response.trace, start=1):
+        if number == 1 or record.requested_spec != response.trace[number - 2].requested_spec:
+            origin = number
         measured = f"  {_metrics_text(record.metrics)}" if record.metrics else ""
-        print(f"  round {number}: {record.outcome}{measured}")
+        repeats = f"  (repeats round {origin})" if origin < number else ""
+        print(f"  round {number}: {record.outcome}{measured}{repeats}")
     if response.widths:
         for group, width in response.widths.items():
             devices = ",".join(topology.group(group).devices)

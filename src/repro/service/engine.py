@@ -30,6 +30,17 @@ one record.  A request's loop ends by building its one
 (``trace``, never on the wire), and :class:`EngineStats` counts the
 rounds of each batch by outcome.
 
+A request whose margin allocation hands back the spec its round asked
+for has reached a fixed point: every later round would decode, size and
+verify the same design and end with the same record (one spec decodes
+to one text, Stage III is a function of the decode, and a candidate's
+Stage IV result does not depend on its batch).  So the request finishes
+there, its trace filled to the budget with that record: the response is
+bit for bit the one every-round serving builds, and the request leaves
+every later decode, Stage III and Stage IV.  :class:`EngineStats`
+counts the filled rounds as ``rounds_replayed``, apart from the rounds
+the engine ran.
+
 A bounded LRU cache keyed by (topology, quantized spec) absorbs repeated
 and near-duplicate requests without touching the transformer at all.
 
@@ -102,6 +113,10 @@ class EngineStats:
     writes, and a torn read must never show e.g. ``cache_hits`` ahead of
     ``requests``.  Field access stays plain for single-threaded callers
     and the existing tests.
+
+    The counters count the work the engine did: a round filled in at a
+    margin-allocation fixed point is in its response's ``iterations`` and
+    ``spice_simulations``, but here only in ``rounds_replayed``.
     """
 
     requests: int = 0
@@ -119,14 +134,19 @@ class EngineStats:
     #: :meth:`~repro.solvers.EvalBackend.measure_sweeps`).
     tran_skipped: int = 0
     solver_requests: int = 0
-    #: Copilot rounds by outcome (:data:`~repro.service.requests.ROUND_OUTCOMES`),
-    #: counted from the traces of the requests a batch ran: a cache hit or a
-    #: coalesced duplicate carries another request's trace and adds none.
+    #: Copilot rounds the engine ran, by outcome
+    #: (:data:`~repro.service.requests.ROUND_OUTCOMES`), counted from the
+    #: traces of the requests a batch ran: a cache hit or a coalesced
+    #: duplicate carries another request's trace and adds none.  Each ran
+    #: round decoded one row, so these five sum to ``inference_sequences``.
     rounds_unparseable: int = 0
     rounds_lut_rejected: int = 0
     rounds_nonconverged: int = 0
     rounds_miss: int = 0
     rounds_success: int = 0
+    #: Rounds filled in, not run, after margin allocation reached a fixed
+    #: point (see :meth:`_ActiveRequest.end_round`).
+    rounds_replayed: int = 0
 
     def __post_init__(self) -> None:
         # Not a dataclass field: equality/repr compare counters only.
@@ -151,10 +171,13 @@ class EngineStats:
 
 class _ActiveRequest:
     """One copilot request in flight: ``trace``, the record of its rounds,
-    is its only per-round state; ``current`` is the next round's spec."""
+    is its only per-round state; ``current`` is the next round's spec, and
+    ``replayed`` counts the trace's last rounds that were filled in, not
+    run (see :meth:`end_round`)."""
 
     __slots__ = (
-        "request", "topology", "original", "derated", "current", "trace", "start", "response",
+        "request", "topology", "original", "derated", "current", "trace", "replayed",
+        "start", "response",
     )
 
     def __init__(self, request: SizingRequest, topology: OTATopology):
@@ -166,6 +189,7 @@ class _ActiveRequest:
         self.derated = request.spec.derated(request.rel_tol)
         self.current = request.spec
         self.trace: list[IterationTrace] = []
+        self.replayed = 0
         self.start = time.perf_counter()
         self.response: SizingResponse | None = None
         if not request.iteration_budget:
@@ -174,7 +198,16 @@ class _ActiveRequest:
     def end_round(self, record: IterationTrace) -> None:
         """The one way a round ends: append its record, then finish on
         success or a spent budget, or else pick the next round's spec --
-        a nudge when nothing was measured, margin allocation otherwise."""
+        a nudge when nothing was measured, margin allocation otherwise.
+
+        Margin allocation may hand back the very spec the round asked for
+        (its tightening is capped at ``max_factor`` of the original, and a
+        transient-only miss tightens nothing).  That is a fixed point:
+        the same spec decodes to the same text, Stage III is a function of
+        the decode and a candidate's Stage IV result does not depend on its
+        batch, so every later round would repeat this record.  The rest of
+        the budget is filled with it and the request finishes, with the
+        response every-round serving would have built."""
         self.trace.append(record)
         if record.outcome == "success" or len(self.trace) >= self.request.iteration_budget:
             self.finish()
@@ -182,6 +215,10 @@ class _ActiveRequest:
             self.current = record.requested_spec.scaled(_NUDGE)
         else:
             self.current = tighten_spec(record.requested_spec, self.original, record.metrics)
+            if self.current == record.requested_spec:
+                self.replayed = self.request.iteration_budget - len(self.trace)
+                self.trace.extend([record] * self.replayed)
+                self.finish()
 
     def finish(self) -> None:
         """End the copilot loop with the request's one response, read from
@@ -504,9 +541,17 @@ class SizingEngine:
             states[index] = _ActiveRequest(request, topology)
 
         self._run(list(states.values()))
-        rounds = [record for state in states.values() for record in state.trace]
+        rounds = [
+            record
+            for state in states.values()
+            for record in state.trace[: len(state.trace) - state.replayed]
+        ]
         outcomes = Counter(f"rounds_{record.outcome}" for record in rounds)
-        self.stats.add(spice_simulations=sum(record.simulations for record in rounds), **outcomes)
+        self.stats.add(
+            spice_simulations=sum(record.simulations for record in rounds),
+            rounds_replayed=sum(state.replayed for state in states.values()),
+            **outcomes,
+        )
 
         for index, state in states.items():
             response = state.response

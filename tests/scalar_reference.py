@@ -25,7 +25,10 @@ kernels bit for bit against code that production never runs:
 * :func:`greedy_decode_stepwise`: the KV-cached decode step loop that
   keeps every row in the batch until the last one emits EOS, and
   :func:`greedy_decode_naive`: the decoder that re-runs the whole prefix
-  every step.
+  every step;
+* :func:`end_round_every_round`: the copilot's round end that runs every
+  round of a request's budget, also after margin allocation has reached
+  a fixed point.
 
 The module shares no assembly code with the kernels it checks: it
 imports no stamp plan, no fused device kernel and no private
@@ -39,7 +42,9 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.margin import tighten_spec
 from repro.devices import NOMINAL_CORNER, Corner, CornerLike, TechParams, resolve_corners
+from repro.service.engine import _NUDGE
 from repro.solvers import EvalBackend
 from repro.spice import (
     ACResult,
@@ -824,3 +829,20 @@ def strip_generated(generated: np.ndarray, eos_id: int) -> list[list[int]]:
             ids = ids[: ids.index(eos_id)]
         outputs.append([int(i) for i in ids])
     return outputs
+
+
+# ----------------------------------------------------------------------
+# Copilot loop
+# ----------------------------------------------------------------------
+def end_round_every_round(state, record) -> None:
+    """``_ActiveRequest.end_round`` without the fixed-point rule: when
+    margin allocation hands back the spec the round asked for, the next
+    round asks for it again, so the request decodes, sizes and verifies
+    the same design until its budget is spent."""
+    state.trace.append(record)
+    if record.outcome == "success" or len(state.trace) >= state.request.iteration_budget:
+        state.finish()
+    elif record.metrics is None:
+        state.current = record.requested_spec.scaled(_NUDGE)
+    else:
+        state.current = tighten_spec(record.requested_spec, state.original, record.metrics)

@@ -23,7 +23,10 @@ SUMMARY = re.compile(
     r"success: (True|False)  iterations: (\d+)  SPICE simulations: (\d+)  time: [\d.]+s"
 )
 WIDTH_LINE = re.compile(r"W\(([\w,]+)\) = ([\d.]+) um")
-ROUND_LINE = re.compile(r"^  round (\d+): (\w+)(  gain=[\d.]+ dB  BW=[\d.]+ MHz  UGF=[\d.]+ MHz)?$")
+ROUND_LINE = re.compile(
+    r"^  round (\d+): (\w+)(  gain=[\d.]+ dB  BW=[\d.]+ MHz  UGF=[\d.]+ MHz)?"
+    r"(  \(repeats round (\d+)\))?$"
+)
 
 
 #: Model-free example -> one line its output always holds.
@@ -42,18 +45,23 @@ def _load_script(name, folder="scripts"):
     return module
 
 
-def test_size_ota_sizes_a_pool_spec_and_writes_a_readable_deck(tmp_path, capsys):
-    entry = json.loads((DATA / "pool.json").read_text())["designs"]["5T-OTA"][1]
-    deck = tmp_path / "sized.sp"
+def _size_pool_spec(capsys, index, *extra):
+    """Exit code and output of the script on pool 5T-OTA spec ``index``."""
+    entry = json.loads((DATA / "pool.json").read_text())["designs"]["5T-OTA"][index]
     exit_code = _load_script("size_ota").main([
         "--bundle", str(DATA / "bundle"),
         "--topology", "5T-OTA",
         "--gain-db", str(entry["gain_db"]),
         "--bw-mhz", str(entry["f3db_hz"] / 1e6),
         "--ugf-mhz", str(entry["ugf_hz"] / 1e6),
-        "--spice-out", str(deck),
+        *extra,
     ])
-    out = capsys.readouterr().out
+    return exit_code, capsys.readouterr().out
+
+
+def test_size_ota_sizes_a_pool_spec_and_writes_a_readable_deck(tmp_path, capsys):
+    deck = tmp_path / "sized.sp"
+    exit_code, out = _size_pool_spec(capsys, 1, "--spice-out", str(deck))
     summary = SUMMARY.search(out)
     assert summary is not None, out
     success, iterations, simulations = (
@@ -82,6 +90,16 @@ def test_size_ota_sizes_a_pool_spec_and_writes_a_readable_deck(tmp_path, capsys)
     for devices, micrometres in printed:
         for name in devices.split(","):
             assert widths[name] * 1e6 == pytest.approx(float(micrometres), abs=5e-4)
+
+
+def test_size_ota_names_the_round_a_filled_round_repeats(capsys):
+    """Pool 5T-OTA spec #2 reaches a margin-allocation fixed point in round
+    2, so rounds 3 to 6 are filled in with it, and each says so."""
+    exit_code, out = _size_pool_spec(capsys, 2)
+    rounds = [ROUND_LINE.match(line) for line in out.splitlines() if line.startswith("  round ")]
+    assert exit_code == 1 and all(rounds), out
+    assert [r.group(5) for r in rounds] == [None, None, "2", "2", "2", "2"]
+    assert len({r.group(2, 3) for r in rounds[1:]}) == 1
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))

@@ -11,6 +11,7 @@ per-candidate verification backend.
 import json
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from tests.conftest import (
     PoisonedFiveT,
     assert_responses_identical,
 )
-from tests.scalar_reference import ScalarBackend
+from tests.scalar_reference import ScalarBackend, end_round_every_round
 
 # ----------------------------------------------------------------------
 # Topology registry
@@ -660,12 +661,14 @@ class _ScriptedOracle(BatchedOracleModel):
     """Answers each request's rounds from its own script of per-group
     parameter sets (``None``: an unparseable decode).  A round's spec
     drifts from its request's only by nudges and margin allocation, so the
-    nearest scripted gain target names the request."""
+    nearest scripted gain target names the request.  Like a greedy decode,
+    it answers a spec it has already seen with its first answer."""
 
     def __init__(self, topology, records, luts, scripts):
         super().__init__(topology, records, luts)
         self._scripts = scripts
         self._rounds = dict.fromkeys(scripts, 0)
+        self._answers = {}
 
     def predict_params_many(self, specs_by_topology, max_len=None):
         return {
@@ -674,14 +677,15 @@ class _ScriptedOracle(BatchedOracleModel):
         }
 
     def _decode(self, spec):
-        original = min(self._scripts, key=lambda s: abs(math.log(s.gain_db / spec.gain_db)))
-        k = self._rounds[original]
-        self._rounds[original] += 1
-        values = self._scripts[original][k]
-        text = f"<{original.gain_db:.3g} dB, round {k + 1}>"
-        if values is None:
-            return ParsedParams(complete=False), text
-        return ParsedParams(values=values), text
+        if spec not in self._answers:
+            original = min(self._scripts, key=lambda s: abs(math.log(s.gain_db / spec.gain_db)))
+            k = self._rounds[original]
+            self._rounds[original] += 1
+            values = self._scripts[original][k]
+            text = f"<{original.gain_db:.3g} dB, round {k + 1}>"
+            parsed = ParsedParams(complete=False) if values is None else ParsedParams(values=values)
+            self._answers[spec] = parsed, text
+        return self._answers[spec]
 
 
 class TestRoundOutcomes:
@@ -690,8 +694,9 @@ class TestRoundOutcomes:
     ):
         """One batch drives all five outcomes.  Each response's counts, texts
         and reported design come from its trace, and the batch counts only
-        the rounds it ran: a coalesced duplicate and a later cache hit carry
-        another request's trace and add none."""
+        the rounds it ran: a round filled in at a margin-allocation fixed
+        point counts as replayed, and a coalesced duplicate and a later
+        cache hit carry another request's trace and add none."""
         topology, records, luts = oracle_setup
         params = [{g: dict(p) for g, p in r.device_params.items()} for r in records]
         probe = SizingEngine(BatchedOracleModel(topology, records, luts), cache_size=0)
@@ -714,7 +719,7 @@ class TestRoundOutcomes:
         spec_far, spec_mute = DesignSpec(90.0, 1e9, 1e11), DesignSpec(10.0, 1e6, 1e7)
         model = _ScriptedOracle(topology, records, luts, {
             spec_all: [None, rejected, params[2], params[1]],
-            spec_far: [params[3], params[4], params[3]],
+            spec_far: [params[3], params[4]],
             spec_mute: [None, None],
         })
         engine = SizingEngine(model, cache_size=16)
@@ -757,17 +762,118 @@ class TestRoundOutcomes:
         assert mute.spice_simulations == 0
         assert far_again.cached and far_again.trace == far.trace
 
+        # far's second round asks for the capped spec, which margin
+        # allocation hands back: its third round is that record, not run.
+        assert far.trace[2] == far.trace[1] and far.spice_simulations == 3
         rounds = {
             "rounds_unparseable": 3, "rounds_lut_rejected": 1, "rounds_nonconverged": 1,
-            "rounds_miss": 3, "rounds_success": 1,
+            "rounds_miss": 2, "rounds_success": 1,
         }
         stats = engine.stats.as_dict()
         assert {name: stats[name] for name in rounds} == rounds
         assert sum(rounds.values()) == stats["inference_sequences"]  # one per decoded row
-        assert stats["spice_simulations"] == 6 and stats["coalesced"] == 1
+        assert stats["rounds_replayed"] == 1
+        assert stats["spice_simulations"] == 5 and stats["coalesced"] == 1
         (hit,) = engine.size_batch([SizingRequest("5T-OTA", spec_all, id="hit", corners=corners)])
         assert hit.cached and hit.trace == every.trace
         assert engine.stats.as_dict() == {**stats, "requests": 5, "batches": 2, "cache_hits": 1}
+
+
+# ----------------------------------------------------------------------
+# Margin allocation at a fixed point: the rest of the budget is replayed
+# ----------------------------------------------------------------------
+PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def _without_time(response):
+    """Every field of a response but its wall time, the in-process trace
+    included; ``repr`` keeps NaN metrics comparable and floats exact."""
+    return repr(replace(response, wall_time_s=0.0)), repr(response.trace)
+
+
+class TestFixedPointReplay:
+    """A round whose margin allocation hands back the spec it asked for
+    ends its request: the rest of the budget repeats that round's record,
+    so every response equals the every-round loop's
+    (:func:`tests.scalar_reference.end_round_every_round`), and the engine
+    counts only the rounds it ran."""
+
+    @staticmethod
+    def _serve_both(make_engine, requests, monkeypatch):
+        engine = make_engine()
+        responses = engine.size_batch(requests)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.service.engine._ActiveRequest.end_round", end_round_every_round
+            )
+            every_round = make_engine()
+            references = every_round.size_batch(requests)
+        assert [_without_time(r) for r in responses] == [_without_time(r) for r in references]
+        for stats in (engine.stats, every_round.stats):
+            ran = sum(getattr(stats, f"rounds_{outcome}") for outcome in ROUND_OUTCOMES)
+            assert ran == stats.inference_sequences
+        assert every_round.stats.rounds_replayed == 0
+        assert (
+            engine.stats.inference_sequences + engine.stats.rounds_replayed
+            == every_round.stats.inference_sequences
+        )
+        return responses, engine.stats, every_round.stats
+
+    def test_committed_bundle_batch_matches_every_round_loop(self, monkeypatch):
+        """Pool 5T specs at tt/ss/ff with their transient targets beside
+        nominal 5T, CM and 2S specs, on the benchmark bundle (read-only)."""
+        model = SizingModel.load(PERFBENCH_DATA / "bundle")
+        pool = json.loads((PERFBENCH_DATA / "pool.json").read_text())["designs"]
+
+        def request(topology, index, **extra):
+            entry = pool[topology][index]
+            if "corners" not in extra:
+                entry = {name: entry[name] for name in ("gain_db", "f3db_hz", "ugf_hz")}
+            payload = {"id": f"{topology}-{index}", "topology": topology, **entry, **extra}
+            return SizingRequest.from_json(payload)
+
+        pvt = {"corners": ["tt", "ss", "ff"]}
+        requests = [
+            *(request("5T-OTA", index, **pvt) for index in (1, 2, 21)),
+            replace(request("5T-OTA", 1), id="5T-OTA-1-nominal"),
+            request("CM-OTA", 0),
+            request("2S-OTA", 0),
+        ]
+        responses, stats, every_round = self._serve_both(
+            lambda: SizingEngine(model, cache_size=0), requests, monkeypatch
+        )
+        assert all(len(r.trace) == 6 for r in responses)
+        assert (stats.inference_sequences, every_round.inference_sequences) == (24, 36)
+        assert stats.spice_simulations < every_round.spice_simulations
+
+    def test_transient_only_miss_is_a_fixed_point_after_one_round(
+        self, oracle_setup, monkeypatch
+    ):
+        """Margin allocation tightens only the AC triple, by 1.0 when only
+        a transient target missed, so the first round's spec comes back."""
+        topology, records, luts = oracle_setup
+        record = records[0]
+        spec = DesignSpec(
+            record.gain_db * 0.995, record.f3db_hz * 0.98, record.ugf_hz * 0.98,
+            slew_v_per_s=1e15,
+        )
+
+        def make_engine():
+            engine = SizingEngine(BatchedOracleModel(topology, records, luts), cache_size=0)
+            engine.adopt_topology(topology)
+            return engine
+
+        (response,), stats, every_round = self._serve_both(
+            make_engine, [SizingRequest("5T-OTA", spec, id="slew", max_iterations=4)],
+            monkeypatch,
+        )
+        first = response.trace[0]
+        assert spec.ac_satisfied(first.metrics) and not spec.satisfied(first.metrics)
+        assert response.trace == (first,) * 4 and not response.success
+        assert response.iterations == 4 and response.spice_simulations == 4
+        assert (stats.inference_sequences, stats.rounds_replayed) == (1, 3)
+        assert (stats.rounds_miss, stats.spice_simulations) == (1, 1)
+        assert (every_round.rounds_miss, every_round.spice_simulations) == (4, 4)
 
 
 # ----------------------------------------------------------------------
